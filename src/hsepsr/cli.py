@@ -22,6 +22,7 @@ from hsepsr.model_io import load_model, save_model
 from hsepsr.predict import predict_observation_at, rollout_predict
 from hsepsr.simbench.benchmark import (
     DESK_HORIZONS,
+    ModelPredictor,
     baseline_mean,
     baseline_prev,
     desk_extents,
@@ -212,11 +213,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not extents:
         raise ValueError("no extent fits the test split with these horizons")
     t0 = time.perf_counter()
-    model = _train_model(cfg, train_traj)
+    predictor = ModelPredictor(_train_model(cfg, train_traj), cfg.renormalize)
     tables = [
         run_protocol(
-            model, test, extents, horizons,
-            train_size=cfg.train_steps, seed=cfg.seed, renormalize=cfg.renormalize,
+            predictor, test, extents, horizons,
+            train_size=cfg.train_steps, seed=cfg.seed,
         ),
         run_protocol(
             baseline_mean(train_traj), test, extents, horizons,
@@ -230,6 +231,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.out:
         write_csv(cfg.out, tables)
         print(f"mse table ({len(extents)} extents) -> {cfg.out}")
+    print(
+        f"belief resets: {len(predictor.filter_resets)} in the prefix filter, "
+        f"{len(predictor.rollout_resets)} in rollouts"
+    )
     hse, mean_t, prev_t = tables
     fails = []
     for h in horizons:

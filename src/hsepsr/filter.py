@@ -24,6 +24,11 @@ rescaling.  Weights are signed and are not clamped or rescaled by default.
 each update for long-horizon stability experiments.  A belief whose mass
 collapses is flagged degenerate; drivers restart such beliefs from the
 uniform feasible state and record where that happened.
+
+Each stage is implemented once, on B beliefs held as the rows of a (B, T)
+array; its solves escalate the regularizer row by row as a single solve
+would.  The single-belief functions standardize their inputs, run the
+batched stage on a batch of one and return its only row.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.gramops import conditioning_matrix, kbr_step, kbr_step_batch, ridge_solve
-from hsepsr.kernels import gram, kernel_vector
+from hsepsr.gramops import kbr_step_batch, ridge_solve
+from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
 
@@ -41,6 +46,15 @@ def _weights_of(state) -> np.ndarray:
     if isinstance(state, BeliefState):
         return state.weights
     return np.asarray(state, dtype=float)
+
+
+def _as_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).ravel()[None]
+
+
+def _belief(W: np.ndarray, renormalize: bool) -> BeliefState:
+    W, collapsed = _normalize_rows(W, renormalize)
+    return BeliefState(W[0], degenerate=bool(collapsed[0]))
 
 
 def propagate(
@@ -54,16 +68,7 @@ def propagate(
     inverse.  Accepts a ``BeliefState`` or a bare weight vector and
     returns the propagated weight vector.
     """
-    g = model.grams
-    C_w = conditioning_matrix(
-        _weights_of(state), g.G_TAs_TAs, g.lam_T,
-        label="shift-conditional", events=events,
-    )
-    inner = g.G_TO_TOs @ C_w @ g.G_TA_TAs.T
-    q = model.state_conditioning_flat() @ inner.ravel()
-    return ridge_solve(
-        model.gram_states, g.lam_T, q, label="propagate", events=events
-    )
+    return propagate_many(model, _weights_of(state)[None], events=events)[0]
 
 
 def condition_action(
@@ -71,13 +76,11 @@ def condition_action(
 ) -> np.ndarray:
     """Condition propagated weights on an executed action (raw units).
 
-    The mixed conditioning tensor contracts with the outer product of the
-    weights and the action's kernel vector in one matrix-vector product.
+    The per-sample conditioning matrices are mixed by the weights and
+    applied to the action's kernel vector.
     """
-    a_std = model.standardizer.transform_actions(
-        np.asarray(action, dtype=float).ravel()
-    )
-    k_a = kernel_vector(model.kernels.action, model.cur_actions, a_std)
+    a_std = model.standardizer.transform_actions(_as_row(action))
+    k_a = gram(model.kernels.action, a_std, model.cur_actions)[0]
     return _condition_action_k(model, _weights_of(weights), k_a)
 
 
@@ -94,19 +97,16 @@ def condition_observation(
     ``renormalize`` is set; a collapsed input or output is flagged
     degenerate.
     """
-    o_std = model.standardizer.transform_obs(
-        np.asarray(observation, dtype=float).ravel()
-    )
-    k_o = kernel_vector(model.kernels.obs, model.cur_obs, o_std)
+    o_std = model.standardizer.transform_obs(_as_row(observation))
+    k_o = gram(model.kernels.obs, o_std, model.cur_obs)[0]
     w = _condition_observation_k(model, _weights_of(weights), k_o, events)
-    return _finalize(w, renormalize=renormalize)
+    return _belief(w[None], renormalize)
 
 
 def _condition_action_k(
     model: HsePsrModel, weights: np.ndarray, k_action: np.ndarray
 ) -> np.ndarray:
-    flat = model.action_conditioning_flat()
-    return flat @ np.outer(weights, k_action).ravel()
+    return condition_action_many(model, weights[None], k_action[None])[0]
 
 
 def _condition_observation_k(
@@ -115,21 +115,7 @@ def _condition_observation_k(
     k_obs: np.ndarray,
     events: list | None = None,
 ) -> np.ndarray:
-    return kbr_step(
-        weights, model.grams.G_O_O, model.grams.lam_T, k_obs,
-        label="obs-conditioning", events=events,
-    )
-
-
-def _finalize(weights: np.ndarray, renormalize: bool) -> BeliefState:
-    if renormalize:
-        total = float(weights.sum())
-        if abs(total) < DEGENERATE_TOL:
-            return BeliefState(weights, degenerate=True)
-        return BeliefState(weights / total)
-    if float(np.abs(weights).sum()) < DEGENERATE_TOL:
-        return BeliefState(weights, degenerate=True)
-    return BeliefState(weights)
+    return condition_observation_many(model, weights[None], k_obs[None], events)[0]
 
 
 def update_standardized(
@@ -142,12 +128,8 @@ def update_standardized(
     """One filter step on inputs already in the model's standardized units."""
     if state.degenerate:
         return state
-    k_a = kernel_vector(model.kernels.action, model.cur_actions, action_std)
-    k_o = kernel_vector(model.kernels.obs, model.cur_obs, obs_std)
-    w = propagate(model, state.weights)
-    w = _condition_action_k(model, w, k_a)
-    w = _condition_observation_k(model, w, k_o)
-    return _finalize(w, renormalize)
+    W = _update_rows(model, state.weights[None], _as_row(action_std), _as_row(obs_std))
+    return _belief(W, renormalize)
 
 
 def update(
@@ -214,39 +196,35 @@ def filter_trajectory(
     return FilterResult(states=states, resets=resets)
 
 
-# --- row-batched internals -------------------------------------------------
-#
-# These mirror the single-belief stages across B independent beliefs held as
-# the rows of a (B, T) array.  They skip the escalation fallback (stacked
-# factorizations have no per-row retry), so they are used by batch drivers
-# that tolerate a hard failure, and by them only.
+# --- the stages, on B beliefs held as the rows of a (B, T) array -------------
 
 
 def propagate_many(
-    model: HsePsrModel, W: np.ndarray, block: int = 32
+    model: HsePsrModel,
+    W: np.ndarray,
+    block: int = 32,
+    events: list | None = None,
 ) -> np.ndarray:
     """Propagate B beliefs held as rows of W in one stacked pass.
 
-    Same arithmetic as ``propagate`` per row (the conditional is nonlinear
-    in the weights, so each row gets its own factorization), but the
-    factorizations are stacked and the projections become one matrix
-    product per block of rows.  ``block`` bounds the stacked temporaries
-    to O(block * T^2) memory.
+    Each row gets its own shift conditional (it is nonlinear in the
+    weights), solved straight against the shifted-to-unshifted window
+    Gram; ``block`` bounds the stacked temporaries to O(block * T^2).
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
     B, T = W.shape
     flat = model.state_conditioning_flat()
-    eye = np.eye(T)
     out = np.empty_like(W)
     for s in range(0, B, block):
         Wb = W[s : s + block]
-        lhs = Wb[:, :, None] * g.G_TAs_TAs + g.lam_T * eye
-        C_w = np.linalg.solve(lhs, Wb[:, :, None] * eye)
-        inner = (g.G_TO_TOs @ C_w) @ g.G_TA_TAs.T
-        q = inner.reshape(len(Wb), T * T) @ flat.T
+        cond = kbr_step_batch(  # C_w @ G_TA_TAs.T per row
+            Wb, g.G_TAs_TAs, g.lam_T, g.G_TA_TAs.T[None],
+            label="shift-conditional", events=events, first_row=s,
+        )
+        q = (g.G_TO_TOs @ cond).reshape(len(Wb), T * T) @ flat.T
         out[s : s + block] = ridge_solve(
-            model.gram_states, g.lam_T, q.T, label="propagate-many"
+            model.gram_states, g.lam_T, q.T, label="propagate", events=events
         ).T
     return out
 
@@ -254,15 +232,41 @@ def propagate_many(
 def condition_action_many(
     model: HsePsrModel, W: np.ndarray, K_a: np.ndarray
 ) -> np.ndarray:
-    B, T = W.shape
-    omega = (W[:, :, None] * K_a[:, None, :]).reshape(B, T * T)
-    return omega @ model.action_conditioning_flat().T
+    """Row b mixes the action conditioning matrices by W[b] and applies
+    the mixture to the action kernel vector K_a[b]."""
+    T = W.shape[1]
+    mixed = (W @ model.action_conditioning_flat()).reshape(-1, T, T)
+    return (mixed @ K_a[:, :, None])[:, :, 0]
 
 
 def condition_observation_many(
-    model: HsePsrModel, W: np.ndarray, K_o: np.ndarray
+    model: HsePsrModel,
+    W: np.ndarray,
+    K_o: np.ndarray,
+    events: list | None = None,
 ) -> np.ndarray:
-    return kbr_step_batch(W, model.grams.G_O_O, model.grams.lam_T, K_o)
+    return kbr_step_batch(
+        W, model.grams.G_O_O, model.grams.lam_T, K_o,
+        label="obs-conditioning", events=events,
+    )
+
+
+def _normalize_rows(W: np.ndarray, renormalize: bool):
+    """The collapse rule: (W rescaled to unit row sums if ``renormalize``,
+    rows whose sum, or else L1 mass, vanished; those are left as computed)."""
+    if renormalize:
+        totals = W.sum(axis=1)
+        collapsed = np.abs(totals) < DEGENERATE_TOL
+        return W / np.where(collapsed, 1.0, totals)[:, None], collapsed
+    return W, np.abs(W).sum(axis=1) < DEGENERATE_TOL
+
+
+def _update_rows(model, W, actions_std, obs_std) -> np.ndarray:
+    """The three stages for each row, before the collapse rule."""
+    K_a = gram(model.kernels.action, actions_std, model.cur_actions)
+    K_o = gram(model.kernels.obs, obs_std, model.cur_obs)
+    W = condition_action_many(model, propagate_many(model, W), K_a)
+    return condition_observation_many(model, W, K_o)
 
 
 def update_standardized_many(
@@ -271,21 +275,17 @@ def update_standardized_many(
     actions_std: np.ndarray,
     obs_std: np.ndarray,
     renormalize: bool = False,
+    resets: list | None = None,
 ) -> np.ndarray:
-    """One filter step for B beliefs at once; rows that collapse are reset
-    to the feasible state."""
-    K_a = gram(model.kernels.action, actions_std, model.cur_actions)
-    K_o = gram(model.kernels.obs, obs_std, model.cur_obs)
-    W = propagate_many(model, W)
-    W = condition_action_many(model, W, K_a)
-    W = condition_observation_many(model, W, K_o)
-    if renormalize:
-        totals = W.sum(axis=1)
-        bad = np.abs(totals) < DEGENERATE_TOL
-        totals[bad] = 1.0
-        W = W / totals[:, None]
-    else:
-        bad = np.abs(W).sum(axis=1) < DEGENERATE_TOL
-    if bad.any():
-        W[bad] = 1.0 / model.n_samples
+    """One filter step for B beliefs at once.
+
+    Rows that collapse are restarted from the feasible state, and their
+    indices are appended to ``resets`` (if given).
+    """
+    W, collapsed = _normalize_rows(
+        _update_rows(model, W, actions_std, obs_std), renormalize
+    )
+    W[collapsed] = 1.0 / model.n_samples
+    if resets is not None:
+        resets.extend(np.flatnonzero(collapsed).tolist())
     return W

@@ -12,7 +12,9 @@ The two solve shapes are
 
 and both escalate the regularizer by factors of 10 (up to three retries)
 when a factorization fails or the relative residual exceeds 1e-8, so a
-near-singular Gram degrades accuracy instead of aborting a run.
+near-singular Gram degrades accuracy instead of aborting a run.  The
+row-batched conditioning solve stacks many weight vectors into one call and
+sends only the rows that fail the same test through that escalation.
 """
 
 from __future__ import annotations
@@ -158,19 +160,42 @@ def kbr_step_batch(
     G: np.ndarray,
     lam: float,
     k: np.ndarray,
+    *,
+    label: str = "kbr",
+    events: list | None = None,
+    first_row: int = 0,
 ) -> np.ndarray:
-    """Row-batched ``kbr_step``: weights and k are (B, T), result is (B, T).
+    """Row-batched ``kbr_step``: weights are (B, T); k is (B, T), giving a
+    (B, T) result, or (B, T, m), giving (B, T, m) (leading dimension 1
+    shares it across rows).
 
-    Batched solves skip the escalation machinery (a stacked factorization
-    has no per-item retry path); callers that need the fallback should use
-    :func:`kbr_step` per row.  Singular stacks raise ``LinAlgError``.
+    The rows are solved in one stacked call and checked as
+    ``escalated_solve`` checks a solve.  Rows that fail (all of them if the
+    stacked call raises) are solved again by ``kbr_step``, which escalates
+    and records ``label[first_row + b]`` as a single-row solve would.
     """
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
-    T = w.shape[1]
+    B, T = w.shape
+    cols = k[:, :, None] if k.ndim == 2 else k
+    rhs = w[:, :, None] * cols
     lhs = w[:, :, None] * G[None, :, :] + lam * np.eye(T)[None, :, :]
-    rhs = (w * k)[:, :, None]
-    return np.linalg.solve(lhs, rhs)[:, :, 0]
+    try:
+        x = np.linalg.solve(lhs, rhs)
+        residual = np.linalg.norm(lhs @ x - rhs, axis=(1, 2))
+        rhs_norm = np.linalg.norm(rhs, axis=(1, 2))
+        ok = np.isfinite(x).all(axis=(1, 2)) & (
+            (residual <= RESIDUAL_RTOL * rhs_norm) | (rhs_norm == 0.0)
+        )
+    except np.linalg.LinAlgError:
+        x = np.empty(rhs.shape)
+        ok = np.zeros(B, dtype=bool)
+    cols = np.broadcast_to(cols, rhs.shape)
+    for b in np.flatnonzero(~ok):
+        x[b] = kbr_step(
+            w[b], G, lam, cols[b], label=f"{label}[{first_row + b}]", events=events
+        )
+    return x[:, :, 0] if k.ndim == 2 else x
 
 
 def conditioning_tensor(

@@ -29,7 +29,6 @@ from hsepsr.gramops import (
     GramCache,
     SolveEvent,
     build_gram_cache,
-    conditioning_matrix,
     conditioning_tensor,
     history_weights,
     state_gram,
@@ -186,12 +185,10 @@ class HsePsrModel:
         return BeliefState(self.feasible_weights.copy())
 
     def action_conditioning_flat(self) -> np.ndarray:
-        """Lazy (T, T*T) cache: block i holds the conditioning matrix of
-        weight column i against the single-action Gram."""
+        """Lazy (T, T*T) cache: row i is the flattened conditioning matrix
+        of weight column i against the single-action Gram."""
         if self._action_flat is None:
-            self._action_flat = _conditioning_flat(
-                self.history_state_weights, self.grams.G_A_A, self.grams.lam_T
-            )
+            self._action_flat = self._flattened_tensor(self.grams.G_A_A, "action")
         return self._action_flat
 
     def state_conditioning_flat(self) -> np.ndarray:
@@ -199,33 +196,17 @@ class HsePsrModel:
         of weight column i against the test-action window Gram, i.e. the
         coefficient form of training state i."""
         if self._state_flat is None:
-            self._state_flat = conditioning_tensor(
-                self.history_state_weights,
-                self.grams.G_TA_TA,
-                self.grams.lam_T,
-                label="state",
-            ).reshape(self.n_samples, -1)
+            self._state_flat = self._flattened_tensor(self.grams.G_TA_TA, "state")
         return self._state_flat
+
+    def _flattened_tensor(self, G: np.ndarray, label: str) -> np.ndarray:
+        return conditioning_tensor(
+            self.history_state_weights, G, self.grams.lam_T, label=label
+        ).reshape(self.n_samples, -1)
 
     def drop_caches(self) -> None:
         self._action_flat = None
         self._state_flat = None
-
-
-def _conditioning_flat(
-    weight_columns: np.ndarray, G: np.ndarray, lam: float
-) -> np.ndarray:
-    """Conditioning matrices laid out for mixing: out[s, i*T + j] = C_i[s, j].
-
-    Mixing a belief alpha with a kernel vector k then reduces to the single
-    matrix-vector product out @ vec(outer(alpha_over_i, k_over_j)).
-    """
-    T, S = weight_columns.shape
-    out = np.empty((T, S * T))
-    view = out.reshape(T, S, T).transpose(1, 0, 2)  # view[i] writes block i
-    for i in range(S):
-        view[i] = conditioning_matrix(weight_columns[:, i], G, lam)
-    return out
 
 
 def resolve_kernels(

@@ -12,7 +12,9 @@ with the model's standardizer.
 Horizons past the window length roll the filter forward: each advance
 feeds the one-step-ahead predicted observation back through a filter
 update together with the planned action, then predicts the deepest step
-of the next window.
+of the next window.  The level loop runs once for B beliefs held as rows;
+``rollout_predict`` is its batch of one.  A row whose feedback update
+collapses restarts from the feasible state and is reported with its level.
 """
 
 from __future__ import annotations
@@ -21,24 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.filter import update_standardized, update_standardized_many
-from hsepsr.gramops import kbr_step, kbr_step_batch
-from hsepsr.kernels import gram, kernel_vector
+from hsepsr.filter import update_standardized_many
+from hsepsr.gramops import kbr_step_batch
+from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, HsePsrModel
 
 MODES = ("conditioned", "direct")
-
-
-def _gamma_standardized(
-    model: HsePsrModel, weights: np.ndarray, window_std_flat: np.ndarray
-) -> np.ndarray:
-    k_w = kernel_vector(
-        model.kernels.test_action, model.shifted_test_actions, window_std_flat
-    )
-    return kbr_step(
-        weights, model.grams.G_TAs_TAs, model.grams.lam_T, k_w,
-        label="window-conditioning",
-    )
 
 
 def condition_test_actions(
@@ -55,7 +45,7 @@ def condition_test_actions(
         )
     window = window.reshape(expected)
     window_std = model.standardizer.transform_actions(window).ravel()
-    return _gamma_standardized(model, state.weights, window_std)
+    return condition_test_actions_many(model, state.weights[None], window_std[None])[0]
 
 
 def expect_function(
@@ -100,14 +90,9 @@ def predict_observation_at(
     else:
         if future_actions is None:
             raise ValueError("conditioned prediction needs planned actions")
-        future_actions = np.asarray(future_actions, dtype=float).reshape(
-            -1, model.action_dim
-        )
-        if future_actions.shape[0] < N:
-            raise ValueError(
-                f"need at least {N} planned actions, got {future_actions.shape[0]}"
-            )
-        weights = condition_test_actions(model, state, future_actions[:N])
+        A = np.asarray(future_actions, dtype=float).reshape(-1, model.action_dim)
+        _checked_horizons(model, A.shape[0], [horizon])
+        weights = condition_test_actions(model, state, A[:N])
     pred_std = expect_function(model, weights, _obs_block(model, horizon))
     return model.standardizer.inverse_obs(pred_std)
 
@@ -124,6 +109,22 @@ class RolloutResult:
     horizons: list
     predictions: np.ndarray
     resets: list = field(default_factory=list)
+
+
+def _checked_horizons(model: HsePsrModel, plan_length: int, horizons) -> list:
+    """Sorted unique horizons, checked against a plan of ``plan_length``
+    actions: it must cover the test window and the largest horizon."""
+    horizons = sorted(int(h) for h in set(horizons))
+    if not horizons or horizons[0] < 1:
+        raise ValueError("horizons must be positive integers")
+    N, max_h = model.config.test_length, horizons[-1]
+    if plan_length < N:
+        raise ValueError(f"need at least {N} planned actions, got {plan_length}")
+    if plan_length < max_h:
+        raise ValueError(
+            f"horizon {max_h} needs {max_h} planned actions, got {plan_length}"
+        )
+    return horizons
 
 
 def rollout_predict(
@@ -143,67 +144,26 @@ def rollout_predict(
     plan; the plan must span at least ``test_length`` actions and the
     largest horizon.
     """
-    N = model.config.test_length
-    do = model.obs_dim
     A = np.asarray(future_actions, dtype=float).reshape(-1, model.action_dim)
-    H = A.shape[0]
     if horizons is None:
-        horizons = list(range(1, H + 1))
-    else:
-        horizons = sorted(int(h) for h in set(horizons))
-    if not horizons or horizons[0] < 1:
-        raise ValueError("horizons must be positive integers")
-    max_h = horizons[-1]
-    if H < N:
-        raise ValueError(f"need at least {N} planned actions, got {H}")
-    if H < max_h:
-        raise ValueError(f"horizon {max_h} needs {max_h} planned actions, got {H}")
-    A_std = model.standardizer.transform_actions(A)
-    obs_windows = model.shifted_test_obs
-
-    wanted = set(horizons)
-    preds_std = {}
-    resets: list[int] = []
-    current = state
-    last_level = max(0, max_h - N)
-    for level in range(last_level + 1):
-        gamma = _gamma_standardized(
-            model, current.weights, A_std[level : level + N].ravel()
-        )
-        window_pred = (obs_windows.T @ gamma).reshape(N, do)
-        if level == 0:
-            for h in range(1, N + 1):
-                if h in wanted:
-                    preds_std[h] = window_pred[h - 1]
-        elif level + N in wanted:
-            preds_std[level + N] = window_pred[N - 1]
-        if level < last_level:
-            current = update_standardized(
-                model, current, A_std[level], window_pred[0], renormalize
-            )
-            if current.degenerate:
-                resets.append(level)
-                current = model.feasible_state()
-    stacked = np.stack([preds_std[h] for h in horizons])
-    return RolloutResult(
-        horizons=horizons,
-        predictions=model.standardizer.inverse_obs(stacked),
-        resets=resets,
+        horizons = range(1, A.shape[0] + 1)
+    horizons = _checked_horizons(model, A.shape[0], horizons)
+    resets: list = []
+    preds = _rollout_rows(
+        model, state.weights[None], A[None], horizons, renormalize, resets=resets
     )
-
-
-# --- row-batched internals ---------------------------------------------------
+    return RolloutResult(horizons, preds[0], [level for _, level in resets])
 
 
 def condition_test_actions_many(
     model: HsePsrModel, W: np.ndarray, windows_std: np.ndarray
 ) -> np.ndarray:
-    """Batched gamma weights: row b conditions belief W[b] on windows_std[b].
-
-    Skips the escalation fallback, like the other row-batched internals.
-    """
+    """Batched gamma weights: row b conditions belief W[b] on windows_std[b]."""
     K = gram(model.kernels.test_action, windows_std, model.shifted_test_actions)
-    return kbr_step_batch(W, model.grams.G_TAs_TAs, model.grams.lam_T, K)
+    return kbr_step_batch(
+        W, model.grams.G_TAs_TAs, model.grams.lam_T, K,
+        label="window-conditioning",
+    )
 
 
 def rollout_predict_many(
@@ -212,51 +172,57 @@ def rollout_predict_many(
     future_actions: np.ndarray,
     horizons,
     renormalize: bool = False,
+    resets: list | None = None,
 ) -> np.ndarray:
     """Batched ``rollout_predict``: row b rolls belief W[b] under plan b.
 
     ``future_actions`` has shape (B, P, da) with P covering at least the
     test window and the largest horizon.  Returns raw predictions of
-    shape (B, n_horizons, d_o) with horizons sorted ascending.  Advances
-    all rows through each rollout level together; rows whose feedback
-    update collapses restart from the feasible state silently.
+    shape (B, n_horizons, d_o) with horizons sorted ascending.  Rows whose
+    feedback update collapses restart from the feasible state; each such
+    restart is appended to ``resets`` (if given) as a (row, level) pair.
     """
-    N = model.config.test_length
-    do = model.obs_dim
-    W = np.asarray(W, dtype=float).copy()
+    W = np.asarray(W, dtype=float)
     A = np.asarray(future_actions, dtype=float)
     if A.ndim != 3 or A.shape[0] != W.shape[0] or A.shape[2] != model.action_dim:
         raise ValueError(
             "future_actions must be (n_beliefs, plan_length, action_dim), "
             f"got {A.shape}"
         )
-    horizons = sorted(int(h) for h in set(horizons))
-    if not horizons or horizons[0] < 1:
-        raise ValueError("horizons must be positive integers")
-    max_h = horizons[-1]
-    if A.shape[1] < max(N, max_h):
-        raise ValueError(
-            f"plans must span at least {max(N, max_h)} actions, got {A.shape[1]}"
-        )
-    B, P, da = A.shape
+    horizons = _checked_horizons(model, A.shape[1], horizons)
+    return _rollout_rows(model, W, A, horizons, renormalize, resets)
+
+
+def _rollout_rows(
+    model: HsePsrModel,
+    W: np.ndarray,
+    A: np.ndarray,
+    horizons: list,
+    renormalize: bool,
+    resets: list | None = None,
+) -> np.ndarray:
+    """The rollout level loop for B beliefs under raw (B, P, da) plans;
+    returns raw (B, len(horizons), d_o) predictions."""
+    N = model.config.test_length
+    do = model.obs_dim
+    B, _, da = A.shape
     A_std = model.standardizer.transform_actions(A.reshape(-1, da)).reshape(A.shape)
     obs_windows = model.shifted_test_obs
-    slot = {h: i for i, h in enumerate(horizons)}
     preds_std = np.empty((B, len(horizons), do))
-    last_level = max(0, max_h - N)
+    last_level = max(0, horizons[-1] - N)
     for level in range(last_level + 1):
         windows = A_std[:, level : level + N].reshape(B, N * da)
         gamma = condition_test_actions_many(model, W, windows)
         window_pred = (gamma @ obs_windows).reshape(B, N, do)
-        if level == 0:
-            for h in range(1, N + 1):
-                if h in slot:
-                    preds_std[:, slot[h]] = window_pred[:, h - 1]
-        elif level + N in slot:
-            preds_std[:, slot[level + N]] = window_pred[:, N - 1]
+        for i, h in enumerate(horizons):
+            if max(0, h - N) == level:  # the first window reaching h
+                preds_std[:, i] = window_pred[:, min(h, N) - 1]
         if level < last_level:
+            rows: list = []
             W = update_standardized_many(
-                model, W, A_std[:, level], window_pred[:, 0], renormalize
+                model, W, A_std[:, level], window_pred[:, 0], renormalize, rows
             )
+            if resets is not None:
+                resets.extend((row, level) for row in rows)
     raw = model.standardizer.inverse_obs(preds_std.reshape(-1, do))
     return raw.reshape(B, len(horizons), do)

@@ -15,7 +15,7 @@ seen before the extent, each constant across horizons.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,11 +111,15 @@ def baseline_prev() -> PrevBaseline:
 @dataclass
 class ModelPredictor:
     """Protocol driver for a trained model: filter once, snapshot extents,
-    roll all extents forward together."""
+    roll all extents forward together.  The last call's restarts are kept:
+    prefix pair indices in ``filter_resets``, (extent row, rollout level)
+    pairs in ``rollout_resets``."""
 
     model: HsePsrModel
     renormalize: bool = True
     name: str = "hse-psr"
+    filter_resets: list = field(default_factory=list, init=False)
+    rollout_resets: list = field(default_factory=list, init=False)
 
     def predict_all(self, actions, observations, extents, horizons) -> np.ndarray:
         model = self.model
@@ -133,7 +137,11 @@ class ModelPredictor:
         )
         W = np.stack([result.states[e - 1].weights for e in extents])
         plans = np.stack([actions[e : e + plan_len] for e in extents])
-        return rollout_predict_many(model, W, plans, horizons, self.renormalize)
+        self.filter_resets = result.resets
+        self.rollout_resets = []
+        return rollout_predict_many(
+            model, W, plans, horizons, self.renormalize, resets=self.rollout_resets
+        )
 
 
 def desk_extents(n_test: int, horizons, start: int = 101, step: int = 10) -> list:

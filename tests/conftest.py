@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from hsepsr.learner import train
-from hsepsr.windows import Trajectory, WindowConfig
+from hsepsr.windows import WindowConfig
+
+from synthdata import synthetic_trajectory
 
 hypothesis.settings.register_profile(
     "fast", max_examples=25, deadline=None, derandomize=True
@@ -14,18 +16,6 @@ hypothesis.settings.load_profile("fast")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-def synthetic_trajectory(seed=0, n=60, da=1, do=1):
-    """Smooth controlled process: leaky state pushed by the action."""
-    rng = np.random.default_rng(seed)
-    actions = rng.uniform(-1.0, 1.0, (n, da))
-    obs = np.zeros((n, do))
-    state = np.zeros(do)
-    for t in range(n):
-        state = 0.8 * state + 0.5 * np.tanh(actions[t, 0]) + 0.05 * rng.normal(size=do)
-        obs[t] = state
-    return Trajectory(actions, obs)
 
 
 @pytest.fixture(scope="session")

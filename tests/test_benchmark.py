@@ -138,6 +138,22 @@ class TestRunProtocol:
         assert tbl.seed == 6
 
 
+    def test_model_predictor_records_resets(self):
+        """Observations far outside the training range zero the observation
+        kernel vector, so every prefix step collapses and is reported."""
+        train_traj, test = _split()
+        model = train(train_traj, WindowConfig(3, 4), lam=2e-3)
+        far = Trajectory(test.actions, np.full_like(test.observations, 1e3))
+        predictor = ModelPredictor(model)
+        run_protocol(predictor, far, [10, 14], [1, 6])
+        assert predictor.filter_resets == list(range(14))
+        W = np.tile(model.feasible_weights, (2, 1))
+        plans = np.stack([far.actions[e : e + 6] for e in (10, 14)])
+        expect = []
+        rollout_predict_many(model, W, plans, [1, 6], True, resets=expect)
+        assert predictor.rollout_resets == expect
+
+
 class TestBatchedRollout:
     def test_matches_sequential_within_window(self):
         """With horizons inside the window (no feedback) the batched and

@@ -105,6 +105,7 @@ class TestCommands:
         )
         assert code == 0
         assert "below both baselines" in out
+        assert "belief resets:" in out
         text = mse.read_text()
         assert text.startswith("model,horizon,mse,n_extents,seed")
         for name in ("hse-psr", "mean", "previous"):

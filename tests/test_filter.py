@@ -20,7 +20,7 @@ from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
-from conftest import synthetic_trajectory
+from synthdata import synthetic_trajectory
 
 
 class TestStages:

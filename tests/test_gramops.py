@@ -122,6 +122,48 @@ class TestConditioning:
         for b in range(4):
             assert np.allclose(got[b], kbr_step(W[b], G, 0.3, K[b]), atol=1e-10)
 
+    def test_batch_escalates_only_the_failing_row(self, rng):
+        """A row singular at lam gets the single-row escalated solution and
+        the one recorded escalation; the other rows keep their plain solves."""
+        G = random_psd(rng, 6)
+        lam = 0.3
+        W = rng.normal(size=(4, 6))
+        K = rng.normal(size=(4, 6))
+        W[2] = -(lam / np.linalg.eigvalsh(G).max()) * np.ones(6)
+        single_events = []
+        single = kbr_step(W[2], G, lam, K[2], events=single_events)
+        assert len(single_events) == 1 and single_events[0].used > lam
+        events = []
+        got = kbr_step_batch(W, G, lam, K, label="obs", events=events)
+        assert np.allclose(got[2], single, atol=1e-12)
+        for b in (0, 1, 3):
+            plain = np.linalg.solve(W[b][:, None] * G + lam * np.eye(6), W[b] * K[b])
+            assert np.allclose(got[b], plain, atol=1e-10)
+        assert [e.label for e in events] == ["obs[2]"]
+        assert events[0].used == single_events[0].used
+
+    def test_batch_falls_back_per_row_when_the_stack_raises(self, rng):
+        """An exactly singular row makes the stacked call raise; every row is
+        then solved on its own and only the singular one escalates."""
+        G = np.diag(np.arange(1.0, 6.0))
+        lam = 0.5
+        W = np.vstack([np.full(5, -lam), rng.uniform(0.5, 1.0, 5)])
+        K = rng.normal(size=(2, 5))
+        events = []
+        got = kbr_step_batch(W, G, lam, K, events=events, first_row=7)
+        assert np.allclose(got[1], kbr_step(W[1], G, lam, K[1]), atol=1e-12)
+        assert np.allclose(got[0], kbr_step(W[0], G, lam, K[0]), atol=1e-12)
+        assert [e.label for e in events] == ["kbr[7]"]
+
+    def test_batch_matrix_right_hand_side_shared_across_rows(self, rng):
+        G = random_psd(rng, 6)
+        W = rng.normal(size=(3, 6))
+        M = rng.normal(size=(6, 4))
+        got = kbr_step_batch(W, G, 0.3, M[None])
+        assert got.shape == (3, 6, 4)
+        for b in range(3):
+            assert np.allclose(got[b], kbr_step(W[b], G, 0.3, M), atol=1e-10)
+
     def test_tensor_stacks_columns(self, rng):
         G = random_psd(rng, 5)
         W = rng.normal(size=(5, 3))

@@ -14,7 +14,7 @@ from hsepsr.learner import (
 from hsepsr.predict import rollout_predict
 from hsepsr.windows import Trajectory, WindowConfig, WindowedData, build_windows
 
-from conftest import synthetic_trajectory
+from synthdata import synthetic_trajectory
 
 
 class TestResolveKernels:
@@ -90,7 +90,7 @@ class TestTrain:
         for i in (0, T // 2, T - 1):
             w_i = model.history_state_weights[:, i]
             assert np.allclose(
-                act_flat[:, i * T : (i + 1) * T],
+                act_flat[i].reshape(T, T),
                 conditioning_matrix(w_i, g.G_A_A, g.lam_T),
                 atol=1e-12,
             )

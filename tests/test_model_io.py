@@ -7,7 +7,7 @@ from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.predict import rollout_predict
 from hsepsr.windows import WindowConfig
 
-from conftest import synthetic_trajectory
+from synthdata import synthetic_trajectory
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,11 @@ from hsepsr.predict import (
     expect_function,
     predict_observation_at,
     rollout_predict,
+    rollout_predict_many,
 )
 from hsepsr.windows import WindowConfig
 
-from conftest import synthetic_trajectory
+from synthdata import synthetic_trajectory
 
 
 @pytest.fixture
@@ -210,3 +211,18 @@ class TestDegenerateRollout:
         # level 0 gamma is zero, feedback collapses, rollout restarts feasibly
         assert out.resets != [] or np.isfinite(out.predictions).all()
         assert np.isfinite(out.predictions).all()
+
+    def test_batched_rollout_records_reset_rows(self, filtered):
+        """A zero-weight row collapses at its first feedback update and is
+        reported as (row, level); the uniform row is never reset."""
+        model, _ = filtered
+        T = model.n_samples
+        W = np.vstack([np.zeros(T), np.full(T, 1.0 / T)])
+        plans = np.stack([plan(8, seed=60), plan(8, seed=61)])
+        resets = []
+        out = rollout_predict_many(model, W, plans, range(1, 9), resets=resets)
+        assert resets == [(0, 0)]
+        assert np.isfinite(out).all()
+        single = rollout_predict(model, BeliefState(np.zeros(T)), plans[0])
+        assert single.resets == [0]
+        assert np.allclose(out[0], single.predictions, atol=1e-12)
