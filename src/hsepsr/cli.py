@@ -5,11 +5,17 @@ only the paths it is given, and exits 0 on success or 1 with a one-line
 diagnostic on failure.  Trajectories travel as CSV, models as the binary
 container of ``model_io``, benchmark results as the MSE CSV of
 ``simbench.benchmark``.
+
+``evaluate`` is a thin shell over ``simbench.benchmark.evaluate``: the
+desk defaults (split, windows, regularizer, extent grid, horizons,
+renormalization) are that function's keyword defaults, and the parser
+reads them from its signature.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from dataclasses import dataclass
@@ -21,18 +27,16 @@ from hsepsr.learner import DEFAULT_LAM, train
 from hsepsr.model_io import load_model, save_model
 from hsepsr.predict import predict_observation_at, rollout_predict
 from hsepsr.simbench.benchmark import (
+    DESK_EXTENT,
+    DESK_EXTENT_STEP,
     DESK_HORIZONS,
-    ModelPredictor,
-    baseline_mean,
-    baseline_prev,
-    desk_extents,
-    full_extents,
-    run_protocol,
+    DESK_TRAIN_STEPS,
+    DESK_WINDOW,
+    evaluate,
     write_csv,
 )
 from hsepsr.simbench.simulate import SynthConfig, simulate_system
 from hsepsr.windows import (
-    Trajectory,
     WindowConfig,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -51,18 +55,17 @@ class RunConfig:
     out: str | None = None
     steps: int = 1600
     seed: int = 0
-    history_length: int = 10
-    test_length: int = 10
+    history_length: int = DESK_WINDOW
+    test_length: int = DESK_WINDOW
     lam: float = DEFAULT_LAM
     kernel: str = "auto"
     bandwidth_scale: float = 1.0
     discrete: bool = False
     max_samples: int | None = 500
-    train_steps: int = 500
-    extent: int = 101
-    extent_step: int = 10
+    train_steps: int = DESK_TRAIN_STEPS
+    extent: int = DESK_EXTENT
+    extent_step: int = DESK_EXTENT_STEP
     horizons: tuple = DESK_HORIZONS
-    full: bool = False
     renormalize: bool = False
     direct_prediction: bool = False
 
@@ -79,6 +82,8 @@ class RunConfig:
             raise ValueError(f"--kernel must be one of {KERNEL_CHOICES}")
         if not self.bandwidth_scale > 0:
             raise ValueError("--bandwidth-scale must be positive")
+        if self.max_samples is not None and self.max_samples < 1:
+            raise ValueError("--max-samples must be positive, or 0 for no cap")
         if self.train_steps < 1:
             raise ValueError("--train-steps must be at least 1")
         if self.extent < 1 or self.extent_step < 1:
@@ -91,17 +96,6 @@ def _family(cfg: RunConfig):
     return None if cfg.kernel == "auto" else cfg.kernel
 
 
-def _train_model(cfg: RunConfig, traj: Trajectory):
-    return train(
-        traj,
-        WindowConfig(cfg.history_length, cfg.test_length),
-        lam=cfg.lam,
-        family=_family(cfg),
-        bandwidth_scale=cfg.bandwidth_scale,
-        max_samples=cfg.max_samples,
-    )
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     traj = simulate_system(SynthConfig(n_steps=cfg.steps, seed=cfg.seed))
     write_trajectory_csv(cfg.out, traj)
@@ -112,7 +106,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
     t0 = time.perf_counter()
-    model = _train_model(cfg, traj)
+    model = train(
+        traj,
+        WindowConfig(cfg.history_length, cfg.test_length),
+        lam=cfg.lam,
+        family=_family(cfg),
+        bandwidth_scale=cfg.bandwidth_scale,
+        max_samples=cfg.max_samples,
+    )
     wall = time.perf_counter() - t0
     save_model(model, cfg.out)
     for line in model.report.summary_lines():
@@ -187,73 +188,27 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
-    if cfg.train_steps >= traj.n:
-        raise ValueError(
-            f"--train-steps {cfg.train_steps} consumes the whole "
-            f"{traj.n}-step trajectory"
-        )
-    train_traj = Trajectory(
-        traj.actions[: cfg.train_steps],
-        traj.observations[: cfg.train_steps],
-        discrete=traj.discrete,
-    )
-    test = Trajectory(
-        traj.actions[cfg.train_steps :],
-        traj.observations[cfg.train_steps :],
-        discrete=traj.discrete,
-    )
-    horizons = sorted(set(cfg.horizons))
-    n_test = test.n
-    if cfg.full:
-        extents = full_extents(n_test, horizons, start=cfg.extent)
-    else:
-        extents = desk_extents(
-            n_test, horizons, start=cfg.extent, step=cfg.extent_step
-        )
-    if not extents:
-        raise ValueError("no extent fits the test split with these horizons")
     t0 = time.perf_counter()
-    predictor = ModelPredictor(_train_model(cfg, train_traj), cfg.renormalize)
-    tables = [
-        run_protocol(
-            predictor, test, extents, horizons,
-            train_size=cfg.train_steps, seed=cfg.seed,
-        ),
-        run_protocol(
-            baseline_mean(train_traj), test, extents, horizons,
-            train_size=cfg.train_steps, seed=cfg.seed,
-        ),
-        run_protocol(
-            baseline_prev(), test, extents, horizons,
-            train_size=cfg.train_steps, seed=cfg.seed,
-        ),
-    ]
-    if cfg.out:
-        write_csv(cfg.out, tables)
-        print(f"mse table ({len(extents)} extents) -> {cfg.out}")
-    print(
-        f"belief resets: {len(predictor.filter_resets)} in the prefix filter, "
-        f"{len(predictor.rollout_resets)} in rollouts"
+    result = evaluate(
+        traj,
+        train_steps=cfg.train_steps,
+        history_length=cfg.history_length,
+        test_length=cfg.test_length,
+        lam=cfg.lam,
+        extent=cfg.extent,
+        extent_step=cfg.extent_step,
+        horizons=cfg.horizons,
+        renormalize=cfg.renormalize,
+        seed=cfg.seed,
+        family=_family(cfg),
+        bandwidth_scale=cfg.bandwidth_scale,
+        max_samples=cfg.max_samples,
     )
-    hse, mean_t, prev_t = tables
-    fails = []
-    for h in horizons:
-        m, mn, pv = hse.at(h), mean_t.at(h), prev_t.at(h)
-        below = m < mn and m < pv
-        if h <= 10 and not below:
-            fails.append(h)
-        print(
-            f"h={h:>3} hse-psr {m:.5f} mean {mn:.5f} previous {pv:.5f} "
-            f"{'below both' if below else 'not below both'}"
-        )
-    short = [h for h in range(1, 11) if h in horizons]
-    if short:
-        verdict = "PASS" if not fails else f"FAIL (horizons {fails})"
-        print(f"horizons 1-10 below both baselines: {verdict}")
-    if 100 in horizons:
-        ratio = hse.at(100) / mean_t.at(100)
-        verdict = "PASS" if ratio <= 1.5 else "FAIL"
-        print(f"h=100 within 1.5x of mean baseline: {verdict} (ratio {ratio:.3f})")
+    if cfg.out:
+        write_csv(cfg.out, result.tables)
+        print(f"mse table ({result.model.n_extents} extents) -> {cfg.out}")
+    for line in result.summary_lines():
+        print(line)
     print(f"evaluate wall time: {time.perf_counter() - t0:.1f}s")
     return 0
 
@@ -278,13 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the desk defaults are evaluate()'s keyword defaults, written only there
+    defaults = {
+        name: param.default
+        for name, param in inspect.signature(evaluate).parameters.items()
+    }
+
     def add_window_flags(p):
-        p.add_argument("-L", "--history-length", type=int, default=10,
-                       help="history window length (default 10)")
-        p.add_argument("-N", "--test-length", type=int, default=10,
-                       help="test window length (default 10)")
-        p.add_argument("--lam", type=float, default=DEFAULT_LAM,
-                       help=f"ridge regularizer (default {DEFAULT_LAM:g})")
+        p.add_argument("-L", "--history-length", type=int,
+                       default=defaults["history_length"],
+                       help="history window length (default %(default)s)")
+        p.add_argument("-N", "--test-length", type=int,
+                       default=defaults["test_length"],
+                       help="test window length (default %(default)s)")
+        p.add_argument("--lam", type=float, default=defaults["lam"],
+                       help="ridge regularizer (default %(default)g)")
         p.add_argument("--kernel", choices=KERNEL_CHOICES, default="auto",
                        help="kernel family for all streams (default auto)")
         p.add_argument("--bandwidth-scale", type=float, default=1.0,
@@ -315,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="filter a prefix, predict ahead")
     p.add_argument("model", help="trained model file")
     p.add_argument("data", help="trajectory CSV")
-    p.add_argument("--extent", type=int, default=101,
-                   help="length of the filtered prefix (default 101)")
+    p.add_argument("--extent", type=int, default=defaults["extent"],
+                   help="length of the filtered prefix (default %(default)s)")
     p.add_argument("--horizons", type=_parse_horizons,
                    default=tuple(range(1, 11)),
                    help="comma-separated steps ahead (default 1..10)")
@@ -329,20 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="benchmark a model against baselines")
     p.add_argument("data", help="full trajectory CSV (train + test)")
     p.add_argument("--out", help="output MSE CSV")
-    p.add_argument("--train-steps", type=int, default=500,
-                   help="steps used for training (default 500)")
-    p.add_argument("--extent", type=int, default=101,
-                   help="first filtering extent (default 101)")
-    p.add_argument("--extent-step", type=int, default=10,
-                   help="spacing between extents (default 10)")
-    p.add_argument("--horizons", type=_parse_horizons, default=DESK_HORIZONS,
-                   help="comma-separated horizons (default 1..10,20,50,100)")
-    p.add_argument("--full", action="store_true",
-                   help="every extent instead of the subsampled grid (slow)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--train-steps", type=int, default=defaults["train_steps"],
+                   help="steps used for training (default %(default)s)")
+    p.add_argument("--extent", type=int, default=defaults["extent"],
+                   help="first filtering extent (default %(default)s)")
+    p.add_argument("--extent-step", type=int, default=defaults["extent_step"],
+                   help="spacing between extents, 1 for every extent "
+                   "(default %(default)s)")
+    p.add_argument("--horizons", type=_parse_horizons,
+                   default=defaults["horizons"],
+                   help="comma-separated horizons (default %(default)s)")
+    p.add_argument("--seed", type=int, default=defaults["seed"],
                    help="seed recorded in the output table")
     p.add_argument("--discrete", action="store_true")
-    p.add_argument("--renormalize", action="store_true")
+    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction,
+                   default=defaults["renormalize"],
+                   help="rescale weights to unit sum after each step "
+                   "(default %(default)s)")
     add_window_flags(p)
 
     return parser

@@ -285,7 +285,7 @@ def update_standardized_many(
     W, collapsed = _normalize_rows(
         _update_rows(model, W, actions_std, obs_std), renormalize
     )
-    W[collapsed] = 1.0 / model.n_samples
+    W[collapsed] = model.feasible_weights
     if resets is not None:
         resets.extend(np.flatnonzero(collapsed).tolist())
     return W

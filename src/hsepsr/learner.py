@@ -14,8 +14,10 @@ process as a weight vector across T training samples.  Training amounts to
    propagation step uses to project each belief's one-step-extended window
    conditional back onto the training states.
 
-Conditioning tensors consumed by the filter are large (T x T^2) and cheap
-to rebuild, so they are cached lazily and never persisted.
+Only what training learned is persisted (see ``model_io``); the training
+Grams rebuild in milliseconds, and the large (T x T^2) conditioning tensors
+are cached lazily.  ``DEFAULT_LAM`` is the one library default for the
+regularizer, used by ``train`` and by the desk benchmark.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from hsepsr.windows import (
 )
 
 #: Default ridge weight; the effective regularizer is this times T.
-DEFAULT_LAM = 1e-4
+DEFAULT_LAM = 1e-3
 
 #: Beliefs with L1 mass below this are treated as collapsed.
 DEGENERATE_TOL = 1e-12
@@ -117,8 +119,7 @@ class HsePsrModel:
     propagation step forms the belief's own conditioning matrix against the
     shifted windows and projects it onto the training states through
     ``gram_states``; the per-sample state matrices enter that projection in
-    flattened form.  ``feasible_weights`` is the uniform average of the
-    training states, the start belief.
+    flattened form.
     """
 
     windowed: WindowedData
@@ -127,7 +128,6 @@ class HsePsrModel:
     grams: GramCache
     history_state_weights: np.ndarray
     gram_states: np.ndarray
-    feasible_weights: np.ndarray
     report: TrainingReport | None = None
     _action_flat: np.ndarray | None = None
     _state_flat: np.ndarray | None = None
@@ -180,9 +180,15 @@ class HsePsrModel:
     def obs_dim(self) -> int:
         return self.cur_obs.shape[1]
 
+    @property
+    def feasible_weights(self) -> np.ndarray:
+        """Uniform weights 1/T, the average of the training states: the
+        start belief and the restart of a collapsed one."""
+        return np.full(self.n_samples, 1.0 / self.n_samples)
+
     def feasible_state(self) -> BeliefState:
         """Uniform weights: the average of the training states."""
-        return BeliefState(self.feasible_weights.copy())
+        return BeliefState(self.feasible_weights)
 
     def action_conditioning_flat(self) -> np.ndarray:
         """Lazy (T, T*T) cache: row i is the flattened conditioning matrix
@@ -310,7 +316,6 @@ def train_from_windows(
         grams=cache,
         history_state_weights=A,
         gram_states=G_states,
-        feasible_weights=np.full(T, 1.0 / T),
         report=report,
         _state_flat=state_flat,
     )
@@ -332,6 +337,8 @@ def train(
     ``max_samples`` caps T by truncating the trajectory (conditioning
     tensors grow as T^3 floats); pass None to disable the cap.
     """
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"max_samples must be positive or None, got {max_samples}")
     T_full = traj.n - config.history_length - config.test_length
     if max_samples is not None and T_full > max_samples:
         keep = max_samples + config.history_length + config.test_length

@@ -6,10 +6,13 @@ array named in the header, little-endian float64 in C order.  The header
 carries the window configuration, regularizer, kernel families and
 bandwidths, the standardization transform, and the array manifest.
 
-Persisted arrays are the windowed training data, the training Gram
-matrices, the per-history weight matrix, the state Gram matrix, and the
-start belief.  Conditioning tensors are not stored; they are rebuilt
-lazily from the persisted arrays on first use.
+Only what training learned is stored: the windowed training data, the
+per-history weight matrix and the state Gram matrix.  Loading rebuilds the
+training Gram matrices from the windows, kernels and regularizer with
+``build_gram_cache``, bit-identical to the trained ones; the start belief
+is uniform by definition, and the conditioning tensors rebuild lazily on
+first use.  Version 1 files also stored the eight training Grams and the
+start belief; they still load, and those arrays are read and ignored.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ import struct
 
 import numpy as np
 
-from hsepsr.gramops import GramCache
+from hsepsr.gramops import build_gram_cache
 from hsepsr.kernels import KernelSet, KernelSpec
 from hsepsr.learner import HsePsrModel
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
 
 MAGIC = b"HSEPSR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 _WINDOW_ARRAYS = (
     "histories",
@@ -36,20 +40,9 @@ _WINDOW_ARRAYS = (
     "cur_actions",
     "cur_obs",
 )
-_GRAM_ARRAYS = (
-    "G_HH",
-    "G_TA_TA",
-    "G_TAs_TAs",
-    "G_TO_TO",
-    "G_TO_TOs",
-    "G_TA_TAs",
-    "G_A_A",
-    "G_O_O",
-)
 _LEARNED_ARRAYS = (
     "history_state_weights",
     "gram_states",
-    "feasible_weights",
 )
 
 
@@ -57,8 +50,6 @@ def _collect_arrays(model: HsePsrModel) -> dict:
     arrays = {}
     for name in _WINDOW_ARRAYS:
         arrays[name] = getattr(model.windowed, name)
-    for name in _GRAM_ARRAYS:
-        arrays[name] = getattr(model.grams, name)
     for name in _LEARNED_ARRAYS:
         arrays[name] = getattr(model, name)
     return arrays
@@ -118,14 +109,15 @@ def load_model(path) -> HsePsrModel:
     """Read a model container back into a usable model.
 
     The training report and conditioning-tensor caches are not part of the
-    container; caches rebuild lazily on first use.
+    container; the training Grams are rebuilt here and the caches lazily
+    on first use.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError("not a model file (bad magic)")
         version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
-        if version != FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ValueError(f"unsupported model format version {version}")
         hlen = struct.unpack("<I", _read_exact(fh, 4, "header length"))[0]
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
@@ -139,7 +131,7 @@ def load_model(path) -> HsePsrModel:
 
     missing = [
         name
-        for name in _WINDOW_ARRAYS + _GRAM_ARRAYS + _LEARNED_ARRAYS
+        for name in _WINDOW_ARRAYS + _LEARNED_ARRAYS
         if name not in arrays
     ]
     if missing:
@@ -171,16 +163,11 @@ def load_model(path) -> HsePsrModel:
         **{name: arrays[name] for name in _WINDOW_ARRAYS},
     )
     lam = float(header["lam"])
-    grams = GramCache(
-        lam_T=lam * int(header["n_samples"]),
-        **{name: arrays[name] for name in _GRAM_ARRAYS},
-    )
     return HsePsrModel(
         windowed=windowed,
         kernels=kernels,
         lam=lam,
-        grams=grams,
+        grams=build_gram_cache(windowed, kernels, lam),
         history_state_weights=arrays["history_state_weights"],
         gram_states=arrays["gram_states"],
-        feasible_weights=arrays["feasible_weights"],
     )

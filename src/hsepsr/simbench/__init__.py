@@ -4,7 +4,8 @@
 predictive distributions are computable, ``oracle`` a feature-space twin
 of the Gram-matrix filter for cross-checking and large-sample convergence
 studies, ``simulate`` the nonlinear continuous benchmark system, and
-``benchmark`` the prediction-error protocol against simple baselines.
+``benchmark`` the prediction-error protocol against simple baselines and
+``evaluate``, the desk benchmark behind ``hsepsr evaluate``.
 """
 
 from hsepsr.simbench.discrete import (
@@ -16,12 +17,13 @@ from hsepsr.simbench.discrete import (
 )
 from hsepsr.simbench.benchmark import (
     DESK_HORIZONS,
+    Evaluation,
     ModelPredictor,
     MseTable,
     baseline_mean,
     baseline_prev,
     desk_extents,
-    full_extents,
+    evaluate,
     run_protocol,
     write_csv,
 )
@@ -38,12 +40,13 @@ from hsepsr.simbench.simulate import SynthConfig, simulate_system
 
 __all__ = [
     "DESK_HORIZONS",
+    "Evaluation",
     "ModelPredictor",
     "MseTable",
     "baseline_mean",
     "baseline_prev",
     "desk_extents",
-    "full_extents",
+    "evaluate",
     "run_protocol",
     "write_csv",
     "DiscreteOracleSystem",

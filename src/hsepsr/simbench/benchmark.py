@@ -10,6 +10,14 @@ through the rollout levels together in one row-batched pass.
 
 Baselines predict the training-mean observation and the last observation
 seen before the extent, each constant across horizons.
+
+``evaluate`` is the desk benchmark, the one driver of this protocol behind
+``hsepsr evaluate``: it splits one trajectory into training and test
+parts, trains the model, scores it and both baselines on the same extent
+grid, and decides the two gates set by the ``*_GATE_*`` constants: short
+horizons below both baselines, and the longest within a factor of the mean
+baseline.  The desk defaults live in its signature and in the ``DESK_*``
+constants.
 """
 
 from __future__ import annotations
@@ -20,11 +28,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hsepsr.filter import filter_trajectory
-from hsepsr.learner import HsePsrModel
+from hsepsr.learner import DEFAULT_LAM, HsePsrModel, train
 from hsepsr.predict import rollout_predict_many
-from hsepsr.windows import Trajectory
+from hsepsr.windows import Trajectory, WindowConfig
 
+#: Desk protocol defaults; ``evaluate``'s signature and the CLI read them.
 DESK_HORIZONS = tuple(range(1, 11)) + (20, 50, 100)
+DESK_TRAIN_STEPS = 500
+DESK_WINDOW = 10
+DESK_EXTENT = 101
+DESK_EXTENT_STEP = 10
+
+#: Gates: horizons 1..SHORT_GATE_MAX below both baselines, and the MSE at
+#: LONG_GATE_HORIZON at most LONG_GATE_RATIO times the mean baseline's.
+SHORT_GATE_MAX = 10
+LONG_GATE_HORIZON = 100
+LONG_GATE_RATIO = 1.5
 
 
 @dataclass
@@ -144,16 +163,13 @@ class ModelPredictor:
         )
 
 
-def desk_extents(n_test: int, horizons, start: int = 101, step: int = 10) -> list:
+def desk_extents(
+    n_test: int, horizons, start: int = DESK_EXTENT, step: int = DESK_EXTENT_STEP
+) -> list:
     """Extent grid {start, start+step, ...} trimmed so every horizon has a
     realized observation inside the n_test test steps."""
     max_h = max(int(h) for h in horizons)
     return list(range(start, n_test - max_h + 1, step))
-
-
-def full_extents(n_test: int, horizons, start: int = 101) -> list:
-    """Every extent from start with all horizons in bounds (long-running)."""
-    return desk_extents(n_test, horizons, start=start, step=1)
 
 
 def run_protocol(
@@ -202,4 +218,117 @@ def run_protocol(
         extents=extents,
         train_size=train_size,
         seed=seed,
+    )
+
+
+@dataclass
+class Evaluation:
+    """One desk benchmark run: the model's and both baselines' MSE tables,
+    the model's belief resets, and the two gates decided from the tables."""
+
+    model: MseTable
+    mean: MseTable
+    previous: MseTable
+    filter_resets: int = 0
+    rollout_resets: int = 0
+
+    @property
+    def tables(self) -> list:
+        return [self.model, self.mean, self.previous]
+
+    def below_both(self, horizon: int) -> bool:
+        m = self.model.at(horizon)
+        return m < self.mean.at(horizon) and m < self.previous.at(horizon)
+
+    @property
+    def short_failures(self) -> list | None:
+        """Horizons up to SHORT_GATE_MAX where the model is not below both
+        baselines, or None when the tables score none of them."""
+        short = [h for h in self.model.horizons if h <= SHORT_GATE_MAX]
+        if not short:
+            return None
+        return [h for h in short if not self.below_both(h)]
+
+    @property
+    def long_ratio(self) -> float | None:
+        """Model over mean-baseline MSE at LONG_GATE_HORIZON, or None when
+        that horizon is unscored."""
+        if LONG_GATE_HORIZON not in self.model.horizons:
+            return None
+        return self.model.at(LONG_GATE_HORIZON) / self.mean.at(LONG_GATE_HORIZON)
+
+    def summary_lines(self) -> list[str]:
+        lines = [
+            f"belief resets: {self.filter_resets} in the prefix filter, "
+            f"{self.rollout_resets} in rollouts"
+        ]
+        for h in self.model.horizons:
+            lines.append(
+                f"h={h:>3} hse-psr {self.model.at(h):.5f} "
+                f"mean {self.mean.at(h):.5f} previous {self.previous.at(h):.5f} "
+                f"{'below both' if self.below_both(h) else 'not below both'}"
+            )
+        fails = self.short_failures
+        if fails is not None:
+            verdict = f"FAIL (horizons {fails})" if fails else "PASS"
+            lines.append(
+                f"horizons 1-{SHORT_GATE_MAX} below both baselines: {verdict}"
+            )
+        ratio = self.long_ratio
+        if ratio is not None:
+            verdict = "PASS" if ratio <= LONG_GATE_RATIO else "FAIL"
+            lines.append(
+                f"h={LONG_GATE_HORIZON} within {LONG_GATE_RATIO:g}x of mean "
+                f"baseline: {verdict} (ratio {ratio:.3f})"
+            )
+        return lines
+
+
+def evaluate(
+    traj: Trajectory,
+    *,
+    train_steps: int = DESK_TRAIN_STEPS,
+    history_length: int = DESK_WINDOW,
+    test_length: int = DESK_WINDOW,
+    lam: float = DEFAULT_LAM,
+    extent: int = DESK_EXTENT,
+    extent_step: int = DESK_EXTENT_STEP,
+    horizons=DESK_HORIZONS,
+    renormalize: bool = True,
+    seed: int = 0,
+    **train_kw,
+) -> Evaluation:
+    """Run the desk benchmark on one trajectory.
+
+    The first ``train_steps`` steps train the model (further keyword
+    arguments go to ``learner.train``); the rest are the test split, scored
+    for the model and both baselines on the ``desk_extents`` grid from
+    ``extent`` every ``extent_step`` steps.  ``seed`` only labels the
+    tables.
+    """
+    if train_steps >= traj.n:
+        raise ValueError(
+            f"train_steps {train_steps} consumes the whole "
+            f"{traj.n}-step trajectory"
+        )
+    train_traj, test = (
+        Trajectory(traj.actions[part], traj.observations[part], traj.discrete)
+        for part in (slice(None, train_steps), slice(train_steps, None))
+    )
+    extents = desk_extents(test.n, horizons, start=extent, step=extent_step)
+    if not extents:
+        raise ValueError("no extent fits the test split with these horizons")
+    model = train(
+        train_traj, WindowConfig(history_length, test_length), lam=lam, **train_kw
+    )
+    predictor = ModelPredictor(model, renormalize)
+    common = dict(
+        extents=extents, horizons=horizons, train_size=train_steps, seed=seed
+    )
+    return Evaluation(
+        model=run_protocol(predictor, test, **common),
+        mean=run_protocol(baseline_mean(train_traj), test, **common),
+        previous=run_protocol(baseline_prev(), test, **common),
+        filter_resets=len(predictor.filter_resets),
+        rollout_resets=len(predictor.rollout_resets),
     )

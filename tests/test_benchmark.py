@@ -10,12 +10,12 @@ from hsepsr.learner import train
 from hsepsr.predict import rollout_predict, rollout_predict_many
 from hsepsr.simbench.benchmark import (
     DESK_HORIZONS,
+    Evaluation,
     ModelPredictor,
     MseTable,
     baseline_mean,
     baseline_prev,
     desk_extents,
-    full_extents,
     run_protocol,
     write_csv,
 )
@@ -210,11 +210,47 @@ class TestExtentGrids:
         extents = desk_extents(1100, horizons)
         assert extents[0] == 101
         assert extents[-1] + max(horizons) <= 1100
+        assert extents[-1] + 10 + max(horizons) > 1100
         assert all(b - a == 10 for a, b in zip(extents, extents[1:]))
 
     def test_full_extents_are_dense(self):
-        extents = full_extents(300, [1, 50])
+        extents = desk_extents(300, [1, 50], step=1)
         assert extents == list(range(101, 251))
+
+
+def _evaluation(model_mse, mean_mse, prev_mse, horizons):
+    tables = [
+        MseTable(name, horizons, mse, [101], 500, 0)
+        for name, mse in (
+            ("hse-psr", model_mse), ("mean", mean_mse), ("previous", prev_mse)
+        )
+    ]
+    return Evaluation(*tables)
+
+
+class TestEvaluationGates:
+    def test_h1_above_previous_fails_short_gate(self):
+        ev = _evaluation([0.2, 0.1, 0.9], [1.0, 1.0, 1.0], [0.1, 0.5, 0.5],
+                         [1, 2, 100])
+        assert ev.short_failures == [1]
+        lines = ev.summary_lines()
+        assert "horizons 1-10 below both baselines: FAIL (horizons [1])" in lines
+
+    def test_ratio_of_exactly_one_and_a_half_passes(self):
+        ev = _evaluation([0.1, 1.5], [1.0, 1.0], [0.5, 0.5], [1, 100])
+        assert ev.long_ratio == 1.5
+        assert ev.short_failures == []
+        lines = ev.summary_lines()
+        assert "horizons 1-10 below both baselines: PASS" in lines
+        assert "h=100 within 1.5x of mean baseline: PASS (ratio 1.500)" in lines
+
+    def test_unscored_gates_give_no_verdict(self):
+        no_long = _evaluation([0.1, 0.1], [1.0, 1.0], [0.5, 0.5], [1, 20])
+        assert no_long.long_ratio is None
+        assert not any("h=100 within" in ln for ln in no_long.summary_lines())
+        no_short = _evaluation([0.1, 0.1], [1.0, 1.0], [0.5, 0.5], [20, 100])
+        assert no_short.short_failures is None
+        assert not any("horizons 1-10" in ln for ln in no_short.summary_lines())
 
 
 class TestCsv:

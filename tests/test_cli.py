@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from hsepsr.cli import RunConfig, build_parser, main
+from hsepsr.cli import RunConfig, build_parser, config_from_args, main
+from hsepsr.simbench.benchmark import evaluate
 
 
 def _run(argv, capsys):
@@ -28,6 +31,18 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
         assert excinfo.value.code != 0
 
+    def test_evaluate_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["evaluate", "d.csv"])
+        params = inspect.signature(evaluate).parameters
+        for name in (
+            "lam", "renormalize", "train_steps", "extent", "extent_step",
+            "horizons", "history_length", "test_length",
+        ):
+            assert getattr(args, name) == params[name].default, name
+        assert not parser.parse_args(["evaluate", "d", "--no-renormalize"]).renormalize
+        assert parser.parse_args(["evaluate", "d", "--renormalize"]).renormalize
+
 
 class TestRunConfig:
     def test_rejects_bad_lam(self):
@@ -41,6 +56,13 @@ class TestRunConfig:
     def test_rejects_bad_kernel(self):
         with pytest.raises(ValueError):
             RunConfig(command="train", kernel="cubic")
+
+    def test_max_samples_zero_is_no_cap_and_negative_is_rejected(self):
+        args = build_parser().parse_args(["train", "d.csv", "m", "--max-samples", "0"])
+        assert config_from_args(args).max_samples is None
+        args = build_parser().parse_args(["train", "d.csv", "m", "--max-samples", "-30"])
+        with pytest.raises(ValueError, match="max-samples"):
+            config_from_args(args)
 
 
 class TestCommands:

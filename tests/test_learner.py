@@ -115,6 +115,13 @@ class TestTrain:
         full = train(traj, WindowConfig(2, 3), max_samples=None)
         assert full.n_samples == 75
 
+    def test_rejects_nonpositive_max_samples(self):
+        """A negative cap would slice from the end of the trajectory."""
+        traj = synthetic_trajectory(n=60)
+        for cap in (-30, -3, 0):
+            with pytest.raises(ValueError, match="max_samples"):
+                train(traj, WindowConfig(2, 3), max_samples=cap)
+
     def test_feasible_state_uniform(self, model_factory):
         model, _ = model_factory()
         s = model.feasible_state()

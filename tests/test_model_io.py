@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,35 @@ def saved(tmp_path_factory):
     path = tmp_path_factory.mktemp("io") / "model.hsepsr"
     save_model(model, path)
     return model, path
+
+
+def _write_v1(model, saved_path, path):
+    """Write ``model`` in the version 1 layout, which also stored the eight
+    training Grams and the start belief, reusing the header of a saved file."""
+    raw = saved_path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[len(MAGIC) + 4 : len(MAGIC) + 8])
+    start = len(MAGIC) + 8
+    header = json.loads(raw[start : start + hlen])
+    windows = (
+        "histories", "test_actions", "test_obs", "shifted_test_actions",
+        "shifted_test_obs", "cur_actions", "cur_obs",
+    )
+    grams = (
+        "G_HH", "G_TA_TA", "G_TAs_TAs", "G_TO_TO", "G_TO_TOs", "G_TA_TAs",
+        "G_A_A", "G_O_O",
+    )
+    arrays = {name: getattr(model.windowed, name) for name in windows}
+    arrays.update({name: getattr(model.grams, name) for name in grams})
+    for name in ("history_state_weights", "gram_states", "feasible_weights"):
+        arrays[name] = getattr(model, name)
+    header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        MAGIC
+        + struct.pack("<II", 1, len(blob))
+        + blob
+        + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values())
+    )
 
 
 class TestRoundTrip:
@@ -73,6 +105,20 @@ class TestRoundTrip:
         p1 = rollout_predict(model, s1, future).predictions
         p2 = rollout_predict(loaded, s2, future).predictions
         assert np.allclose(p1, p2, rtol=1e-10, atol=1e-10)
+
+    def test_version_1_file_loads_to_the_same_model(self, saved, tmp_path):
+        model, path = saved
+        old = tmp_path / "v1.hsepsr"
+        _write_v1(model, path, old)
+        loaded = load_model(old)
+        for name in ("history_state_weights", "gram_states", "feasible_weights"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        for name in ("G_HH", "G_TA_TAs", "G_A_A", "G_O_O"):
+            assert np.array_equal(getattr(loaded.grams, name), getattr(model.grams, name))
+        probe = synthetic_trajectory(seed=61, n=8)
+        s1 = filter_trajectory(model, None, probe.actions, probe.observations).final
+        s2 = filter_trajectory(loaded, None, probe.actions, probe.observations).final
+        assert np.array_equal(s1.weights, s2.weights)
 
     def test_save_is_deterministic(self, saved, tmp_path):
         model, path = saved
