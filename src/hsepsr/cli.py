@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsepsr.filter import filter_trajectory
-from hsepsr.learner import DEFAULT_LAM, train
+from hsepsr.learner import DEFAULT_LAM, DEFAULT_MAX_SAMPLES, train
 from hsepsr.model_io import load_model, save_model
 from hsepsr.predict import predict_observation_at, rollout_predict
 from hsepsr.simbench.benchmark import (
@@ -61,12 +61,12 @@ class RunConfig:
     kernel: str = "auto"
     bandwidth_scale: float = 1.0
     discrete: bool = False
-    max_samples: int | None = 500
+    max_samples: int | None = DEFAULT_MAX_SAMPLES
     train_steps: int = DESK_TRAIN_STEPS
     extent: int = DESK_EXTENT
     extent_step: int = DESK_EXTENT_STEP
     horizons: tuple = DESK_HORIZONS
-    renormalize: bool = False
+    renormalize: bool = True
     direct_prediction: bool = False
 
     def __post_init__(self):
@@ -252,8 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel family for all streams (default auto)")
         p.add_argument("--bandwidth-scale", type=float, default=1.0,
                        help="multiplier on median-distance bandwidths")
-        p.add_argument("--max-samples", type=int, default=500,
-                       help="cap on training samples, 0 for no cap (default 500)")
+        p.add_argument("--max-samples", type=int, default=DEFAULT_MAX_SAMPLES,
+                       help="cap on training samples, 0 for no cap "
+                       "(default %(default)s)")
+
+    def add_renormalize_flag(p):
+        p.add_argument("--renormalize", action=argparse.BooleanOptionalAction,
+                       default=defaults["renormalize"],
+                       help="rescale weights to unit sum after each step "
+                       "(default %(default)s)")
 
     p = sub.add_parser("simulate", help="simulate the benchmark system to CSV")
     p.add_argument("out", help="output trajectory CSV")
@@ -272,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="trajectory CSV to filter")
     p.add_argument("--out", help="save per-step belief weights (.npy)")
     p.add_argument("--discrete", action="store_true")
-    p.add_argument("--renormalize", action="store_true",
-                   help="rescale weights to unit sum after each step")
+    add_renormalize_flag(p)
 
     p = sub.add_parser("predict", help="filter a prefix, predict ahead")
     p.add_argument("model", help="trained model file")
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated steps ahead (default 1..10)")
     p.add_argument("--out", help="write predictions to this file")
     p.add_argument("--discrete", action="store_true")
-    p.add_argument("--renormalize", action="store_true")
+    add_renormalize_flag(p)
     p.add_argument("--direct-prediction", action="store_true",
                    help="read window expectations without action conditioning")
 
@@ -305,10 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=defaults["seed"],
                    help="seed recorded in the output table")
     p.add_argument("--discrete", action="store_true")
-    p.add_argument("--renormalize", action=argparse.BooleanOptionalAction,
-                   default=defaults["renormalize"],
-                   help="rescale weights to unit sum after each step "
-                   "(default %(default)s)")
+    add_renormalize_flag(p)
     add_window_flags(p)
 
     return parser

@@ -11,10 +11,15 @@ action-observation pair runs three stages:
                 this realigns the belief with the windows one step ahead,
 2. action step: mix the per-sample action conditioning matrices by the
                 propagated weights and apply them to the executed action's
-                kernel vector against the training actions,
+                kernel vector against the training actions; the matrices
+                are held in Woodbury form over the low-rank factor V_A of
+                the action Gram (``HsePsrModel.action_factors``), so the
+                mixture is applied as a few (T x T) by (T x r) products
+                and never formed,
 3. obs step:    kernel Bayes conditioning of the resulting weights on the
                 received observation's kernel vector against the training
-                observations.
+                observations, solved per belief as an r x r system over
+                the low-rank factor V_O of the observation Gram (Woodbury).
 
 The propagation conditional is recomputed from the weights at every step
 (it is not linear in them), which keeps the realized pair coupled to the
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.gramops import kbr_step_batch, ridge_solve
+from hsepsr.gramops import kbr_step_batch, kbr_step_lowrank, ridge_solve
 from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
@@ -233,10 +238,24 @@ def condition_action_many(
     model: HsePsrModel, W: np.ndarray, K_a: np.ndarray
 ) -> np.ndarray:
     """Row b mixes the action conditioning matrices by W[b] and applies
-    the mixture to the action kernel vector K_a[b]."""
-    T = W.shape[1]
-    mixed = (W @ model.action_conditioning_flat()).reshape(-1, T, T)
-    return (mixed @ K_a[:, :, None])[:, :, 0]
+    the mixture to the action kernel vector K_a[b]:
+
+        out_b = sum_i (W[b, i] / lam_i) a_i * (k_b - V S_i V^T (a_i * k_b))
+
+    with a_i column i of the history weights and (V, S, lam) the model's
+    action factors; the prebuilt factors make this stage solve-free.
+    """
+    A = model.history_state_weights
+    V, S = model.action_factors.V, model.action_factors.S
+    B, T = W.shape
+    r = V.shape[1]
+    c = W / model.action_factors.lam  # c[b, i]: the weight of matrix i
+    # (T, B, r) layouts, so that both T x T products are single GEMMs
+    kV = K_a.T[:, :, None] * V[:, None, :]
+    U = (A.T @ kV.reshape(T, B * r)).reshape(T, B, r)  # U[i, b] = V^T (a_i * k_b)
+    s = U @ S.transpose(0, 2, 1)  # s[i, b] = S_i U[i, b]
+    Z = (A @ (c.T[:, :, None] * s).reshape(T, B * r)).reshape(T, B, r)
+    return (c @ A.T) * K_a - (Z * V[:, None, :]).sum(axis=2).T
 
 
 def condition_observation_many(
@@ -245,8 +264,11 @@ def condition_observation_many(
     K_o: np.ndarray,
     events: list | None = None,
 ) -> np.ndarray:
-    return kbr_step_batch(
-        W, model.grams.G_O_O, model.grams.lam_T, K_o,
+    """Kernel Bayes step of each row W[b] on K_o[b] in Woodbury form over
+    the observation Gram's factor: one r x r solve per row, escalated row
+    by row as ``obs-conditioning[b]``."""
+    return kbr_step_lowrank(
+        W, model.grams.V_O, model.grams.lam_T, K_o,
         label="obs-conditioning", events=events,
     )
 
@@ -261,12 +283,12 @@ def _normalize_rows(W: np.ndarray, renormalize: bool):
     return W, np.abs(W).sum(axis=1) < DEGENERATE_TOL
 
 
-def _update_rows(model, W, actions_std, obs_std) -> np.ndarray:
+def _update_rows(model, W, actions_std, obs_std, events=None) -> np.ndarray:
     """The three stages for each row, before the collapse rule."""
     K_a = gram(model.kernels.action, actions_std, model.cur_actions)
     K_o = gram(model.kernels.obs, obs_std, model.cur_obs)
-    W = condition_action_many(model, propagate_many(model, W), K_a)
-    return condition_observation_many(model, W, K_o)
+    W = condition_action_many(model, propagate_many(model, W, events=events), K_a)
+    return condition_observation_many(model, W, K_o, events)
 
 
 def update_standardized_many(
@@ -276,14 +298,17 @@ def update_standardized_many(
     obs_std: np.ndarray,
     renormalize: bool = False,
     resets: list | None = None,
+    events: list | None = None,
 ) -> np.ndarray:
     """One filter step for B beliefs at once.
 
     Rows that collapse are restarted from the feasible state, and their
-    indices are appended to ``resets`` (if given).
+    indices are appended to ``resets`` (if given).  Escalated solves of
+    every stage are appended to ``events`` (if given) as ``SolveEvent``s
+    labelled with their row.
     """
     W, collapsed = _normalize_rows(
-        _update_rows(model, W, actions_std, obs_std), renormalize
+        _update_rows(model, W, actions_std, obs_std, events), renormalize
     )
     W[collapsed] = model.feasible_weights
     if resets is not None:

@@ -12,9 +12,18 @@ The two solve shapes are
 
 and both escalate the regularizer by factors of 10 (up to three retries)
 when a factorization fails or the relative residual exceeds 1e-8, so a
-near-singular Gram degrades accuracy instead of aborting a run.  The
-row-batched conditioning solve stacks many weight vectors into one call and
-sends only the rows that fail the same test through that escalation.
+near-singular Gram degrades accuracy instead of aborting a run.
+``solve_rows`` stacks many such systems into one call and sends only the
+rows that fail the same test through that escalation.
+
+When a Gram has low numerical rank, G = V V^T with V of shape (T, r), the
+conditioning solve takes the Woodbury form
+
+    (diag(w) G + lam I)^-1 diag(w) k = (w*k - w * (V y)) / lam,
+    (lam I_r + V^T diag(w) V) y = V^T (w*k),
+
+an r x r system; ``low_rank_factor`` finds V at numpy's ``matrix_rank``
+tolerance, so the two forms agree to rounding.
 """
 
 from __future__ import annotations
@@ -56,13 +65,15 @@ def escalated_solve(
     sym: bool,
     label: str = "solve",
     events: list | None = None,
+    accept=None,
 ) -> np.ndarray:
     """Solve build_lhs(lam) @ X = rhs, raising lam tenfold on failure.
 
     A solve fails when the factorization raises or when the residual
-    exceeds ``RESIDUAL_RTOL`` times the Frobenius norm of ``rhs``.  Each
-    escalation that ends in success is appended to ``events`` (if given);
-    exhausting the retries raises ``numpy.linalg.LinAlgError``.
+    exceeds ``RESIDUAL_RTOL`` times the Frobenius norm of ``rhs``, or when
+    ``accept(X, lam)`` (if given) is false.  Each escalation that ends in
+    success is appended to ``events`` (if given); exhausting the retries
+    raises ``numpy.linalg.LinAlgError``.
     """
     if not lam > 0:
         raise ValueError("regularizer must be positive")
@@ -76,7 +87,9 @@ def escalated_solve(
             x = None
         if x is not None and np.isfinite(x).all():
             residual = float(np.linalg.norm(lhs @ x - rhs))
-            if residual <= RESIDUAL_RTOL * rhs_norm or rhs_norm == 0.0:
+            if (residual <= RESIDUAL_RTOL * rhs_norm or rhs_norm == 0.0) and (
+                accept is None or accept(x, lam_eff)
+            ):
                 if attempt > 0 and events is not None:
                     events.append(SolveEvent(label, float(lam), lam_eff, attempt + 1))
                 return x
@@ -155,6 +168,61 @@ def kbr_step(
     )
 
 
+def solve_rows(
+    M: np.ndarray,
+    rhs: np.ndarray,
+    lam: float,
+    *,
+    label: str,
+    events: list | None = None,
+    first_row: int = 0,
+    accept=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (M[b] + lam I) X[b] = rhs[b] for every row b in one stacked call.
+
+    ``M`` is (B, n, n) and ``rhs`` (B, n, m).  Each row is checked as
+    ``escalated_solve`` checks a solve: finite, with a residual within
+    ``RESIDUAL_RTOL`` on the system solved, and passing
+    ``accept(X[rows], lam_rows, rows)`` (if given; it returns one bool per
+    row).  Rows that fail (all of them if the stacked call raises) are
+    solved again by ``escalated_solve``, which escalates and records
+    ``label[first_row + b]`` as a single-row solve would.  Returns X and
+    the regularizer each row was solved with.
+    """
+    B, n, _ = M.shape
+    lhs = M + lam * np.eye(n)
+    used = np.full(B, float(lam))
+    try:
+        x = np.linalg.solve(lhs, rhs)
+        residual = np.linalg.norm(lhs @ x - rhs, axis=(1, 2))
+        rhs_norm = np.linalg.norm(rhs, axis=(1, 2))
+        ok = np.isfinite(x).all(axis=(1, 2)) & (
+            (residual <= RESIDUAL_RTOL * rhs_norm) | (rhs_norm == 0.0)
+        )
+        if accept is not None:
+            rows = np.flatnonzero(ok)
+            ok[rows] = accept(x[rows], used[rows], rows)
+    except np.linalg.LinAlgError:
+        x = np.empty(rhs.shape)
+        ok = np.zeros(B, dtype=bool)
+    eye = np.eye(n)
+    for b in np.flatnonzero(~ok):
+        row = np.array([b])
+        row_events: list = []
+        x[b] = escalated_solve(
+            lambda l: M[b] + l * eye, rhs[b], lam, sym=False,
+            label=f"{label}[{first_row + b}]", events=row_events,
+            accept=None if accept is None else (
+                lambda xb, l: bool(accept(xb[None], np.array([l]), row)[0])
+            ),
+        )
+        if row_events:
+            used[b] = row_events[0].used
+        if events is not None:
+            events.extend(row_events)
+    return x, used
+
+
 def kbr_step_batch(
     weights: np.ndarray,
     G: np.ndarray,
@@ -167,34 +235,15 @@ def kbr_step_batch(
 ) -> np.ndarray:
     """Row-batched ``kbr_step``: weights are (B, T); k is (B, T), giving a
     (B, T) result, or (B, T, m), giving (B, T, m) (leading dimension 1
-    shares it across rows).
-
-    The rows are solved in one stacked call and checked as
-    ``escalated_solve`` checks a solve.  Rows that fail (all of them if the
-    stacked call raises) are solved again by ``kbr_step``, which escalates
-    and records ``label[first_row + b]`` as a single-row solve would.
+    shares it across rows).  Rows are solved and escalated by ``solve_rows``.
     """
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
-    B, T = w.shape
     cols = k[:, :, None] if k.ndim == 2 else k
-    rhs = w[:, :, None] * cols
-    lhs = w[:, :, None] * G[None, :, :] + lam * np.eye(T)[None, :, :]
-    try:
-        x = np.linalg.solve(lhs, rhs)
-        residual = np.linalg.norm(lhs @ x - rhs, axis=(1, 2))
-        rhs_norm = np.linalg.norm(rhs, axis=(1, 2))
-        ok = np.isfinite(x).all(axis=(1, 2)) & (
-            (residual <= RESIDUAL_RTOL * rhs_norm) | (rhs_norm == 0.0)
-        )
-    except np.linalg.LinAlgError:
-        x = np.empty(rhs.shape)
-        ok = np.zeros(B, dtype=bool)
-    cols = np.broadcast_to(cols, rhs.shape)
-    for b in np.flatnonzero(~ok):
-        x[b] = kbr_step(
-            w[b], G, lam, cols[b], label=f"{label}[{first_row + b}]", events=events
-        )
+    x, _ = solve_rows(
+        w[:, :, None] * G[None, :, :], w[:, :, None] * cols, lam,
+        label=label, events=events, first_row=first_row,
+    )
     return x[:, :, 0] if k.ndim == 2 else x
 
 
@@ -219,6 +268,109 @@ def conditioning_tensor(
             W[:, s], G, lam, label=f"{label}[{s}]", events=events
         )
     return out
+
+
+def _woodbury_apply(W, WK, V, Y, lam) -> np.ndarray:
+    """Rows (w*k - w * (V y)) / lam: the kernel Bayes step in Woodbury form
+    from the r x r solutions y (rows of Y); ``WK`` holds the rows w*k."""
+    return (WK - W * (Y @ V.T)) / lam[:, None]
+
+
+def _kbr_rows_ok(W, WK, V, X, lam) -> np.ndarray:
+    """Per row: X is finite and solves (diag(w) V V^T + lam I) x = w*k
+    within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to the
+    dense system, evaluated in factored form.  The r x r system alone
+    can pass its own test while the step it stands for is singular."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.linalg.norm(W * ((X @ V) @ V.T) + lam[:, None] * X - WK, axis=1)
+    norm = np.linalg.norm(WK, axis=1)
+    return np.isfinite(X).all(axis=1) & (
+        (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
+    )
+
+
+def kbr_step_lowrank(
+    weights: np.ndarray,
+    V: np.ndarray,
+    lam: float,
+    k: np.ndarray,
+    *,
+    label: str = "kbr",
+    events: list | None = None,
+) -> np.ndarray:
+    """Row-batched ``kbr_step`` for a Gram G = V V^T: weights and k are
+    (B, T).  Each row is one r x r solve (Woodbury form); rows that fail
+    the dense system's residual test escalate through ``solve_rows``, with
+    the escalated regularizer used both in the solve and in the outer
+    1/lam."""
+    W = np.asarray(weights, dtype=float)
+    WK = W * np.asarray(k, dtype=float)
+
+    def accept(Y, lam_rows, rows):
+        X = _woodbury_apply(W[rows], WK[rows], V, Y[:, :, 0], lam_rows)
+        return _kbr_rows_ok(W[rows], WK[rows], V, X, lam_rows)
+
+    Y, used = solve_rows(
+        (W[:, None, :] * V.T[None, :, :]) @ V, (WK @ V)[:, :, None], lam,
+        label=label, events=events, accept=accept,
+    )
+    return _woodbury_apply(W, WK, V, Y[:, :, 0], used)
+
+
+def low_rank_factor(G: np.ndarray) -> np.ndarray:
+    """(T, r) factor V with G = V V^T up to rounding, for symmetric PSD G.
+
+    The columns are the eigenvectors whose eigenvalues exceed numpy's
+    ``matrix_rank`` tolerance (largest magnitude times T times machine
+    epsilon), scaled by the square roots of those eigenvalues; r is the
+    numerical rank.
+    """
+    vals, vecs = np.linalg.eigh(G)
+    keep = vals > np.abs(vals).max(initial=0.0) * G.shape[0] * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+@dataclass(frozen=True)
+class ConditioningFactors:
+    """Conditioning matrices C_s = (diag(w_s) G + lam_s I)^-1 diag(w_s), one
+    per weight column w_s, in Woodbury form for a Gram G = V V^T of rank r:
+
+        C_s = lam_s^-1 diag(w_s) (I - V S_s V^T diag(w_s)),
+        S_s = (lam_s I_r + V^T diag(w_s) V)^-1,
+
+    which takes S r^2 numbers where the dense stack takes S T^2.  ``lam``
+    holds the regularizer each S_s was solved with (escalated where the
+    solve needed it).
+    """
+
+    V: np.ndarray
+    S: np.ndarray
+    lam: np.ndarray
+
+
+def conditioning_factors(
+    weight_columns: np.ndarray,
+    V: np.ndarray,
+    lam: float,
+    *,
+    label: str = "conditioning",
+    events: list | None = None,
+) -> ConditioningFactors:
+    """Low-rank counterpart of ``conditioning_tensor`` for G = V V^T; the
+    r x r inverses are solved and escalated by ``solve_rows``.  A factor is
+    accepted when the matrix it stands for, applied to the all-ones
+    vector, passes the dense system's residual test."""
+    W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
+    M = (W[:, None, :] * V.T[None, :, :]) @ V
+    eye = np.broadcast_to(np.eye(V.shape[1]), M.shape)
+
+    def accept(S, lam_rows, rows):
+        Y = (S @ (W[rows] @ V)[:, :, None])[:, :, 0]
+        X = _woodbury_apply(W[rows], W[rows], V, Y, lam_rows)
+        return _kbr_rows_ok(W[rows], W[rows], V, X, lam_rows)
+
+    S, used = solve_rows(M, eye, lam, label=label, events=events, accept=accept)
+    return ConditioningFactors(V, S, used)
 
 
 def history_weights(
@@ -270,7 +422,9 @@ def state_gram(
 
 @dataclass
 class GramCache:
-    """All training Gram matrices plus the scaled regularizer lam * T."""
+    """All training Gram matrices, low-rank factors ``V_A``/``V_O`` of the
+    single-step action and observation Grams (``low_rank_factor``), and the
+    scaled regularizer lam * T."""
 
     G_HH: np.ndarray
     G_TA_TA: np.ndarray
@@ -280,6 +434,8 @@ class GramCache:
     G_TA_TAs: np.ndarray
     G_A_A: np.ndarray
     G_O_O: np.ndarray
+    V_A: np.ndarray
+    V_O: np.ndarray
     lam_T: float
 
     @property
@@ -299,6 +455,8 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
 
     if not lam > 0:
         raise ValueError("lam must be positive")
+    G_A_A = gram(kernels.action, windows.cur_actions, windows.cur_actions)
+    G_O_O = gram(kernels.obs, windows.cur_obs, windows.cur_obs)
     return GramCache(
         G_HH=gram(kernels.history, windows.histories, windows.histories),
         G_TA_TA=gram(kernels.test_action, windows.test_actions, windows.test_actions),
@@ -312,7 +470,9 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         G_TA_TAs=gram(
             kernels.test_action, windows.test_actions, windows.shifted_test_actions
         ),
-        G_A_A=gram(kernels.action, windows.cur_actions, windows.cur_actions),
-        G_O_O=gram(kernels.obs, windows.cur_obs, windows.cur_obs),
+        G_A_A=G_A_A,
+        G_O_O=G_O_O,
+        V_A=low_rank_factor(G_A_A),
+        V_O=low_rank_factor(G_O_O),
         lam_T=lam * windows.n_samples,
     )

@@ -7,17 +7,23 @@ process as a weight vector across T training samples.  Training amounts to
 2. evaluating training Gram matrices,
 3. ridge-regressing each history onto all histories, giving per-history
    prior sample weights (one column per training sample),
-4. turning each weight column into a kernel Bayes conditioning matrix
+4. factoring each weight column's kernel Bayes conditioning matrix
+   against the single-step actions in Woodbury form
+   (``gramops.ConditioningFactors`` over the low-rank factor of the action
+   Gram, T r^2 numbers), which the filter's action step mixes,
+5. turning each weight column into a kernel Bayes conditioning matrix
    against the test-action windows; sample t's matrix is the coefficient
    form of its operator-valued state,
-5. assembling the Gram matrix between those states, which the filter's
+6. assembling the Gram matrix between those states, which the filter's
    propagation step uses to project each belief's one-step-extended window
    conditional back onto the training states.
 
 Only what training learned is persisted (see ``model_io``); the training
-Grams rebuild in milliseconds, and the large (T x T^2) conditioning tensors
-are cached lazily.  ``DEFAULT_LAM`` is the one library default for the
-regularizer, used by ``train`` and by the desk benchmark.
+Grams, their low-rank factors and the action factors rebuild in
+milliseconds when a model is loaded, and the one dense (T x T^2) tensor
+left, the state conditioning tensor, is cached lazily.  ``DEFAULT_LAM`` and
+``DEFAULT_MAX_SAMPLES`` are the library defaults for the regularizer and
+the training-sample cap, used by ``train``, the CLI and the desk benchmark.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hsepsr.gramops import (
+    ConditioningFactors,
     GramCache,
     SolveEvent,
     build_gram_cache,
+    conditioning_factors,
     conditioning_tensor,
     history_weights,
     state_gram,
@@ -46,6 +54,9 @@ from hsepsr.windows import (
 
 #: Default ridge weight; the effective regularizer is this times T.
 DEFAULT_LAM = 1e-3
+
+#: Default cap on the number of training samples T.
+DEFAULT_MAX_SAMPLES = 500
 
 #: Beliefs with L1 mass below this are treated as collapsed.
 DEGENERATE_TOL = 1e-12
@@ -119,7 +130,8 @@ class HsePsrModel:
     propagation step forms the belief's own conditioning matrix against the
     shifted windows and projects it onto the training states through
     ``gram_states``; the per-sample state matrices enter that projection in
-    flattened form.
+    flattened form.  ``action_factors`` holds the per-sample action
+    conditioning matrices in Woodbury form.
     """
 
     windowed: WindowedData
@@ -128,8 +140,8 @@ class HsePsrModel:
     grams: GramCache
     history_state_weights: np.ndarray
     gram_states: np.ndarray
+    action_factors: ConditioningFactors
     report: TrainingReport | None = None
-    _action_flat: np.ndarray | None = None
     _state_flat: np.ndarray | None = None
 
     @property
@@ -191,11 +203,10 @@ class HsePsrModel:
         return BeliefState(self.feasible_weights)
 
     def action_conditioning_flat(self) -> np.ndarray:
-        """Lazy (T, T*T) cache: row i is the flattened conditioning matrix
-        of weight column i against the single-action Gram."""
-        if self._action_flat is None:
-            self._action_flat = self._flattened_tensor(self.grams.G_A_A, "action")
-        return self._action_flat
+        """Dense (T, T*T) oracle, built on every call: row i is the
+        flattened conditioning matrix of weight column i against the
+        single-action Gram.  The filter uses ``action_factors`` instead."""
+        return self._flattened_tensor(self.grams.G_A_A, "action")
 
     def state_conditioning_flat(self) -> np.ndarray:
         """Lazy (T, T*T) cache: row i is the flattened conditioning matrix
@@ -211,7 +222,6 @@ class HsePsrModel:
         ).reshape(self.n_samples, -1)
 
     def drop_caches(self) -> None:
-        self._action_flat = None
         self._state_flat = None
 
 
@@ -285,6 +295,11 @@ def train_from_windows(
     A = np.ascontiguousarray(A)
     t0 = tick("history-weights", t0)
 
+    action_factors = conditioning_factors(
+        A, cache.V_A, cache.lam_T, label="action", events=events
+    )
+    t0 = tick("action-factors", t0)
+
     C = conditioning_tensor(
         A, cache.G_TA_TA, cache.lam_T, label="state", events=events
     )
@@ -316,6 +331,7 @@ def train_from_windows(
         grams=cache,
         history_state_weights=A,
         gram_states=G_states,
+        action_factors=action_factors,
         report=report,
         _state_flat=state_flat,
     )
@@ -330,12 +346,12 @@ def train(
     bandwidth_scale: float = 1.0,
     median_cap: int = 1000,
     standardize: bool = True,
-    max_samples: int | None = 500,
+    max_samples: int | None = DEFAULT_MAX_SAMPLES,
 ) -> HsePsrModel:
     """Window a trajectory, resolve kernels, and train a model.
 
-    ``max_samples`` caps T by truncating the trajectory (conditioning
-    tensors grow as T^3 floats); pass None to disable the cap.
+    ``max_samples`` caps T by truncating the trajectory (the state
+    conditioning tensor grows as T^3 floats); pass None to disable the cap.
     """
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be positive or None, got {max_samples}")

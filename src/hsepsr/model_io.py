@@ -8,11 +8,14 @@ bandwidths, the standardization transform, and the array manifest.
 
 Only what training learned is stored: the windowed training data, the
 per-history weight matrix and the state Gram matrix.  Loading rebuilds the
-training Gram matrices from the windows, kernels and regularizer with
-``build_gram_cache``, bit-identical to the trained ones; the start belief
-is uniform by definition, and the conditioning tensors rebuild lazily on
-first use.  Version 1 files also stored the eight training Grams and the
-start belief; they still load, and those arrays are read and ignored.
+training Gram matrices and their low-rank factors from the windows,
+kernels and regularizer with ``build_gram_cache``, bit-identical to the
+trained ones, and from them the action conditioning factors
+(``gramops.conditioning_factors``), as training builds them; the start
+belief is uniform by definition, and the state conditioning tensor
+rebuilds lazily on first use.  Version 1 files also stored the eight
+training Grams and the start belief; they still load, and those arrays
+are read and ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import struct
 
 import numpy as np
 
-from hsepsr.gramops import build_gram_cache
+from hsepsr.gramops import build_gram_cache, conditioning_factors
 from hsepsr.kernels import KernelSet, KernelSpec
 from hsepsr.learner import HsePsrModel
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
@@ -108,9 +111,9 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_model(path) -> HsePsrModel:
     """Read a model container back into a usable model.
 
-    The training report and conditioning-tensor caches are not part of the
-    container; the training Grams are rebuilt here and the caches lazily
-    on first use.
+    The training report and the state-tensor cache are not part of the
+    container; the training Grams and the action factors are rebuilt here
+    and the cache lazily on first use.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -163,11 +166,16 @@ def load_model(path) -> HsePsrModel:
         **{name: arrays[name] for name in _WINDOW_ARRAYS},
     )
     lam = float(header["lam"])
+    grams = build_gram_cache(windowed, kernels, lam)
+    weights = arrays["history_state_weights"]
     return HsePsrModel(
         windowed=windowed,
         kernels=kernels,
         lam=lam,
-        grams=build_gram_cache(windowed, kernels, lam),
-        history_state_weights=arrays["history_state_weights"],
+        grams=grams,
+        history_state_weights=weights,
         gram_states=arrays["gram_states"],
+        action_factors=conditioning_factors(
+            weights, grams.V_A, grams.lam_T, label="action"
+        ),
     )

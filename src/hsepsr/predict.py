@@ -156,13 +156,16 @@ def rollout_predict(
 
 
 def condition_test_actions_many(
-    model: HsePsrModel, W: np.ndarray, windows_std: np.ndarray
+    model: HsePsrModel,
+    W: np.ndarray,
+    windows_std: np.ndarray,
+    events: list | None = None,
 ) -> np.ndarray:
     """Batched gamma weights: row b conditions belief W[b] on windows_std[b]."""
     K = gram(model.kernels.test_action, windows_std, model.shifted_test_actions)
     return kbr_step_batch(
         W, model.grams.G_TAs_TAs, model.grams.lam_T, K,
-        label="window-conditioning",
+        label="window-conditioning", events=events,
     )
 
 
@@ -173,6 +176,7 @@ def rollout_predict_many(
     horizons,
     renormalize: bool = False,
     resets: list | None = None,
+    events: list | None = None,
 ) -> np.ndarray:
     """Batched ``rollout_predict``: row b rolls belief W[b] under plan b.
 
@@ -181,6 +185,8 @@ def rollout_predict_many(
     shape (B, n_horizons, d_o) with horizons sorted ascending.  Rows whose
     feedback update collapses restart from the feasible state; each such
     restart is appended to ``resets`` (if given) as a (row, level) pair.
+    Escalated solves of the window conditioning and the feedback updates
+    are appended to ``events`` (if given).
     """
     W = np.asarray(W, dtype=float)
     A = np.asarray(future_actions, dtype=float)
@@ -190,7 +196,7 @@ def rollout_predict_many(
             f"got {A.shape}"
         )
     horizons = _checked_horizons(model, A.shape[1], horizons)
-    return _rollout_rows(model, W, A, horizons, renormalize, resets)
+    return _rollout_rows(model, W, A, horizons, renormalize, resets, events)
 
 
 def _rollout_rows(
@@ -200,6 +206,7 @@ def _rollout_rows(
     horizons: list,
     renormalize: bool,
     resets: list | None = None,
+    events: list | None = None,
 ) -> np.ndarray:
     """The rollout level loop for B beliefs under raw (B, P, da) plans;
     returns raw (B, len(horizons), d_o) predictions."""
@@ -212,7 +219,7 @@ def _rollout_rows(
     last_level = max(0, horizons[-1] - N)
     for level in range(last_level + 1):
         windows = A_std[:, level : level + N].reshape(B, N * da)
-        gamma = condition_test_actions_many(model, W, windows)
+        gamma = condition_test_actions_many(model, W, windows, events)
         window_pred = (gamma @ obs_windows).reshape(B, N, do)
         for i, h in enumerate(horizons):
             if max(0, h - N) == level:  # the first window reaching h
@@ -220,7 +227,8 @@ def _rollout_rows(
         if level < last_level:
             rows: list = []
             W = update_standardized_many(
-                model, W, A_std[:, level], window_pred[:, 0], renormalize, rows
+                model, W, A_std[:, level], window_pred[:, 0], renormalize, rows,
+                events,
             )
             if resets is not None:
                 resets.extend((row, level) for row in rows)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsepsr.cli import RunConfig, build_parser, config_from_args, main
+from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
 from hsepsr.simbench.benchmark import evaluate
 
 
@@ -42,6 +43,23 @@ class TestParser:
             assert getattr(args, name) == params[name].default, name
         assert not parser.parse_args(["evaluate", "d", "--no-renormalize"]).renormalize
         assert parser.parse_args(["evaluate", "d", "--renormalize"]).renormalize
+
+    def test_filter_and_predict_renormalize_by_default(self):
+        """filter and predict run the filter the way evaluate scores it."""
+        parser = build_parser()
+        for argv in (["filter", "m", "d.csv"], ["predict", "m", "d.csv"]):
+            assert parser.parse_args(argv).renormalize
+            assert config_from_args(parser.parse_args(argv)).renormalize
+            assert not parser.parse_args(argv + ["--no-renormalize"]).renormalize
+        assert RunConfig(command="filter").renormalize
+
+    def test_max_samples_default_is_the_library_default(self):
+        parser = build_parser()
+        for argv in (["train", "d.csv", "m"], ["evaluate", "d.csv"]):
+            assert parser.parse_args(argv).max_samples == DEFAULT_MAX_SAMPLES
+        assert RunConfig(command="train").max_samples == DEFAULT_MAX_SAMPLES
+        params = inspect.signature(train).parameters
+        assert params["max_samples"].default == DEFAULT_MAX_SAMPLES
 
 
 class TestRunConfig:

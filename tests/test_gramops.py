@@ -273,6 +273,21 @@ class TestGramCache:
         assert np.array_equal(cache.G_HH, cache.G_HH.T)
         assert np.all(np.diag(cache.G_TO_TO) == 1.0)
 
+    def test_single_step_factors_have_the_numerical_rank(self, rng):
+        traj = Trajectory(rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
+        w = build_windows(traj, WindowConfig(3, 2))
+        ks = KernelSet(
+            history=KernelSpec("rbf", w.histories.shape[1], bandwidth=2.0),
+            test_action=KernelSpec("rbf", w.test_actions.shape[1], bandwidth=1.5),
+            test_obs=KernelSpec("rbf", w.test_obs.shape[1], bandwidth=1.2),
+            action=KernelSpec("rbf", 1, bandwidth=1.0),
+            obs=KernelSpec("rbf", 2, bandwidth=0.9),
+        )
+        cache = build_gram_cache(w, ks, lam=1e-3)
+        for G, V in ((cache.G_A_A, cache.V_A), (cache.G_O_O, cache.V_O)):
+            assert V.shape == (G.shape[0], np.linalg.matrix_rank(G))
+            assert np.abs(V @ V.T - G).max() <= 1e-12 * np.abs(G).max()
+
     def test_rejects_bad_lam(self, rng):
         traj = Trajectory(rng.normal(size=(20, 1)), rng.normal(size=(20, 1)))
         w = build_windows(traj, WindowConfig(2, 2))
