@@ -3,11 +3,15 @@
 A belief is a weight vector over the T training samples.  Absorbing one
 action-observation pair runs three stages:
 
-1. propagate:   form the belief's own conditioning matrix against the
-                shifted test-action windows (a kernel Bayes regression
-                with the current weights as prior), pair it with the
-                shifted test-observation windows, and project the result
-                back onto the training states through their Gram matrix;
+1. propagate:   form the belief's own conditioning matrix C_w against
+                the shifted test-action windows (a kernel Bayes
+                regression with the current weights as prior), applied
+                to the r_TA columns of the shifted windows' factor W_TAs;
+                its coordinates W_TOs^T C_w W_TAs in the joint test-window
+                factors (``gramops.window_factors``) give, against the
+                training states' rows ``HsePsrModel.state_factors``, its
+                inner products with every training state, which the
+                ridge inverse of the states' Gram maps back onto them;
                 this realigns the belief with the windows one step ahead,
 2. action step: mix the per-sample action conditioning matrices by the
                 propagated weights and apply them to the executed action's
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.gramops import kbr_step_batch, kbr_step_lowrank, ridge_solve
+from hsepsr.gramops import kbr_step_batch, kbr_step_lowrank, ridge_solve_columns
 from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
@@ -213,23 +217,29 @@ def propagate_many(
     """Propagate B beliefs held as rows of W in one stacked pass.
 
     Each row gets its own shift conditional (it is nonlinear in the
-    weights), solved straight against the shifted-to-unshifted window
-    Gram; ``block`` bounds the stacked temporaries to O(block * T^2).
+    weights), solved against the r_TA columns of the shifted test-action
+    factor; for training state i with coordinates S_i = W_TO^T C_i W_TA,
+
+        q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
+
+    and the inner products q_b go through the ridge inverse of
+    ``gram_states`` with the model's Cholesky factor, columns that fail
+    its residual test escalating alone as ``propagate[b]``.  ``block``
+    bounds the stacked temporaries to O(block * T^2).
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
-    B, T = W.shape
-    flat = model.state_conditioning_flat()
     out = np.empty_like(W)
-    for s in range(0, B, block):
+    for s in range(0, len(W), block):
         Wb = W[s : s + block]
-        cond = kbr_step_batch(  # C_w @ G_TA_TAs.T per row
-            Wb, g.G_TAs_TAs, g.lam_T, g.G_TA_TAs.T[None],
+        X = kbr_step_batch(  # C_w @ W_TAs per row
+            Wb, g.G_TAs_TAs, g.lam_T, g.W_TAs[None],
             label="shift-conditional", events=events, first_row=s,
         )
-        q = (g.G_TO_TOs @ cond).reshape(len(Wb), T * T) @ flat.T
-        out[s : s + block] = ridge_solve(
-            model.gram_states, g.lam_T, q.T, label="propagate", events=events
+        q = (g.W_TOs.T @ X).reshape(len(Wb), -1) @ model.state_factors.T
+        out[s : s + block] = ridge_solve_columns(
+            model.gram_states, g.lam_T, model.state_ridge, q.T,
+            label="propagate", events=events, first_row=s,
         ).T
     return out
 

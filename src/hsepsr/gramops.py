@@ -24,6 +24,18 @@ conditioning solve takes the Woodbury form
 
 an r x r system; ``low_rank_factor`` finds V at numpy's ``matrix_rank``
 tolerance, so the two forms agree to rounding.
+
+The test windows and their one-step shifts are factored jointly
+(``window_factors``): one factor of the Gram of both lists, split by rows
+into W_now and W_shifted, so every test-window Gram is a product of two
+factor blocks, e.g. G_TA_TAs = W_TA W_TAs^T.  A conditioning matrix C
+against those windows then enters an inner product of operators only as
+its factor coordinates W_obs^T C W_act:
+
+    <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
+
+which ``state_factors`` computes for the training states and the filter's
+propagation step for the belief.
 """
 
 from __future__ import annotations
@@ -32,6 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+
+from hsepsr.kernels import gram
 
 #: Relative residual above which a solve is treated as failed.
 RESIDUAL_RTOL = 1e-8
@@ -116,6 +130,56 @@ def ridge_solve(
         lambda l: G + l * eye, np.asarray(B, dtype=float), lam,
         sym=True, label=label, events=events,
     )
+
+
+def ridge_factor(G: np.ndarray, lam: float):
+    """Cholesky factor of G + lam I in ``scipy.linalg.cho_factor`` form, for
+    ``ridge_solve_columns``; None when the factorization fails."""
+    G = np.asarray(G, dtype=float)
+    try:
+        return sla.cho_factor(
+            G + lam * np.eye(G.shape[0]), lower=True, check_finite=False
+        )
+    except np.linalg.LinAlgError:
+        return None
+
+
+def ridge_solve_columns(
+    G: np.ndarray,
+    lam: float,
+    factor,
+    B: np.ndarray,
+    *,
+    label: str = "ridge",
+    events: list | None = None,
+    first_row: int = 0,
+) -> np.ndarray:
+    """Solve (G + lam I) X = B with the prebuilt ``ridge_factor(G, lam)``.
+
+    Each column is checked as ``escalated_solve`` checks a solve (finite,
+    residual within ``RESIDUAL_RTOL``); only the columns that fail, all of
+    them if ``factor`` is None, are solved again by ``ridge_solve``, which
+    escalates and records ``label[first_row + b]`` as a solve of that
+    column alone would.
+    """
+    G = np.asarray(G, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if factor is None:
+        X = np.empty(B.shape)
+        ok = np.zeros(B.shape[1], dtype=bool)
+    else:
+        X = sla.cho_solve(factor, B, check_finite=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = np.linalg.norm(G @ X + lam * X - B, axis=0)
+        norm = np.linalg.norm(B, axis=0)
+        ok = np.isfinite(X).all(axis=0) & (
+            (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
+        )
+    for b in np.flatnonzero(~ok):
+        X[:, b] = ridge_solve(
+            G, lam, B[:, b], label=f"{label}[{first_row + b}]", events=events
+        )
+    return X
 
 
 def conditioning_matrix(
@@ -330,6 +394,51 @@ def low_rank_factor(G: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
+def window_factors(kernel, now: np.ndarray, shifted: np.ndarray):
+    """Joint low-rank factor of a window list and its one-step shift.
+
+    The two lists are stacked, exact duplicate rows dropped (a shifted
+    window is usually the next sample's window, so real data has at most
+    T + 1 distinct ones), and the Gram of the distinct windows is factored
+    by ``low_rank_factor``.  Returns (W_now, W_shifted), the factor rows of
+    each list, so that gram(now, now), gram(shifted, shifted) and
+    gram(now, shifted) are W_now W_now^T, W_shifted W_shifted^T and
+    W_now W_shifted^T up to rounding.
+    """
+    stacked = np.vstack([now, shifted])
+    distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    W = low_rank_factor(gram(kernel, distinct, distinct))[inverse.ravel()]
+    return W[: len(now)], W[len(now) :]
+
+
+def state_factors(
+    weight_columns: np.ndarray,
+    G: np.ndarray,
+    lam: float,
+    W_act: np.ndarray,
+    W_obs: np.ndarray,
+    *,
+    label: str = "state",
+    events: list | None = None,
+) -> np.ndarray:
+    """Factor coordinates of the conditioning matrices of ``weight_columns``.
+
+    Row s is W_obs^T C_s W_act, flattened, with C_s =
+    ``conditioning_matrix(weight_columns[:, s], G, lam)`` for the Gram
+    G = W_act W_act^T; C_s W_act is one ``kbr_step`` against the r
+    columns of W_act, escalated and recorded as ``label[s]``.  Rows are
+    built one at a time, so no temporary exceeds T^2 floats, and the Gram
+    of the matrices, trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of
+    the rows.
+    """
+    A = np.asarray(weight_columns, dtype=float)
+    out = np.empty((A.shape[1], W_obs.shape[1] * W_act.shape[1]))
+    for s in range(A.shape[1]):
+        X = kbr_step(A[:, s], G, lam, W_act, label=f"{label}[{s}]", events=events)
+        out[s] = (W_obs.T @ X).ravel()
+    return out
+
+
 @dataclass(frozen=True)
 class ConditioningFactors:
     """Conditioning matrices C_s = (diag(w_s) G + lam_s I)^-1 diag(w_s), one
@@ -423,8 +532,10 @@ def state_gram(
 @dataclass
 class GramCache:
     """All training Gram matrices, low-rank factors ``V_A``/``V_O`` of the
-    single-step action and observation Grams (``low_rank_factor``), and the
-    scaled regularizer lam * T."""
+    single-step action and observation Grams (``low_rank_factor``), joint
+    factors ``W_TA``/``W_TAs`` and ``W_TO``/``W_TOs`` of the test windows
+    and their shifts (``window_factors``), and the scaled regularizer
+    lam * T."""
 
     G_HH: np.ndarray
     G_TA_TA: np.ndarray
@@ -436,6 +547,10 @@ class GramCache:
     G_O_O: np.ndarray
     V_A: np.ndarray
     V_O: np.ndarray
+    W_TA: np.ndarray
+    W_TAs: np.ndarray
+    W_TO: np.ndarray
+    W_TOs: np.ndarray
     lam_T: float
 
     @property
@@ -451,12 +566,16 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
     regularizer is scaled by the sample count, matching its role as a
     ridge penalty on averaged Gram operators.
     """
-    from hsepsr.kernels import gram
-
     if not lam > 0:
         raise ValueError("lam must be positive")
     G_A_A = gram(kernels.action, windows.cur_actions, windows.cur_actions)
     G_O_O = gram(kernels.obs, windows.cur_obs, windows.cur_obs)
+    W_TA, W_TAs = window_factors(
+        kernels.test_action, windows.test_actions, windows.shifted_test_actions
+    )
+    W_TO, W_TOs = window_factors(
+        kernels.test_obs, windows.test_obs, windows.shifted_test_obs
+    )
     return GramCache(
         G_HH=gram(kernels.history, windows.histories, windows.histories),
         G_TA_TA=gram(kernels.test_action, windows.test_actions, windows.test_actions),
@@ -474,5 +593,9 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         G_O_O=G_O_O,
         V_A=low_rank_factor(G_A_A),
         V_O=low_rank_factor(G_O_O),
+        W_TA=W_TA,
+        W_TAs=W_TAs,
+        W_TO=W_TO,
+        W_TOs=W_TOs,
         lam_T=lam * windows.n_samples,
     )

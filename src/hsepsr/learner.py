@@ -12,18 +12,22 @@ process as a weight vector across T training samples.  Training amounts to
    (``gramops.ConditioningFactors`` over the low-rank factor of the action
    Gram, T r^2 numbers), which the filter's action step mixes,
 5. turning each weight column into a kernel Bayes conditioning matrix
-   against the test-action windows; sample t's matrix is the coefficient
-   form of its operator-valued state,
-6. assembling the Gram matrix between those states, which the filter's
-   propagation step uses to project each belief's one-step-extended window
-   conditional back onto the training states.
+   against the test-action windows, the coefficient form of that
+   sample's operator-valued state, kept only as its coordinates in the
+   joint factors of the test windows (``gramops.state_factors``: row i of
+   ``state_factors`` is W_TO^T C_i W_TA, r_TO r_TA numbers),
+6. assembling the Gram matrix between those states, the Gram of the
+   ``state_factors`` rows, which the filter's propagation step uses to
+   project each belief's one-step-extended window conditional back onto
+   the training states.
 
 Only what training learned is persisted (see ``model_io``); the training
-Grams, their low-rank factors and the action factors rebuild in
-milliseconds when a model is loaded, and the one dense (T x T^2) tensor
-left, the state conditioning tensor, is cached lazily.  ``DEFAULT_LAM`` and
-``DEFAULT_MAX_SAMPLES`` are the library defaults for the regularizer and
-the training-sample cap, used by ``train``, the CLI and the desk benchmark.
+Grams, their low-rank factors, the action factors and the state factors
+rebuild when a model is loaded.  No dense (T x T^2) tensor is built
+outside the oracles ``action_conditioning_flat`` and
+``state_conditioning_flat``.  ``DEFAULT_LAM`` and ``DEFAULT_MAX_SAMPLES``
+are the library defaults for the regularizer and the training-sample cap,
+used by ``train``, the CLI and the desk benchmark.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from hsepsr.gramops import (
     conditioning_factors,
     conditioning_tensor,
     history_weights,
-    state_gram,
+    ridge_factor,
+    state_factors,
 )
 from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, resolve_spec
 from hsepsr.windows import (
@@ -89,7 +94,15 @@ class BeliefState:
 
 @dataclass
 class TrainingReport:
-    """Diagnostics from one training run."""
+    """Diagnostics from one training run.
+
+    ``truncated_from`` is the sample count before the ``max_samples`` cap
+    cut the trajectory (None when nothing was cut); ``ranks`` holds the
+    numerical ranks of the low-rank factors, keyed by stream: ``action``
+    and ``obs`` for the single-step Grams, ``test_action`` and
+    ``test_obs`` for the joint test-window factors, whose product
+    r_test_obs * r_test_action is the length of one state-factor row.
+    """
 
     n_samples: int
     lam: float
@@ -97,12 +110,16 @@ class TrainingReport:
     bandwidths: dict
     solve_events: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
+    truncated_from: int | None = None
+    ranks: dict = field(default_factory=dict)
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"samples: {self.n_samples}",
-            f"regularizer: {self.lam:g} (scaled {self.lam_T:g})",
-        ]
+        samples = f"samples: {self.n_samples}"
+        if self.truncated_from is not None:
+            samples += f" (truncated from {self.truncated_from} by max_samples)"
+        lines = [samples, f"regularizer: {self.lam:g} (scaled {self.lam_T:g})"]
+        for stream, rank in self.ranks.items():
+            lines.append(f"rank[{stream}]: {rank}")
         for stream, bw in self.bandwidths.items():
             lines.append(
                 f"bandwidth[{stream}]: " + (f"{bw:g}" if bw is not None else "n/a")
@@ -126,11 +143,14 @@ class HsePsrModel:
 
     ``history_state_weights`` column t holds the prior sample weights for
     training history t; ``gram_states`` holds the inner products between
-    the operator-valued training states those columns define.  The filter's
-    propagation step forms the belief's own conditioning matrix against the
-    shifted windows and projects it onto the training states through
-    ``gram_states``; the per-sample state matrices enter that projection in
-    flattened form.  ``action_factors`` holds the per-sample action
+    the operator-valued training states those columns define, and
+    ``state_factors`` row t the coordinates of state t in the joint
+    test-window factors (``gramops.state_factors``), so that
+    ``gram_states`` is their Gram.  The filter's propagation step forms
+    the belief's shifted-window conditional in the same coordinates,
+    takes its inner products with the rows and runs them through the
+    ridge inverse of ``gram_states``, whose Cholesky factor is built once
+    per model.  ``action_factors`` holds the per-sample action
     conditioning matrices in Woodbury form.
     """
 
@@ -141,8 +161,13 @@ class HsePsrModel:
     history_state_weights: np.ndarray
     gram_states: np.ndarray
     action_factors: ConditioningFactors
+    state_factors: np.ndarray
     report: TrainingReport | None = None
     _state_flat: np.ndarray | None = None
+    state_ridge: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.state_ridge = ridge_factor(self.gram_states, self.grams.lam_T)
 
     @property
     def config(self) -> WindowConfig:
@@ -209,9 +234,10 @@ class HsePsrModel:
         return self._flattened_tensor(self.grams.G_A_A, "action")
 
     def state_conditioning_flat(self) -> np.ndarray:
-        """Lazy (T, T*T) cache: row i is the flattened conditioning matrix
-        of weight column i against the test-action window Gram, i.e. the
-        coefficient form of training state i."""
+        """Dense (T, T*T) oracle, cached on first use: row i is the
+        flattened conditioning matrix of weight column i against the
+        test-action window Gram, i.e. the coefficient form of training
+        state i.  The filter uses ``state_factors`` instead."""
         if self._state_flat is None:
             self._state_flat = self._flattened_tensor(self.grams.G_TA_TA, "state")
         return self._state_flat
@@ -300,29 +326,32 @@ def train_from_windows(
     )
     t0 = tick("action-factors", t0)
 
-    C = conditioning_tensor(
-        A, cache.G_TA_TA, cache.lam_T, label="state", events=events
+    S = state_factors(
+        A, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO, events=events
     )
     t0 = tick("conditioning", t0)
 
-    G_states = state_gram(C, C, cache.G_TO_TO, cache.G_TA_TA)
+    G_states = S @ S.T
     G_states = (G_states + G_states.T) / 2.0
     t0 = tick("state-gram", t0)
-
-    T = windows.n_samples
-    state_flat = C.reshape(T, T * T)
 
     bandwidths = {
         s: getattr(kernels, s).bandwidth if getattr(kernels, s).family == "rbf" else None
         for s in STREAMS
     }
     report = TrainingReport(
-        n_samples=T,
+        n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
         bandwidths=bandwidths,
         solve_events=events,
         stage_seconds=stage_seconds,
+        ranks={
+            "action": cache.V_A.shape[1],
+            "obs": cache.V_O.shape[1],
+            "test_action": cache.W_TA.shape[1],
+            "test_obs": cache.W_TO.shape[1],
+        },
     )
     return HsePsrModel(
         windowed=windows,
@@ -332,8 +361,8 @@ def train_from_windows(
         history_state_weights=A,
         gram_states=G_states,
         action_factors=action_factors,
+        state_factors=S,
         report=report,
-        _state_flat=state_flat,
     )
 
 
@@ -350,17 +379,21 @@ def train(
 ) -> HsePsrModel:
     """Window a trajectory, resolve kernels, and train a model.
 
-    ``max_samples`` caps T by truncating the trajectory (the state
-    conditioning tensor grows as T^3 floats); pass None to disable the cap.
+    ``max_samples`` caps T by truncating the trajectory (the state factors
+    hold T r_TO r_TA floats, up to T (T + 1)^2 when the test-window Grams
+    have full rank); pass None to disable the cap.  A cut is recorded in
+    the report's ``truncated_from``.
     """
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be positive or None, got {max_samples}")
     T_full = traj.n - config.history_length - config.test_length
+    truncated_from = None
     if max_samples is not None and T_full > max_samples:
         keep = max_samples + config.history_length + config.test_length
         traj = Trajectory(
             traj.actions[:keep], traj.observations[:keep], discrete=traj.discrete
         )
+        truncated_from = T_full
     windows = build_windows(traj, config, standardize=standardize)
     kernels = resolve_kernels(
         windows,
@@ -369,4 +402,6 @@ def train(
         bandwidth_scale=bandwidth_scale,
         median_cap=median_cap,
     )
-    return train_from_windows(windows, kernels, lam=lam)
+    model = train_from_windows(windows, kernels, lam=lam)
+    model.report.truncated_from = truncated_from
+    return model

@@ -7,15 +7,16 @@ carries the window configuration, regularizer, kernel families and
 bandwidths, the standardization transform, and the array manifest.
 
 Only what training learned is stored: the windowed training data, the
-per-history weight matrix and the state Gram matrix.  Loading rebuilds the
-training Gram matrices and their low-rank factors from the windows,
-kernels and regularizer with ``build_gram_cache``, bit-identical to the
-trained ones, and from them the action conditioning factors
-(``gramops.conditioning_factors``), as training builds them; the start
-belief is uniform by definition, and the state conditioning tensor
-rebuilds lazily on first use.  Version 1 files also stored the eight
-training Grams and the start belief; they still load, and those arrays
-are read and ignored.
+per-history weight matrix and the state Gram matrix.  Loading first checks
+every array against the header (row count, widths, finite values, kernel
+dimensions), then rebuilds the training Gram matrices and their low-rank
+factors from the windows, kernels and regularizer with
+``build_gram_cache``, bit-identical to the trained ones, and from them the
+action conditioning factors (``gramops.conditioning_factors``) and the
+state factors (``gramops.state_factors``), as training builds them; the
+start belief is uniform by definition.  Version 1 files also stored the
+eight training Grams and the start belief; they still load, and those
+arrays are read and ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import struct
 
 import numpy as np
 
-from hsepsr.gramops import build_gram_cache, conditioning_factors
+from hsepsr.gramops import build_gram_cache, conditioning_factors, state_factors
 from hsepsr.kernels import KernelSet, KernelSpec
 from hsepsr.learner import HsePsrModel
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
@@ -108,12 +109,55 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _validate(header: dict, arrays: dict) -> None:
+    """Check the arrays a model is rebuilt from against the header: T rows
+    each, the widths the window lengths and stream dimensions imply, (T, T)
+    learned matrices, finite values, and kernel dimensions that match
+    their streams.  Raises ValueError naming the offending array."""
+    T = int(header["n_samples"])
+    L, N = int(header["history_length"]), int(header["test_length"])
+    da, do = int(header["action_dim"]), int(header["obs_dim"])
+    shapes = {
+        "histories": (T, L * (da + do)),
+        "test_actions": (T, N * da),
+        "test_obs": (T, N * do),
+        "shifted_test_actions": (T, N * da),
+        "shifted_test_obs": (T, N * do),
+        "cur_actions": (T, da),
+        "cur_obs": (T, do),
+        "history_state_weights": (T, T),
+        "gram_states": (T, T),
+    }
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"model file array {name} has shape {arrays[name].shape}, "
+                f"expected {shape} from the header"
+            )
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"model file array {name} has non-finite values")
+    streams = {
+        "history": "histories",
+        "test_action": "test_actions",
+        "test_obs": "test_obs",
+        "action": "cur_actions",
+        "obs": "cur_obs",
+    }
+    for stream, name in streams.items():
+        dim = int(header["kernels"][stream]["dimension"])
+        if dim != shapes[name][1]:
+            raise ValueError(
+                f"model file kernel {stream} has dimension {dim}, but array "
+                f"{name} has width {shapes[name][1]}"
+            )
+
+
 def load_model(path) -> HsePsrModel:
     """Read a model container back into a usable model.
 
-    The training report and the state-tensor cache are not part of the
-    container; the training Grams and the action factors are rebuilt here
-    and the cache lazily on first use.
+    The training report is not part of the container; the arrays are
+    validated against the header, and the training Grams, the action
+    factors and the state factors are rebuilt here.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -139,6 +183,7 @@ def load_model(path) -> HsePsrModel:
     ]
     if missing:
         raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
+    _validate(header, arrays)
 
     kernels = KernelSet(
         **{
@@ -177,5 +222,8 @@ def load_model(path) -> HsePsrModel:
         gram_states=arrays["gram_states"],
         action_factors=conditioning_factors(
             weights, grams.V_A, grams.lam_T, label="action"
+        ),
+        state_factors=state_factors(
+            weights, grams.G_TA_TA, grams.lam_T, grams.W_TA, grams.W_TO
         ),
     )
