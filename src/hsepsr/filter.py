@@ -133,11 +133,15 @@ def update_standardized(
     action_std: np.ndarray,
     obs_std: np.ndarray,
     renormalize: bool = False,
+    events: list | None = None,
 ) -> BeliefState:
-    """One filter step on inputs already in the model's standardized units."""
+    """One filter step on inputs already in the model's standardized units;
+    escalated solves are appended to ``events`` (if given)."""
     if state.degenerate:
         return state
-    W = _update_rows(model, state.weights[None], _as_row(action_std), _as_row(obs_std))
+    W = _update_rows(
+        model, state.weights[None], _as_row(action_std), _as_row(obs_std), events
+    )
     return _belief(W, renormalize)
 
 
@@ -147,11 +151,12 @@ def update(
     action: np.ndarray,
     observation: np.ndarray,
     renormalize: bool = False,
+    events: list | None = None,
 ) -> BeliefState:
     """Absorb one raw action-observation pair into the belief."""
     a_std = model.standardizer.transform_actions(np.asarray(action, dtype=float).ravel())
     o_std = model.standardizer.transform_obs(np.asarray(observation, dtype=float).ravel())
-    return update_standardized(model, state, a_std, o_std, renormalize)
+    return update_standardized(model, state, a_std, o_std, renormalize, events)
 
 
 @dataclass
@@ -181,11 +186,13 @@ def filter_trajectory(
     actions: np.ndarray,
     observations: np.ndarray,
     renormalize: bool = False,
+    events: list | None = None,
 ) -> FilterResult:
     """Filter aligned (n, d_a) actions and (n, d_o) observations.
 
     Returns one belief per absorbed pair (none for empty inputs),
     restarting from the feasible state whenever the belief collapses.
+    Escalated solves of every step are appended to ``events`` (if given).
     """
     state = initial_state if initial_state is not None else model.feasible_state()
     actions = np.asarray(actions, dtype=float)
@@ -197,7 +204,9 @@ def filter_trajectory(
     states = []
     resets = []
     for t in range(len(actions)):
-        state = update_standardized(model, state, a_std[t], o_std[t], renormalize)
+        state = update_standardized(
+            model, state, a_std[t], o_std[t], renormalize, events
+        )
         if state.degenerate:
             resets.append(t)
             state = model.feasible_state()
@@ -211,37 +220,44 @@ def filter_trajectory(
 def propagate_many(
     model: HsePsrModel,
     W: np.ndarray,
-    block: int = 32,
     events: list | None = None,
-) -> np.ndarray:
-    """Propagate B beliefs held as rows of W in one stacked pass.
+    extra: np.ndarray | None = None,
+):
+    """Propagate B beliefs held as rows of W.
 
     Each row gets its own shift conditional (it is nonlinear in the
     weights), solved against the r_TA columns of the shifted test-action
-    factor; for training state i with coordinates S_i = W_TO^T C_i W_TA,
+    factor with one LU of the row's system; for training state i with
+    coordinates S_i = W_TO^T C_i W_TA,
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
 
     and the inner products q_b go through the ridge inverse of
     ``gram_states`` with the model's Cholesky factor, columns that fail
-    its residual test escalating alone as ``propagate[b]``.  ``block``
-    bounds the stacked temporaries to O(block * T^2).
+    its residual test escalating alone as ``propagate[b]``.
+
+    ``extra`` (B, T), if given, holds one more kernel vector per row, the
+    rollout's planned window against the shifted test-action windows, that
+    rides on the same factorization (``kbr_step_batch``); the result is
+    then the pair (propagated rows, C_w applied to each extra vector), and
+    a row whose solve fails is solved again as the two separate solves,
+    ``window-conditioning[b]`` and ``shift-conditional[b]``.
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
-    out = np.empty_like(W)
-    for s in range(0, len(W), block):
-        Wb = W[s : s + block]
-        X = kbr_step_batch(  # C_w @ W_TAs per row
-            Wb, g.G_TAs_TAs, g.lam_T, g.W_TAs[None],
-            label="shift-conditional", events=events, first_row=s,
-        )
-        q = (g.W_TOs.T @ X).reshape(len(Wb), -1) @ model.state_factors.T
-        out[s : s + block] = ridge_solve_columns(
-            model.gram_states, g.lam_T, model.state_ridge, q.T,
-            label="propagate", events=events, first_row=s,
-        ).T
-    return out
+    X = kbr_step_batch(  # C_w @ W_TAs per row
+        W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None],
+        label="shift-conditional", events=events,
+        extra=extra, extra_label="window-conditioning",
+    )
+    if extra is not None:
+        X, solved_extra = X
+    q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
+    out = ridge_solve_columns(
+        model.gram_states, g.lam_T, model.state_ridge, q.T,
+        label="propagate", events=events,
+    ).T
+    return out if extra is None else (out, solved_extra)
 
 
 def condition_action_many(
@@ -293,11 +309,16 @@ def _normalize_rows(W: np.ndarray, renormalize: bool):
     return W, np.abs(W).sum(axis=1) < DEGENERATE_TOL
 
 
-def _update_rows(model, W, actions_std, obs_std, events=None) -> np.ndarray:
-    """The three stages for each row, before the collapse rule."""
+def _update_rows(
+    model, W, actions_std, obs_std, events=None, propagated=False
+) -> np.ndarray:
+    """The three stages for each row, before the collapse rule; rows that
+    are ``propagated`` already go through the last two only."""
+    if not propagated:
+        W = propagate_many(model, W, events=events)
     K_a = gram(model.kernels.action, actions_std, model.cur_actions)
     K_o = gram(model.kernels.obs, obs_std, model.cur_obs)
-    W = condition_action_many(model, propagate_many(model, W, events=events), K_a)
+    W = condition_action_many(model, W, K_a)
     return condition_observation_many(model, W, K_o, events)
 
 
@@ -309,16 +330,21 @@ def update_standardized_many(
     renormalize: bool = False,
     resets: list | None = None,
     events: list | None = None,
+    propagated: bool = False,
 ) -> np.ndarray:
     """One filter step for B beliefs at once.
 
     Rows that collapse are restarted from the feasible state, and their
     indices are appended to ``resets`` (if given).  Escalated solves of
     every stage are appended to ``events`` (if given) as ``SolveEvent``s
-    labelled with their row.
+    labelled with their row.  With ``propagated``, W holds rows that
+    ``propagate_many`` has already advanced (for instance with a rollout
+    window's kernel vector riding on its solve), and the step runs only
+    the action and observation stages and the collapse rule.
     """
     W, collapsed = _normalize_rows(
-        _update_rows(model, W, actions_std, obs_std, events), renormalize
+        _update_rows(model, W, actions_std, obs_std, events, propagated),
+        renormalize,
     )
     W[collapsed] = model.feasible_weights
     if resets is not None:

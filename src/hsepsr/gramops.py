@@ -13,8 +13,10 @@ The two solve shapes are
 and both escalate the regularizer by factors of 10 (up to three retries)
 when a factorization fails or the relative residual exceeds 1e-8, so a
 near-singular Gram degrades accuracy instead of aborting a run.
-``solve_rows`` stacks many such systems into one call and sends only the
-rows that fail the same test through that escalation.
+``solve_rows`` solves many such systems, one per row: each row's system is
+written into buffers reused from row to row and factored in place by
+LAPACK ``getrf``, and only the rows that fail the same test, an exactly
+singular one included, go through that escalation.
 
 When a Gram has low numerical rank, G = V V^T with V of shape (T, r), the
 conditioning solve takes the Woodbury form
@@ -40,6 +42,7 @@ propagation step for the belief.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,9 +235,70 @@ def kbr_step(
     )
 
 
+def _within_rtol(res: np.ndarray, rhs: np.ndarray) -> bool:
+    """The residual's Frobenius norm is within ``RESIDUAL_RTOL`` times the
+    right-hand side's, or the right-hand side is zero."""
+    rhs_sq = float(np.vdot(rhs, rhs))
+    residual = math.sqrt(np.vdot(res, res))
+    return residual <= RESIDUAL_RTOL * math.sqrt(rhs_sq) or rhs_sq == 0.0
+
+
+def _factor_rows(fill, shape, lam: float, split: int | None = None):
+    """Plain per-row solves of (M_b + lam I) X_b = R_b, without escalation.
+
+    ``shape`` is (B, n, m); ``fill(b, M, R)`` writes row b's (n, n) matrix
+    and (n, m) right-hand side into the buffers it is given, which are
+    reused from row to row, so no stack of systems is ever formed.  Each
+    row is factored by LAPACK ``getrf`` and solved by ``getrs``.  Returns
+    X and, per row, whether it passed ``escalated_solve``'s test: the
+    factorization succeeded, X_b is finite and its residual on the system
+    solved is within ``RESIDUAL_RTOL`` of the norm of R_b.  With ``split``,
+    the columns before and after it are tested separately, each against
+    its own right-hand side's norm.
+    """
+    B, n, m = shape
+    x = np.empty(shape)
+    ok = np.zeros(B, dtype=bool)
+    lhs = np.empty((n, n))
+    diagonal = lhs.reshape(-1)[:: n + 1]
+    lu = np.empty((n, n), order="F")
+    rhs = np.empty((n, m))
+    xb = np.empty((n, m), order="F")
+    res = np.empty((n, m))
+    groups = [slice(None, split), slice(split, None)] if split else [slice(None)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for b in range(B):
+            fill(b, lhs, rhs)
+            diagonal += lam
+            np.copyto(lu, lhs)
+            lu, piv, info = sla.lapack.dgetrf(lu, overwrite_a=1)
+            if info != 0:
+                continue
+            np.copyto(xb, rhs)
+            xb, info = sla.lapack.dgetrs(lu, piv, xb, overwrite_b=1)
+            x[b] = xb
+            if info != 0 or not np.isfinite(xb).all():
+                continue
+            np.matmul(lhs, xb, out=res)
+            res -= rhs
+            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in groups)
+    return x, ok
+
+
+def _stacked(M: np.ndarray, rhs: np.ndarray):
+    """``solve_rows`` system of stacked (B, n, n) matrices and (B, n, m)
+    right-hand sides: the fill function and the shape."""
+
+    def fill(b, lhs, r):
+        lhs[...] = M[b]
+        r[...] = rhs[b]
+
+    return fill, rhs.shape
+
+
 def solve_rows(
-    M: np.ndarray,
-    rhs: np.ndarray,
+    fill,
+    shape: tuple,
     lam: float,
     *,
     label: str,
@@ -242,39 +306,33 @@ def solve_rows(
     first_row: int = 0,
     accept=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (M[b] + lam I) X[b] = rhs[b] for every row b in one stacked call.
+    """Solve (M_b + lam I) X_b = R_b for every row b, one LU per row.
 
-    ``M`` is (B, n, n) and ``rhs`` (B, n, m).  Each row is checked as
-    ``escalated_solve`` checks a solve: finite, with a residual within
-    ``RESIDUAL_RTOL`` on the system solved, and passing
+    ``shape`` is (B, n, m) and ``fill(b, M, R)`` writes row b's system into
+    reused buffers (``_stacked`` adapts stacked arrays).  Each row is
+    checked as ``escalated_solve`` checks a solve: finite, with a residual
+    within ``RESIDUAL_RTOL`` on the system solved, and passing
     ``accept(X[rows], lam_rows, rows)`` (if given; it returns one bool per
-    row).  Rows that fail (all of them if the stacked call raises) are
-    solved again by ``escalated_solve``, which escalates and records
-    ``label[first_row + b]`` as a single-row solve would.  Returns X and
-    the regularizer each row was solved with.
+    row).  Rows that fail, an exactly singular one included, are solved
+    again by ``escalated_solve``, which escalates and records
+    ``label[first_row + b]`` as a single-row solve would; the other rows
+    keep their plain solves.  Returns X and the regularizer each row was
+    solved with.
     """
-    B, n, _ = M.shape
-    lhs = M + lam * np.eye(n)
+    B, n, m = shape
+    x, ok = _factor_rows(fill, shape, lam)
     used = np.full(B, float(lam))
-    try:
-        x = np.linalg.solve(lhs, rhs)
-        residual = np.linalg.norm(lhs @ x - rhs, axis=(1, 2))
-        rhs_norm = np.linalg.norm(rhs, axis=(1, 2))
-        ok = np.isfinite(x).all(axis=(1, 2)) & (
-            (residual <= RESIDUAL_RTOL * rhs_norm) | (rhs_norm == 0.0)
-        )
-        if accept is not None:
-            rows = np.flatnonzero(ok)
-            ok[rows] = accept(x[rows], used[rows], rows)
-    except np.linalg.LinAlgError:
-        x = np.empty(rhs.shape)
-        ok = np.zeros(B, dtype=bool)
+    if accept is not None:
+        rows = np.flatnonzero(ok)
+        ok[rows] = accept(x[rows], used[rows], rows)
     eye = np.eye(n)
     for b in np.flatnonzero(~ok):
         row = np.array([b])
+        M_b, rhs_b = np.empty((n, n)), np.empty((n, m))
+        fill(b, M_b, rhs_b)
         row_events: list = []
         x[b] = escalated_solve(
-            lambda l: M[b] + l * eye, rhs[b], lam, sym=False,
+            lambda l: M_b + l * eye, rhs_b, lam, sym=False,
             label=f"{label}[{first_row + b}]", events=row_events,
             accept=None if accept is None else (
                 lambda xb, l: bool(accept(xb[None], np.array([l]), row)[0])
@@ -296,19 +354,57 @@ def kbr_step_batch(
     label: str = "kbr",
     events: list | None = None,
     first_row: int = 0,
-) -> np.ndarray:
+    extra: np.ndarray | None = None,
+    extra_label: str = "extra",
+):
     """Row-batched ``kbr_step``: weights are (B, T); k is (B, T), giving a
     (B, T) result, or (B, T, m), giving (B, T, m) (leading dimension 1
-    shares it across rows).  Rows are solved and escalated by ``solve_rows``.
+    shares it across rows).  Row b's system diag(w_b) G + lam I and its
+    right-hand sides are formed in ``solve_rows``' row buffers, which
+    solves and escalates them.
+
+    ``extra`` (B, T), if given, holds one more kernel vector per row,
+    solved in the same factorization; the result is then the pair (that
+    of k, the (B, T) extra solutions).  The columns of k and the extra
+    column each pass the residual test against their own right-hand
+    side's norm, so the many columns of k cannot mask a poor extra one.
+    A row that fails either test is solved again by the two separate
+    calls, all extra ones first, which escalate and record
+    ``extra_label[b]`` and ``label[b]`` as those calls would.
     """
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
     cols = k[:, :, None] if k.ndim == 2 else k
-    x, _ = solve_rows(
-        w[:, :, None] * G[None, :, :], w[:, :, None] * cols, lam,
-        label=label, events=events, first_row=first_row,
-    )
-    return x[:, :, 0] if k.ndim == 2 else x
+    m = cols.shape[2]
+
+    def fill(b, lhs, rhs):
+        wb = w[b, :, None]
+        np.multiply(wb, G, out=lhs)
+        np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
+        if extra is not None:
+            np.multiply(w[b], extra[b], out=rhs[:, m])
+
+    shape = (len(w), len(G), m + (extra is not None))
+    if extra is None:
+        x, _ = solve_rows(
+            fill, shape, lam, label=label, events=events, first_row=first_row
+        )
+    else:
+        x, ok = _factor_rows(fill, shape, lam, split=m)
+        failed = np.flatnonzero(~ok)
+        for b in failed:
+            x[b, :, m] = kbr_step_batch(
+                w[b : b + 1], G, lam, extra[b : b + 1],
+                label=extra_label, events=events, first_row=first_row + b,
+            )[0]
+        for b in failed:
+            x[b, :, :m] = kbr_step_batch(
+                w[b : b + 1], G, lam, cols[b % len(cols)][None],
+                label=label, events=events, first_row=first_row + b,
+            )[0]
+    out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
+    # a copy, so that the extra solutions do not keep all of x alive
+    return out if extra is None else (out, x[:, :, m].copy())
 
 
 def conditioning_tensor(
@@ -375,8 +471,8 @@ def kbr_step_lowrank(
         return _kbr_rows_ok(W[rows], WK[rows], V, X, lam_rows)
 
     Y, used = solve_rows(
-        (W[:, None, :] * V.T[None, :, :]) @ V, (WK @ V)[:, :, None], lam,
-        label=label, events=events, accept=accept,
+        *_stacked((W[:, None, :] * V.T[None, :, :]) @ V, (WK @ V)[:, :, None]),
+        lam, label=label, events=events, accept=accept,
     )
     return _woodbury_apply(W, WK, V, Y[:, :, 0], used)
 
@@ -478,7 +574,9 @@ def conditioning_factors(
         X = _woodbury_apply(W[rows], W[rows], V, Y, lam_rows)
         return _kbr_rows_ok(W[rows], W[rows], V, X, lam_rows)
 
-    S, used = solve_rows(M, eye, lam, label=label, events=events, accept=accept)
+    S, used = solve_rows(
+        *_stacked(M, eye), lam, label=label, events=events, accept=accept
+    )
     return ConditioningFactors(V, S, used)
 
 

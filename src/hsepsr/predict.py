@@ -15,6 +15,13 @@ update together with the planned action, then predicts the deepest step
 of the next window.  The level loop runs once for B beliefs held as rows;
 ``rollout_predict`` is its batch of one.  A row whose feedback update
 collapses restarts from the feasible state and is reported with its level.
+
+Window conditioning and the feedback update's propagation solve the same
+system per belief, (diag(w) G_TAs_TAs + lam_T I), from the same belief at
+the same level.  At every level followed by a feedback update the window's
+kernel vector therefore rides on the propagation's solve as one more
+column, so each row's system is factored once per level; the last level
+conditions on its window alone.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.filter import update_standardized_many
+from hsepsr.filter import propagate_many, update_standardized_many
 from hsepsr.gramops import kbr_step_batch
 from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, HsePsrModel
@@ -160,9 +167,19 @@ def condition_test_actions_many(
     W: np.ndarray,
     windows_std: np.ndarray,
     events: list | None = None,
-) -> np.ndarray:
-    """Batched gamma weights: row b conditions belief W[b] on windows_std[b]."""
+    propagate: bool = False,
+):
+    """Batched gamma weights: row b conditions belief W[b] on windows_std[b].
+
+    With ``propagate``, the windows' kernel vectors ride on the filter's
+    propagation solve (``propagate_many``'s extra columns), and the pair
+    (gamma, propagated rows) is returned, ready for
+    ``update_standardized_many(..., propagated=True)``.
+    """
     K = gram(model.kernels.test_action, windows_std, model.shifted_test_actions)
+    if propagate:
+        P, gamma = propagate_many(model, W, events, extra=K)
+        return gamma, P
     return kbr_step_batch(
         W, model.grams.G_TAs_TAs, model.grams.lam_T, K,
         label="window-conditioning", events=events,
@@ -219,7 +236,12 @@ def _rollout_rows(
     last_level = max(0, horizons[-1] - N)
     for level in range(last_level + 1):
         windows = A_std[:, level : level + N].reshape(B, N * da)
-        gamma = condition_test_actions_many(model, W, windows, events)
+        if level < last_level:
+            gamma, P = condition_test_actions_many(
+                model, W, windows, events, propagate=True
+            )
+        else:
+            gamma = condition_test_actions_many(model, W, windows, events)
         window_pred = (gamma @ obs_windows).reshape(B, N, do)
         for i, h in enumerate(horizons):
             if max(0, h - N) == level:  # the first window reaching h
@@ -227,8 +249,8 @@ def _rollout_rows(
         if level < last_level:
             rows: list = []
             W = update_standardized_many(
-                model, W, A_std[:, level], window_pred[:, 0], renormalize, rows,
-                events,
+                model, P, A_std[:, level], window_pred[:, 0], renormalize, rows,
+                events, propagated=True,
             )
             if resets is not None:
                 resets.extend((row, level) for row in rows)

@@ -132,13 +132,15 @@ class ModelPredictor:
     """Protocol driver for a trained model: filter once, snapshot extents,
     roll all extents forward together.  The last call's restarts are kept:
     prefix pair indices in ``filter_resets``, (extent row, rollout level)
-    pairs in ``rollout_resets``."""
+    pairs in ``rollout_resets``; its escalated solves, prefix filter first,
+    are kept as ``SolveEvent``s in ``solve_events``."""
 
     model: HsePsrModel
     renormalize: bool = True
     name: str = "hse-psr"
     filter_resets: list = field(default_factory=list, init=False)
     rollout_resets: list = field(default_factory=list, init=False)
+    solve_events: list = field(default_factory=list, init=False)
 
     def predict_all(self, actions, observations, extents, horizons) -> np.ndarray:
         model = self.model
@@ -151,15 +153,18 @@ class ModelPredictor:
                 f"extent {last} plus plan length {plan_len} exceeds the "
                 f"{len(actions)} test steps"
             )
+        self.solve_events = []
         result = filter_trajectory(
-            model, None, actions[:last], observations[:last], self.renormalize
+            model, None, actions[:last], observations[:last], self.renormalize,
+            events=self.solve_events,
         )
         W = np.stack([result.states[e - 1].weights for e in extents])
         plans = np.stack([actions[e : e + plan_len] for e in extents])
         self.filter_resets = result.resets
         self.rollout_resets = []
         return rollout_predict_many(
-            model, W, plans, horizons, self.renormalize, resets=self.rollout_resets
+            model, W, plans, horizons, self.renormalize,
+            resets=self.rollout_resets, events=self.solve_events,
         )
 
 
@@ -224,13 +229,15 @@ def run_protocol(
 @dataclass
 class Evaluation:
     """One desk benchmark run: the model's and both baselines' MSE tables,
-    the model's belief resets, and the two gates decided from the tables."""
+    the model's belief resets and escalated solves, and the two gates
+    decided from the tables."""
 
     model: MseTable
     mean: MseTable
     previous: MseTable
     filter_resets: int = 0
     rollout_resets: int = 0
+    solve_escalations: int = 0
 
     @property
     def tables(self) -> list:
@@ -260,7 +267,8 @@ class Evaluation:
     def summary_lines(self) -> list[str]:
         lines = [
             f"belief resets: {self.filter_resets} in the prefix filter, "
-            f"{self.rollout_resets} in rollouts"
+            f"{self.rollout_resets} in rollouts; "
+            f"solve escalations: {self.solve_escalations}"
         ]
         for h in self.model.horizons:
             lines.append(
@@ -331,4 +339,5 @@ def evaluate(
         previous=run_protocol(baseline_prev(), test, **common),
         filter_resets=len(predictor.filter_resets),
         rollout_resets=len(predictor.rollout_resets),
+        solve_escalations=len(predictor.solve_events),
     )

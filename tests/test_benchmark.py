@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import hsepsr.filter as filter_mod
 from hsepsr.filter import filter_trajectory
 from hsepsr.learner import train
 from hsepsr.predict import rollout_predict, rollout_predict_many
@@ -16,6 +17,7 @@ from hsepsr.simbench.benchmark import (
     baseline_mean,
     baseline_prev,
     desk_extents,
+    evaluate,
     run_protocol,
     write_csv,
 )
@@ -152,6 +154,52 @@ class TestRunProtocol:
         expect = []
         rollout_predict_many(model, W, plans, [1, 6], True, resets=expect)
         assert predictor.rollout_resets == expect
+
+
+def _force_obs_escalations(monkeypatch, batch_sizes):
+    """Make the action stage's output singular for the observation step
+    (diag(w) G_O_O + lam_T I singular at lam_T) in the last row of the
+    first call with each batch size in ``batch_sizes``."""
+    real = filter_mod.condition_action_many
+    seen = set()
+
+    def forced(model, W, K):
+        out = real(model, W, K)
+        if len(W) in batch_sizes and len(W) not in seen:
+            seen.add(len(W))
+            g = model.grams
+            top = np.linalg.eigvalsh(g.G_O_O).max()
+            out[-1] = -(g.lam_T / top) * np.ones(model.n_samples)
+        return out
+
+    monkeypatch.setattr(filter_mod, "condition_action_many", forced)
+
+
+class TestSolveEscalations:
+    def test_model_predictor_keeps_prefix_and_rollout_escalations(self, monkeypatch):
+        """One escalation forced in the prefix filter (a batch of one) and
+        one in the rollout's first feedback update (both extents) reach
+        ``solve_events`` with their labels; a second call starts afresh."""
+        train_traj, test = _split()
+        model = train(train_traj, WindowConfig(3, 4), lam=2e-3)
+        predictor = ModelPredictor(model)
+        run_protocol(predictor, test, [10, 14], [1, 6])
+        assert predictor.solve_events == []
+        _force_obs_escalations(monkeypatch, {1, 2})
+        run_protocol(predictor, test, [10, 14], [1, 6])
+        labels = [e.label for e in predictor.solve_events]
+        assert labels == ["obs-conditioning[0]", "obs-conditioning[1]"]
+        assert all(e.used > model.grams.lam_T for e in predictor.solve_events)
+
+    def test_evaluation_counts_and_prints_the_escalations(self, monkeypatch):
+        traj = simulate_system(SynthConfig(n_steps=240, seed=6))
+        _force_obs_escalations(monkeypatch, {1})
+        ev = evaluate(
+            traj, train_steps=110, history_length=3, test_length=4,
+            extent=10, extent_step=4, horizons=(1, 6),
+        )
+        assert ev.solve_escalations >= 1
+        assert f"solve escalations: {ev.solve_escalations}" in ev.summary_lines()[0]
 
 
 class TestBatchedRollout:

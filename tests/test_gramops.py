@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import hsepsr.gramops as gramops
 from hsepsr.gramops import (
@@ -143,8 +146,9 @@ class TestConditioning:
         assert events[0].used == single_events[0].used
 
     def test_batch_falls_back_per_row_when_the_stack_raises(self, rng):
-        """An exactly singular row makes the stacked call raise; every row is
-        then solved on its own and only the singular one escalates."""
+        """An exactly singular row fails its own factorization and only it
+        escalates; every other row keeps its plain solve.  (Rows were once
+        solved as one stack, which an exactly singular row made raise.)"""
         G = np.diag(np.arange(1.0, 6.0))
         lam = 0.5
         W = np.vstack([np.full(5, -lam), rng.uniform(0.5, 1.0, 5)])
@@ -154,6 +158,80 @@ class TestConditioning:
         assert np.allclose(got[1], kbr_step(W[1], G, lam, K[1]), atol=1e-12)
         assert np.allclose(got[0], kbr_step(W[0], G, lam, K[0]), atol=1e-12)
         assert [e.label for e in events] == ["kbr[7]"]
+
+    def test_exactly_singular_row_fails_getrf_and_escalates_alone(self, rng):
+        """getrf reports the singular row (info > 0); that row alone is
+        escalated, and the others are the plain LU solves at lam."""
+        G = np.diag(np.arange(1.0, 7.0))
+        lam = 0.5
+        W = rng.uniform(0.5, 1.0, (4, 6))
+        W[1] = -lam
+        K = rng.normal(size=(4, 6))
+        _, _, info = sla.lapack.dgetrf(W[1][:, None] * G + lam * np.eye(6))
+        assert info > 0
+        events = []
+        got = kbr_step_batch(W, G, lam, K, events=events)
+        assert [e.label for e in events] == ["kbr[1]"]
+        assert events[0].used > lam
+        assert np.allclose(got[1], kbr_step(W[1], G, lam, K[1]), atol=1e-12)
+        for b in (0, 2, 3):
+            plain = np.linalg.solve(W[b][:, None] * G + lam * np.eye(6), W[b] * K[b])
+            assert np.allclose(got[b], plain, rtol=1e-13, atol=0)
+
+    def test_extra_column_is_tested_against_its_own_norm(self, rng):
+        """An extra column along the near-null direction of the system has
+        a relative residual near 1e-6, hidden in one Frobenius norm by the
+        other columns' norm; tested alone it fails, so the row is solved
+        again as the two separate calls and records what they record."""
+        n, lam = 8, 0.5
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        d = np.ones(n)
+        d[-1] = -lam + 1e-10
+        G = (Q * d) @ Q.T
+        W = np.ones((1, n))
+        K = (Q[:, :-1] @ rng.normal(size=(n - 1, 5)))[None]
+        e = 1e-3 * Q[:, -1][None]
+        events = []
+        got, got_e = kbr_step_batch(
+            W, G, lam, K, events=events, extra=e, extra_label="window"
+        )
+        want_events = []
+        want_e = kbr_step_batch(W, G, lam, e, label="window", events=want_events)
+        want = kbr_step_batch(W, G, lam, K, events=want_events)
+        assert [ev.label for ev in want_events] == ["window[0]"]
+        assert events == want_events
+        assert np.array_equal(got_e, want_e) and np.array_equal(got, want)
+
+    def test_extra_column_rides_on_the_same_solve(self, rng):
+        G = random_psd(rng, 6)
+        W = rng.normal(size=(3, 6))
+        M = rng.normal(size=(6, 4))
+        E = rng.normal(size=(3, 6))
+        got, got_e = kbr_step_batch(W, G, 0.3, M[None], extra=E)
+        assert got.shape == (3, 6, 4) and got_e.shape == (3, 6)
+        assert got_e.flags.owndata  # holding it does not hold the whole solve
+        for b in range(3):
+            assert np.allclose(got[b], kbr_step(W[b], G, 0.3, M), atol=1e-10)
+            assert np.allclose(got_e[b], kbr_step(W[b], G, 0.3, E[b]), atol=1e-10)
+
+    def test_batch_forms_no_stack_of_systems(self, rng):
+        """Solving B = 16 rows of T = 160 against 161 shared columns
+        allocates the (B, T, m) result plus a few reused (T, T) and (T, m)
+        row buffers; one (B, T, T) stack alone would be about 8 T (T + m)."""
+        B, T, m = 16, 160, 161
+        G = random_psd(rng, T) / T
+        W = 1.0 / T + rng.normal(size=(B, T)) / T
+        cols = rng.normal(size=(1, T, m))
+        kbr_step_batch(W, G, 0.16, cols)  # warm any one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            x = kbr_step_batch(W, G, 0.16, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (B, T, m)
+        assert peak - base - x.nbytes <= 4 * T * (T + m) * x.itemsize
 
     def test_batch_matrix_right_hand_side_shared_across_rows(self, rng):
         G = random_psd(rng, 6)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from hsepsr.filter import filter_trajectory, update_standardized
+from hsepsr.filter import (
+    filter_trajectory,
+    update_standardized,
+    update_standardized_many,
+)
 from hsepsr.gramops import conditioning_matrix
 from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
@@ -201,6 +205,89 @@ class TestRollout:
         # to the lone stored window
         ratio = preds_std / window_std
         assert np.allclose(ratio, ratio[0, 0], atol=1e-8)
+
+
+def _levels(model, W, A_std, n_levels, fused, events):
+    """Window gammas and the beliefs after each of ``n_levels`` feedback
+    levels, by the fused calls or by conditioning and then a full update."""
+    N, B = model.config.test_length, len(W)
+    gammas, beliefs = [], []
+    for level in range(n_levels):
+        windows = A_std[:, level : level + N].reshape(B, -1)
+        if fused:
+            gamma, P = condition_test_actions_many(
+                model, W, windows, events, propagate=True
+            )
+        else:
+            gamma, P = condition_test_actions_many(model, W, windows, events), W
+        obs = (gamma @ model.shifted_test_obs)[:, : model.obs_dim]
+        W = update_standardized_many(
+            model, P, A_std[:, level], obs, True, None, events, propagated=fused
+        )
+        gammas.append(gamma)
+        beliefs.append(W)
+    return gammas, beliefs
+
+
+def _unfused_rollout(model, W, A_std, events):
+    """Raw predictions for horizons 1..P of a plan of P steps, with every
+    window conditioned before the feedback update that propagates again."""
+    N, do = model.config.test_length, model.obs_dim
+    n_levels = A_std.shape[1] - N
+    gammas, beliefs = _levels(model, W, A_std, n_levels, False, events)
+    windows = A_std[:, n_levels:].reshape(len(W), -1)
+    last = condition_test_actions_many(model, beliefs[-1], windows, events)
+    preds = [(gammas[0] @ model.shifted_test_obs).reshape(len(W), N, do)]
+    preds += [(g @ model.shifted_test_obs)[:, None, -do:] for g in gammas[1:]]
+    preds.append((last @ model.shifted_test_obs)[:, None, -do:])
+    out = model.standardizer.inverse_obs(np.concatenate(preds, axis=1).reshape(-1, do))
+    return out.reshape(len(W), -1, do)
+
+
+class TestFusedLevel:
+    """A feedback level conditions the window inside the propagation solve;
+    it must equal conditioning and then a full update, escalations too."""
+
+    def _case(self, model, rng, singular_row):
+        T = model.n_samples
+        W = np.full((3, T), 1.0 / T) + rng.normal(size=(3, T)) / T
+        if singular_row:
+            g = model.grams
+            W[1] = -(g.lam_T / np.linalg.eigvalsh(g.G_TAs_TAs).max()) * np.ones(T)
+        N = model.config.test_length
+        plans = np.stack([plan(N + 4, seed=70 + b) for b in range(3)])
+        A_std = model.standardizer.transform_actions(
+            plans.reshape(-1, model.action_dim)
+        ).reshape(plans.shape)
+        return W, plans, A_std
+
+    @pytest.mark.parametrize("singular_row", [False, True])
+    def test_levels_match_the_unfused_composition(self, filtered, rng, singular_row):
+        model, _ = filtered
+        W, _, A_std = self._case(model, rng, singular_row)
+        fused_events, unfused_events = [], []
+        fused = _levels(model, W, A_std, 4, True, fused_events)
+        unfused = _levels(model, W, A_std, 4, False, unfused_events)
+        for got, want in zip(fused[0] + fused[1], unfused[0] + unfused[1]):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert fused_events == unfused_events
+        if singular_row:
+            assert [e.label for e in fused_events[:2]] == [
+                "window-conditioning[1]", "shift-conditional[1]"
+            ]
+            assert fused_events[0].used > model.grams.lam_T
+
+    @pytest.mark.parametrize("singular_row", [False, True])
+    def test_rollout_matches_the_unfused_composition(self, filtered, rng, singular_row):
+        model, _ = filtered
+        W, plans, A_std = self._case(model, rng, singular_row)
+        horizons = range(1, plans.shape[1] + 1)
+        events, want_events = [], []
+        got = rollout_predict_many(model, W, plans, horizons, True, events=events)
+        want = _unfused_rollout(model, W, A_std, want_events)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert events == want_events
+        assert (events != []) == singular_row
 
 
 class TestDegenerateRollout:
