@@ -6,7 +6,10 @@ action-observation pair runs three stages:
 1. propagate:   form the belief's own conditioning matrix C_w against
                 the shifted test-action windows (a kernel Bayes
                 regression with the current weights as prior), applied
-                to the r_TA columns of the shifted windows' factor W_TAs;
+                to the r_TA columns of the shifted windows' factor W_TAs
+                (one ``kbr_step_batch`` per belief: r_TA x r_TA Woodbury
+                systems over W_TAs when the rank is low, one T x T LU
+                near full rank);
                 its coordinates W_TOs^T C_w W_TAs in the joint test-window
                 factors (``gramops.window_factors``) give, against the
                 training states' rows ``HsePsrModel.state_factors``, its
@@ -22,8 +25,10 @@ action-observation pair runs three stages:
                 and never formed,
 3. obs step:    kernel Bayes conditioning of the resulting weights on the
                 received observation's kernel vector against the training
-                observations, solved per belief as an r x r system over
-                the low-rank factor V_O of the observation Gram (Woodbury).
+                observations, the same ``kbr_step_batch`` over the factor
+                V_O of the observation Gram: an r x r Woodbury system per
+                belief at the ranks seen so far (the dense form would
+                take over near full rank).
 
 The propagation conditional is recomputed from the weights at every step
 (it is not linear in them), which keeps the realized pair coupled to the
@@ -42,11 +47,11 @@ batched stage on a batch of one and return its only row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from hsepsr.gramops import kbr_step_batch, kbr_step_lowrank, ridge_solve_columns
+from hsepsr.gramops import kbr_step_batch, ridge_solve_columns
 from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
@@ -192,7 +197,9 @@ def filter_trajectory(
 
     Returns one belief per absorbed pair (none for empty inputs),
     restarting from the feasible state whenever the belief collapses.
-    Escalated solves of every step are appended to ``events`` (if given).
+    Escalated solves of every step are appended to ``events`` (if given),
+    labelled with the pair they came from, e.g. ``obs-conditioning[step 7]``
+    (the batched stages label a row, which here is always 0).
     """
     state = initial_state if initial_state is not None else model.feasible_state()
     actions = np.asarray(actions, dtype=float)
@@ -204,9 +211,15 @@ def filter_trajectory(
     states = []
     resets = []
     for t in range(len(actions)):
+        step_events: list = []
         state = update_standardized(
-            model, state, a_std[t], o_std[t], renormalize, events
+            model, state, a_std[t], o_std[t], renormalize, step_events
         )
+        if events is not None:
+            events.extend(
+                replace(e, label=f"{e.label.rsplit('[', 1)[0]}[step {t}]")
+                for e in step_events
+            )
         if state.degenerate:
             resets.append(t)
             state = model.feasible_state()
@@ -227,7 +240,9 @@ def propagate_many(
 
     Each row gets its own shift conditional (it is nonlinear in the
     weights), solved against the r_TA columns of the shifted test-action
-    factor with one LU of the row's system; for training state i with
+    factor by ``kbr_step_batch`` in the form ``gramops.kbr_form`` picks
+    for that rank (an r_TA x r_TA Woodbury system per row at low rank,
+    one T x T LU per row near full rank); for training state i with
     coordinates S_i = W_TO^T C_i W_TA,
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
@@ -238,7 +253,7 @@ def propagate_many(
 
     ``extra`` (B, T), if given, holds one more kernel vector per row, the
     rollout's planned window against the shifted test-action windows, that
-    rides on the same factorization (``kbr_step_batch``); the result is
+    rides on the same factorization as one more column; the result is
     then the pair (propagated rows, C_w applied to each extra vector), and
     a row whose solve fails is solved again as the two separate solves,
     ``window-conditioning[b]`` and ``shift-conditional[b]``.
@@ -246,7 +261,7 @@ def propagate_many(
     g = model.grams
     W = np.asarray(W, dtype=float)
     X = kbr_step_batch(  # C_w @ W_TAs per row
-        W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None],
+        W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None], factor=g.W_TAs,
         label="shift-conditional", events=events,
         extra=extra, extra_label="window-conditioning",
     )
@@ -290,11 +305,13 @@ def condition_observation_many(
     K_o: np.ndarray,
     events: list | None = None,
 ) -> np.ndarray:
-    """Kernel Bayes step of each row W[b] on K_o[b] in Woodbury form over
-    the observation Gram's factor: one r x r solve per row, escalated row
-    by row as ``obs-conditioning[b]``."""
-    return kbr_step_lowrank(
-        W, model.grams.V_O, model.grams.lam_T, K_o,
+    """Kernel Bayes step of each row W[b] on K_o[b] by ``kbr_step_batch``
+    over the observation Gram's factor (one r x r Woodbury solve per row
+    while the rank is low), escalated row by row as
+    ``obs-conditioning[b]``."""
+    g = model.grams
+    return kbr_step_batch(
+        W, g.G_O_O, g.lam_T, K_o, factor=g.V_O,
         label="obs-conditioning", events=events,
     )
 

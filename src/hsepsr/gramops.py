@@ -25,7 +25,16 @@ conditioning solve takes the Woodbury form
     (lam I_r + V^T diag(w) V) y = V^T (w*k),
 
 an r x r system; ``low_rank_factor`` finds V at numpy's ``matrix_rank``
-tolerance, so the two forms agree to rounding.
+tolerance, so the two forms agree to rounding.  ``kbr_step_batch`` is the
+one row-batched kernel Bayes solve of training and filtering, and picks
+the form per call from the rank of the factor it is given: by the rule
+``kbr_form``, Woodbury costs about 2 T r^2 + 8 T r m flops for m columns
+and the dense per-row LU about (2/3) T^3 + 4 T^2 m, and the cheaper one
+runs.  It follows the rank the factor has, not a setting: the discrete
+models' test-action Grams (rank 2-6) and every single-step observation
+Gram seen so far solve in Woodbury form, the ODE and desk test-action
+Grams (rank T + 1) in the dense form.  Both forms apply the dense
+system's residual test and escalate a failing row alike.
 
 The test windows and their one-step shifts are factored jointly
 (``window_factors``): one factor of the Gram of both lists, split by rows
@@ -345,23 +354,117 @@ def solve_rows(
     return x, used
 
 
+def kbr_form(T: int, r: int, m: int) -> str:
+    """The cheaper form of a kernel Bayes step of T samples against m
+    columns for a Gram of rank r, by flop count: "woodbury", about
+    2 T r^2 (forming V^T diag(w) V) plus 8 T r m (V^T (w*k), V y and the
+    two products of the residual test), when that is below "dense", about
+    (2/3) T^3 (one T x T LU) plus 4 T^2 m (its solve and residual test).
+    At r >= T the dense form always wins."""
+    woodbury = 2 * T * r * r + 8 * T * r * m
+    dense = 2 * T**3 / 3 + 4 * T * T * m
+    return "woodbury" if woodbury < dense else "dense"
+
+
+class _WoodburyRows:
+    """Row b's kernel Bayes step (diag(w_b) V V^T + lam I)^-1 (w_b * K_b)
+    in Woodbury form: the r x r systems
+
+        (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * K_b)
+
+    in ``solve_rows``' fill form, and the steps X_b = (w_b * K_b -
+    w_b * (V Y_b)) / lam they give.  ``cols`` is (B or 1, T, m), ``extra``
+    (B, T) or None, one more column per row.  Kernel vectors are held as
+    the rows of (B, n, T) arrays, so that a single column is computed with
+    the same (B, T) by (T, r) products as a plain (B, T) batch."""
+
+    def __init__(self, W, cols, extra, V):
+        B, T = W.shape
+        WK = W[:, None, :] * cols.transpose(0, 2, 1)
+        if extra is not None:
+            WK = np.concatenate([WK, (W * extra)[:, None, :]], axis=1)
+        self.W, self.V, self.WK = W, V, WK
+        self.M = (W[:, None, :] * V.T[None, :, :]) @ V
+        self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
+        self.shape = (B, V.shape[1], WK.shape[1])
+
+    def fill(self, b, lhs, rhs):
+        lhs[...] = self.M[b]
+        rhs[...] = self.R[b].T
+
+    def apply(self, Y, lam, rows=slice(None)) -> np.ndarray:
+        """The steps (len(Y), T, n) of the r x r solutions Y (len(Y), r, n)
+        of ``rows``, solved at the regularizers ``lam`` (one per row)."""
+        T, r = self.V.shape
+        X = Y.transpose(0, 2, 1).reshape(-1, r) @ self.V.T
+        X = X.reshape(len(Y), self.shape[2], T)
+        with np.errstate(invalid="ignore", over="ignore"):
+            X *= self.W[rows, None, :]
+            np.subtract(self.WK[rows], X, out=X)
+            X /= lam[:, None, None]
+        return X.transpose(0, 2, 1)
+
+    def accept(self, Y, lam, rows) -> np.ndarray:
+        """``solve_rows``' accept hook: ``rows_ok`` of the steps of Y."""
+        return self.rows_ok(self.apply(Y, lam, rows), lam, rows)
+
+    def rows_ok(self, X, lam, rows=slice(None), split=None) -> np.ndarray:
+        """Per row: X is finite and solves (diag(w) V V^T + lam I) X = w*K
+        within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to
+        the dense system, evaluated in factored form (the r x r system
+        alone can pass its own test while the step it stands for is
+        singular).  With ``split``, the columns before and after it are
+        tested against their own right-hand side's norm."""
+        T = self.V.shape[0]
+        Xt = X.transpose(0, 2, 1)
+        WK = self.WK[rows]
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = ((Xt.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
+            res *= self.W[rows, None, :]
+            res += lam[:, None, None] * Xt
+            res -= WK
+        ok = np.isfinite(Xt).all(axis=(1, 2))
+        for g in [slice(None, split), slice(split, None)] if split else [slice(None)]:
+            ok &= _rows_within_rtol(res[:, g], WK[:, g])
+        return ok
+
+
+def _rows_within_rtol(res: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_within_rtol`` per row of (B, n, T) arrays."""
+    residual = np.linalg.norm(res, axis=(1, 2))
+    norm = np.linalg.norm(rhs, axis=(1, 2))
+    return (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
+
+
 def kbr_step_batch(
     weights: np.ndarray,
     G: np.ndarray,
     lam: float,
     k: np.ndarray,
     *,
+    factor: np.ndarray | None = None,
     label: str = "kbr",
     events: list | None = None,
     first_row: int = 0,
     extra: np.ndarray | None = None,
     extra_label: str = "extra",
 ):
-    """Row-batched ``kbr_step``: weights are (B, T); k is (B, T), giving a
-    (B, T) result, or (B, T, m), giving (B, T, m) (leading dimension 1
-    shares it across rows).  Row b's system diag(w_b) G + lam I and its
-    right-hand sides are formed in ``solve_rows``' row buffers, which
-    solves and escalates them.
+    """Row-batched ``kbr_step``, the one kernel Bayes solve of training and
+    filtering: weights are (B, T); k is (B, T), giving a (B, T) result, or
+    (B, T, m), giving (B, T, m) (leading dimension 1 shares it across
+    rows).
+
+    The form is chosen per call by ``kbr_form`` from T, the number of
+    columns and the rank r of ``factor`` V (G = V V^T, shape (T, r)), if
+    given.  The dense form writes row b's system diag(w_b) G + lam I and
+    its right-hand sides into ``solve_rows``' row buffers and factors them
+    in place.  The Woodbury form solves the r x r systems
+    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) through ``solve_rows``
+    and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
+    pass the dense system's residual test, evaluated in factored form, and
+    a row that fails either test escalates its regularizer, which then
+    enters both the r x r solve and the outer 1/lam.  Either way a failing
+    row records ``label[first_row + b]`` as a single-row solve would.
 
     ``extra`` (B, T), if given, holds one more kernel vector per row,
     solved in the same factorization; the result is then the pair (that
@@ -376,30 +479,44 @@ def kbr_step_batch(
     k = np.asarray(k, dtype=float)
     cols = k[:, :, None] if k.ndim == 2 else k
     m = cols.shape[2]
+    n = m + (extra is not None)
+    woodbury = None
+    if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
+        woodbury = _WoodburyRows(w, cols, extra, factor)
+        fill, shape = woodbury.fill, woodbury.shape
+    else:
 
-    def fill(b, lhs, rhs):
-        wb = w[b, :, None]
-        np.multiply(wb, G, out=lhs)
-        np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
-        if extra is not None:
-            np.multiply(w[b], extra[b], out=rhs[:, m])
+        def fill(b, lhs, rhs):
+            wb = w[b, :, None]
+            np.multiply(wb, G, out=lhs)
+            np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
+            if extra is not None:
+                np.multiply(w[b], extra[b], out=rhs[:, m])
 
-    shape = (len(w), len(G), m + (extra is not None))
+        shape = (len(w), len(G), n)
+
     if extra is None:
-        x, _ = solve_rows(
-            fill, shape, lam, label=label, events=events, first_row=first_row
+        x, used = solve_rows(
+            fill, shape, lam, label=label, events=events, first_row=first_row,
+            accept=None if woodbury is None else woodbury.accept,
         )
+        if woodbury is not None:
+            x = woodbury.apply(x, used)
     else:
         x, ok = _factor_rows(fill, shape, lam, split=m)
+        if woodbury is not None:
+            lam_rows = np.full(len(w), float(lam))
+            x = woodbury.apply(x, lam_rows)
+            ok &= woodbury.rows_ok(x, lam_rows, split=m)
         failed = np.flatnonzero(~ok)
         for b in failed:
             x[b, :, m] = kbr_step_batch(
-                w[b : b + 1], G, lam, extra[b : b + 1],
+                w[b : b + 1], G, lam, extra[b : b + 1], factor=factor,
                 label=extra_label, events=events, first_row=first_row + b,
             )[0]
         for b in failed:
             x[b, :, :m] = kbr_step_batch(
-                w[b : b + 1], G, lam, cols[b % len(cols)][None],
+                w[b : b + 1], G, lam, cols[b % len(cols)][None], factor=factor,
                 label=label, events=events, first_row=first_row + b,
             )[0]
     out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
@@ -428,53 +545,6 @@ def conditioning_tensor(
             W[:, s], G, lam, label=f"{label}[{s}]", events=events
         )
     return out
-
-
-def _woodbury_apply(W, WK, V, Y, lam) -> np.ndarray:
-    """Rows (w*k - w * (V y)) / lam: the kernel Bayes step in Woodbury form
-    from the r x r solutions y (rows of Y); ``WK`` holds the rows w*k."""
-    return (WK - W * (Y @ V.T)) / lam[:, None]
-
-
-def _kbr_rows_ok(W, WK, V, X, lam) -> np.ndarray:
-    """Per row: X is finite and solves (diag(w) V V^T + lam I) x = w*k
-    within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to the
-    dense system, evaluated in factored form.  The r x r system alone
-    can pass its own test while the step it stands for is singular."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        residual = np.linalg.norm(W * ((X @ V) @ V.T) + lam[:, None] * X - WK, axis=1)
-    norm = np.linalg.norm(WK, axis=1)
-    return np.isfinite(X).all(axis=1) & (
-        (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
-    )
-
-
-def kbr_step_lowrank(
-    weights: np.ndarray,
-    V: np.ndarray,
-    lam: float,
-    k: np.ndarray,
-    *,
-    label: str = "kbr",
-    events: list | None = None,
-) -> np.ndarray:
-    """Row-batched ``kbr_step`` for a Gram G = V V^T: weights and k are
-    (B, T).  Each row is one r x r solve (Woodbury form); rows that fail
-    the dense system's residual test escalate through ``solve_rows``, with
-    the escalated regularizer used both in the solve and in the outer
-    1/lam."""
-    W = np.asarray(weights, dtype=float)
-    WK = W * np.asarray(k, dtype=float)
-
-    def accept(Y, lam_rows, rows):
-        X = _woodbury_apply(W[rows], WK[rows], V, Y[:, :, 0], lam_rows)
-        return _kbr_rows_ok(W[rows], WK[rows], V, X, lam_rows)
-
-    Y, used = solve_rows(
-        *_stacked((W[:, None, :] * V.T[None, :, :]) @ V, (WK @ V)[:, :, None]),
-        lam, label=label, events=events, accept=accept,
-    )
-    return _woodbury_apply(W, WK, V, Y[:, :, 0], used)
 
 
 def low_rank_factor(G: np.ndarray) -> np.ndarray:
@@ -521,17 +591,25 @@ def state_factors(
 
     Row s is W_obs^T C_s W_act, flattened, with C_s =
     ``conditioning_matrix(weight_columns[:, s], G, lam)`` for the Gram
-    G = W_act W_act^T; C_s W_act is one ``kbr_step`` against the r
-    columns of W_act, escalated and recorded as ``label[s]``.  Rows are
-    built one at a time, so no temporary exceeds T^2 floats, and the Gram
-    of the matrices, trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of
-    the rows.
+    G = W_act W_act^T; C_s W_act is the ``kbr_step_batch`` row of weight
+    column s against the r columns of W_act, in the form ``kbr_form``
+    picks for W_act's rank (r x r Woodbury systems while r is well below
+    T, one T x T LU per sample near full rank), escalated and recorded as
+    ``label[s]``.  Samples are solved in blocks of T // r (at least one)
+    and each block is contracted with W_obs at once, so no temporary
+    exceeds about T^2 floats.  The Gram of the matrices,
+    trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of the rows.
     """
     A = np.asarray(weight_columns, dtype=float)
-    out = np.empty((A.shape[1], W_obs.shape[1] * W_act.shape[1]))
-    for s in range(A.shape[1]):
-        X = kbr_step(A[:, s], G, lam, W_act, label=f"{label}[{s}]", events=events)
-        out[s] = (W_obs.T @ X).ravel()
+    T, S = A.shape
+    out = np.empty((S, W_obs.shape[1] * W_act.shape[1]))
+    block = max(1, T // max(1, W_act.shape[1]))
+    for start in range(0, S, block):
+        X = kbr_step_batch(
+            A[:, start : start + block].T, G, lam, W_act[None], factor=W_act,
+            label=label, events=events, first_row=start,
+        )
+        out[start : start + len(X)] = (W_obs.T @ X).reshape(len(X), -1)
     return out
 
 
@@ -566,16 +644,14 @@ def conditioning_factors(
     accepted when the matrix it stands for, applied to the all-ones
     vector, passes the dense system's residual test."""
     W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
-    M = (W[:, None, :] * V.T[None, :, :]) @ V
-    eye = np.broadcast_to(np.eye(V.shape[1]), M.shape)
-
-    def accept(S, lam_rows, rows):
-        Y = (S @ (W[rows] @ V)[:, :, None])[:, :, 0]
-        X = _woodbury_apply(W[rows], W[rows], V, Y, lam_rows)
-        return _kbr_rows_ok(W[rows], W[rows], V, X, lam_rows)
+    woodbury = _WoodburyRows(W, np.ones((1, W.shape[1], 1)), None, V)
+    eye = np.broadcast_to(np.eye(V.shape[1]), woodbury.M.shape)
 
     S, used = solve_rows(
-        *_stacked(M, eye), lam, label=label, events=events, accept=accept
+        *_stacked(woodbury.M, eye), lam, label=label, events=events,
+        accept=lambda S, l, rows: woodbury.accept(
+            S @ woodbury.R[rows].transpose(0, 2, 1), l, rows
+        ),
     )
     return ConditioningFactors(V, S, used)
 

@@ -15,7 +15,10 @@ process as a weight vector across T training samples.  Training amounts to
    against the test-action windows, the coefficient form of that
    sample's operator-valued state, kept only as its coordinates in the
    joint factors of the test windows (``gramops.state_factors``: row i of
-   ``state_factors`` is W_TO^T C_i W_TA, r_TO r_TA numbers),
+   ``state_factors`` is W_TO^T C_i W_TA, r_TO r_TA numbers); C_i W_TA is
+   solved in the form ``gramops.kbr_form`` picks for the test-action
+   rank, r_TA x r_TA Woodbury systems at low rank and one T x T LU per
+   sample near full rank,
 6. assembling the Gram matrix between those states, the Gram of the
    ``state_factors`` rows, which the filter's propagation step uses to
    project each belief's one-step-extended window conditional back onto
@@ -45,6 +48,7 @@ from hsepsr.gramops import (
     conditioning_factors,
     conditioning_tensor,
     history_weights,
+    kbr_form,
     ridge_factor,
     state_factors,
 )
@@ -102,6 +106,9 @@ class TrainingReport:
     and ``obs`` for the single-step Grams, ``test_action`` and
     ``test_obs`` for the joint test-window factors, whose product
     r_test_obs * r_test_action is the length of one state-factor row.
+    ``summary_lines`` also names the form (``gramops.kbr_form``) in which
+    the state build and the filter's shift conditional solve for that
+    test-action rank and T.
     """
 
     n_samples: int
@@ -120,6 +127,11 @@ class TrainingReport:
         lines = [samples, f"regularizer: {self.lam:g} (scaled {self.lam_T:g})"]
         for stream, rank in self.ranks.items():
             lines.append(f"rank[{stream}]: {rank}")
+            if stream == "test_action":
+                form = kbr_form(self.n_samples, rank, rank)
+                lines.append(
+                    f"solve[test_action]: {form} (rank {rank} of T = {self.n_samples})"
+                )
         for stream, bw in self.bandwidths.items():
             lines.append(
                 f"bandwidth[{stream}]: " + (f"{bw:g}" if bw is not None else "n/a")

@@ -18,7 +18,8 @@ collapses restarts from the feasible state and is reported with its level.
 
 Window conditioning and the feedback update's propagation solve the same
 system per belief, (diag(w) G_TAs_TAs + lam_T I), from the same belief at
-the same level.  At every level followed by a feedback update the window's
+the same level, each in the form ``gramops.kbr_form`` picks for the rank
+of G_TAs_TAs.  At every level followed by a feedback update the window's
 kernel vector therefore rides on the propagation's solve as one more
 column, so each row's system is factored once per level; the last level
 conditions on its window alone.
@@ -180,8 +181,9 @@ def condition_test_actions_many(
     if propagate:
         P, gamma = propagate_many(model, W, events, extra=K)
         return gamma, P
+    g = model.grams
     return kbr_step_batch(
-        W, model.grams.G_TAs_TAs, model.grams.lam_T, K,
+        W, g.G_TAs_TAs, g.lam_T, K, factor=g.W_TAs,
         label="window-conditioning", events=events,
     )
 

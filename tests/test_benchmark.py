@@ -156,17 +156,19 @@ class TestRunProtocol:
         assert predictor.rollout_resets == expect
 
 
-def _force_obs_escalations(monkeypatch, batch_sizes):
+def _force_obs_escalations(monkeypatch, calls):
     """Make the action stage's output singular for the observation step
-    (diag(w) G_O_O + lam_T I singular at lam_T) in the last row of the
-    first call with each batch size in ``batch_sizes``."""
+    (diag(w) G_O_O + lam_T I singular at lam_T) in the last row of one
+    call per batch size: ``calls`` maps a batch size to the index of that
+    call among the calls with that batch size."""
     real = filter_mod.condition_action_many
-    seen = set()
+    seen = {}
 
     def forced(model, W, K):
         out = real(model, W, K)
-        if len(W) in batch_sizes and len(W) not in seen:
-            seen.add(len(W))
+        count = seen.get(len(W), 0)
+        seen[len(W)] = count + 1
+        if calls.get(len(W)) == count:
             g = model.grams
             top = np.linalg.eigvalsh(g.G_O_O).max()
             out[-1] = -(g.lam_T / top) * np.ones(model.n_samples)
@@ -177,23 +179,24 @@ def _force_obs_escalations(monkeypatch, batch_sizes):
 
 class TestSolveEscalations:
     def test_model_predictor_keeps_prefix_and_rollout_escalations(self, monkeypatch):
-        """One escalation forced in the prefix filter (a batch of one) and
-        one in the rollout's first feedback update (both extents) reach
-        ``solve_events`` with their labels; a second call starts afresh."""
+        """One escalation forced at step 7 of the prefix filter (a batch of
+        one) and one in the rollout's first feedback update (both extents)
+        reach ``solve_events``, labelled with the prefix step and with the
+        rollout row; a second call starts afresh."""
         train_traj, test = _split()
         model = train(train_traj, WindowConfig(3, 4), lam=2e-3)
         predictor = ModelPredictor(model)
         run_protocol(predictor, test, [10, 14], [1, 6])
         assert predictor.solve_events == []
-        _force_obs_escalations(monkeypatch, {1, 2})
+        _force_obs_escalations(monkeypatch, {1: 7, 2: 0})
         run_protocol(predictor, test, [10, 14], [1, 6])
         labels = [e.label for e in predictor.solve_events]
-        assert labels == ["obs-conditioning[0]", "obs-conditioning[1]"]
+        assert labels == ["obs-conditioning[step 7]", "obs-conditioning[1]"]
         assert all(e.used > model.grams.lam_T for e in predictor.solve_events)
 
     def test_evaluation_counts_and_prints_the_escalations(self, monkeypatch):
         traj = simulate_system(SynthConfig(n_steps=240, seed=6))
-        _force_obs_escalations(monkeypatch, {1})
+        _force_obs_escalations(monkeypatch, {1: 0})
         ev = evaluate(
             traj, train_steps=110, history_length=3, test_length=4,
             extent=10, extent_step=4, horizons=(1, 6),
