@@ -705,19 +705,17 @@ def state_gram(
 
 @dataclass
 class GramCache:
-    """All training Gram matrices, low-rank factors ``V_A``/``V_O`` of the
-    single-step action and observation Grams (``low_rank_factor``), joint
-    factors ``W_TA``/``W_TAs`` and ``W_TO``/``W_TOs`` of the test windows
-    and their shifts (``window_factors``), and the scaled regularizer
-    lam * T."""
+    """The training Grams and factors that runtime code reads: the
+    test-action Gram ``G_TA_TA`` (the state build), its shifted twin
+    ``G_TAs_TAs`` (the filter's shift and window conditioning) and the
+    observation Gram ``G_O_O`` (the dense form of ``kbr_step_batch``);
+    low-rank factors ``V_A``/``V_O`` of the single-step action and
+    observation Grams (``low_rank_factor``); joint factors ``W_TA``/``W_TAs``
+    and ``W_TO``/``W_TOs`` of the test windows and their shifts
+    (``window_factors``); and the scaled regularizer lam * T."""
 
-    G_HH: np.ndarray
     G_TA_TA: np.ndarray
     G_TAs_TAs: np.ndarray
-    G_TO_TO: np.ndarray
-    G_TO_TOs: np.ndarray
-    G_TA_TAs: np.ndarray
-    G_A_A: np.ndarray
     G_O_O: np.ndarray
     V_A: np.ndarray
     V_O: np.ndarray
@@ -727,13 +725,9 @@ class GramCache:
     W_TOs: np.ndarray
     lam_T: float
 
-    @property
-    def n_samples(self) -> int:
-        return self.G_HH.shape[0]
-
 
 def build_gram_cache(windows, kernels, lam: float) -> GramCache:
-    """Evaluate every training Gram matrix for one windowed data set.
+    """Evaluate the training Grams and factors for one windowed data set.
 
     ``windows`` is a WindowedData and ``kernels`` a resolved KernelSet;
     shifted window lists reuse the kernel of their unshifted stream.  The
@@ -742,7 +736,6 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    G_A_A = gram(kernels.action, windows.cur_actions, windows.cur_actions)
     G_O_O = gram(kernels.obs, windows.cur_obs, windows.cur_obs)
     W_TA, W_TAs = window_factors(
         kernels.test_action, windows.test_actions, windows.shifted_test_actions
@@ -751,21 +744,16 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         kernels.test_obs, windows.test_obs, windows.shifted_test_obs
     )
     return GramCache(
-        G_HH=gram(kernels.history, windows.histories, windows.histories),
         G_TA_TA=gram(kernels.test_action, windows.test_actions, windows.test_actions),
         G_TAs_TAs=gram(
             kernels.test_action,
             windows.shifted_test_actions,
             windows.shifted_test_actions,
         ),
-        G_TO_TO=gram(kernels.test_obs, windows.test_obs, windows.test_obs),
-        G_TO_TOs=gram(kernels.test_obs, windows.test_obs, windows.shifted_test_obs),
-        G_TA_TAs=gram(
-            kernels.test_action, windows.test_actions, windows.shifted_test_actions
-        ),
-        G_A_A=G_A_A,
         G_O_O=G_O_O,
-        V_A=low_rank_factor(G_A_A),
+        V_A=low_rank_factor(
+            gram(kernels.action, windows.cur_actions, windows.cur_actions)
+        ),
         V_O=low_rank_factor(G_O_O),
         W_TA=W_TA,
         W_TAs=W_TAs,

@@ -1,36 +1,35 @@
 """Training: from one trajectory to a filterable predictive-state model.
 
 The model represents the belief state over a partially observable controlled
-process as a weight vector across T training samples.  Training amounts to
+process as a weight vector across T training samples.  Training windows the
+trajectory, resolves one kernel per data stream and ridge-regresses each
+history onto all histories through the history Gram, giving per-history
+prior sample weights (one column per training sample).  These and the
+windows are all that training learns, and all that ``model_io`` stores.
+``build_model`` derives the rest from them, for a trained and a loaded
+model alike:
 
-1. windowing the trajectory and resolving one kernel per data stream,
-2. evaluating training Gram matrices,
-3. ridge-regressing each history onto all histories, giving per-history
-   prior sample weights (one column per training sample),
-4. factoring each weight column's kernel Bayes conditioning matrix
-   against the single-step actions in Woodbury form
-   (``gramops.ConditioningFactors`` over the low-rank factor of the action
-   Gram, T r^2 numbers), which the filter's action step mixes,
-5. turning each weight column into a kernel Bayes conditioning matrix
-   against the test-action windows, the coefficient form of that
-   sample's operator-valued state, kept only as its coordinates in the
-   joint factors of the test windows (``gramops.state_factors``: row i of
-   ``state_factors`` is W_TO^T C_i W_TA, r_TO r_TA numbers); C_i W_TA is
-   solved in the form ``gramops.kbr_form`` picks for the test-action
-   rank, r_TA x r_TA Woodbury systems at low rank and one T x T LU per
-   sample near full rank,
-6. assembling the Gram matrix between those states, the Gram of the
-   ``state_factors`` rows, which the filter's propagation step uses to
-   project each belief's one-step-extended window conditional back onto
-   the training states.
+1. the training Grams and factors the filter reads (``gramops.GramCache``),
+2. each weight column's kernel Bayes conditioning matrix against the
+   single-step actions in Woodbury form (``gramops.ConditioningFactors``
+   over the low-rank factor of the action Gram, T r^2 numbers), which the
+   filter's action step mixes,
+3. each weight column's conditioning matrix against the test-action
+   windows, the coefficient form of that sample's operator-valued state,
+   kept only as its coordinates in the joint factors of the test windows
+   (``gramops.state_factors``: row i of ``state_factors`` is
+   W_TO^T C_i W_TA, r_TO r_TA numbers); C_i W_TA is solved in the form
+   ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
+   Woodbury systems at low rank and one T x T LU per sample near full rank,
+4. the Gram matrix between those states, the Gram of the ``state_factors``
+   rows, which the filter's propagation step uses to project each belief's
+   one-step-extended window conditional back onto the training states.
 
-Only what training learned is persisted (see ``model_io``); the training
-Grams, their low-rank factors, the action factors and the state factors
-rebuild when a model is loaded.  No dense (T x T^2) tensor is built
-outside the oracles ``action_conditioning_flat`` and
-``state_conditioning_flat``.  ``DEFAULT_LAM`` and ``DEFAULT_MAX_SAMPLES``
-are the library defaults for the regularizer and the training-sample cap,
-used by ``train``, the CLI and the desk benchmark.
+No dense (T x T^2) tensor is built outside the oracles
+``action_conditioning_flat`` and ``state_conditioning_flat``.
+``DEFAULT_LAM`` and ``DEFAULT_MAX_SAMPLES`` are the library defaults for
+the regularizer and the training-sample cap, used by ``train``, the CLI and
+the desk benchmark.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from hsepsr.gramops import (
     ridge_factor,
     state_factors,
 )
-from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, resolve_spec
+from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
 from hsepsr.windows import (
     Standardizer,
     Trajectory,
@@ -175,7 +174,6 @@ class HsePsrModel:
     action_factors: ConditioningFactors
     state_factors: np.ndarray
     report: TrainingReport | None = None
-    _state_flat: np.ndarray | None = None
     state_ridge: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -243,24 +241,20 @@ class HsePsrModel:
         """Dense (T, T*T) oracle, built on every call: row i is the
         flattened conditioning matrix of weight column i against the
         single-action Gram.  The filter uses ``action_factors`` instead."""
-        return self._flattened_tensor(self.grams.G_A_A, "action")
+        G_A_A = gram(self.kernels.action, self.cur_actions, self.cur_actions)
+        return conditioning_tensor(
+            self.history_state_weights, G_A_A, self.grams.lam_T, label="action"
+        ).reshape(self.n_samples, -1)
 
     def state_conditioning_flat(self) -> np.ndarray:
-        """Dense (T, T*T) oracle, cached on first use: row i is the
+        """Dense (T, T*T) oracle, built on every call: row i is the
         flattened conditioning matrix of weight column i against the
         test-action window Gram, i.e. the coefficient form of training
         state i.  The filter uses ``state_factors`` instead."""
-        if self._state_flat is None:
-            self._state_flat = self._flattened_tensor(self.grams.G_TA_TA, "state")
-        return self._state_flat
-
-    def _flattened_tensor(self, G: np.ndarray, label: str) -> np.ndarray:
         return conditioning_tensor(
-            self.history_state_weights, G, self.grams.lam_T, label=label
+            self.history_state_weights, self.grams.G_TA_TA, self.grams.lam_T,
+            label="state",
         ).reshape(self.n_samples, -1)
-
-    def drop_caches(self) -> None:
-        self._state_flat = None
 
 
 def resolve_kernels(
@@ -310,28 +304,34 @@ def resolve_kernels(
     return KernelSet(**specs)
 
 
-def train_from_windows(
-    windows: WindowedData,
+def build_model(
+    windowed: WindowedData,
     kernels: KernelSet,
-    lam: float = DEFAULT_LAM,
+    lam: float,
+    history_state_weights: np.ndarray,
+    *,
+    events: list | None = None,
+    stage_seconds: dict | None = None,
 ) -> HsePsrModel:
-    """Train a model from already-windowed data with resolved kernels."""
-    events: list[SolveEvent] = []
-    stage_seconds: dict[str, float] = {}
+    """The model, without a report, that the windows, kernels, regularizer
+    and history weights define: Gram cache, action factors, state factors,
+    state Gram S S^T and its ridge factor.  Training and
+    ``model_io.load_model`` both build here, so a loaded model is the
+    trained one bit for bit.  Escalated solves go to ``events`` and the
+    stage times (``grams``, ``action-factors``, ``conditioning``,
+    ``state-gram``) to ``stage_seconds``, when given."""
+    stages = {} if stage_seconds is None else stage_seconds
 
     def tick(stage, t0):
-        stage_seconds[stage] = time.perf_counter() - t0
+        stages[stage] = time.perf_counter() - t0
         return time.perf_counter()
 
-    t0 = time.perf_counter()
-    cache = build_gram_cache(windows, kernels, lam)
-    t0 = tick("grams", t0)
-
-    A = history_weights(cache.G_HH, cache.lam_T, events=events)
     # fix the memory layout so a save/load round trip keeps the exact
     # floating-point behavior of the in-memory model
-    A = np.ascontiguousarray(A)
-    t0 = tick("history-weights", t0)
+    A = np.ascontiguousarray(history_state_weights)
+    t0 = time.perf_counter()
+    cache = build_gram_cache(windowed, kernels, lam)
+    t0 = tick("grams", t0)
 
     action_factors = conditioning_factors(
         A, cache.V_A, cache.lam_T, label="action", events=events
@@ -345,13 +345,41 @@ def train_from_windows(
 
     G_states = S @ S.T
     G_states = (G_states + G_states.T) / 2.0
-    t0 = tick("state-gram", t0)
+    tick("state-gram", t0)
+    return HsePsrModel(
+        windowed=windowed,
+        kernels=kernels,
+        lam=lam,
+        grams=cache,
+        history_state_weights=A,
+        gram_states=G_states,
+        action_factors=action_factors,
+        state_factors=S,
+    )
+
+
+def train_from_windows(
+    windows: WindowedData,
+    kernels: KernelSet,
+    lam: float = DEFAULT_LAM,
+) -> HsePsrModel:
+    """Train a model from already-windowed data with resolved kernels: solve
+    the history weights from the history Gram, then ``build_model``."""
+    events: list[SolveEvent] = []
+    t0 = time.perf_counter()
+    G_HH = gram(kernels.history, windows.histories, windows.histories)
+    A = history_weights(G_HH, lam * windows.n_samples, events=events)
+    stage_seconds = {"history-weights": time.perf_counter() - t0}
+    model = build_model(
+        windows, kernels, lam, A, events=events, stage_seconds=stage_seconds
+    )
 
     bandwidths = {
         s: getattr(kernels, s).bandwidth if getattr(kernels, s).family == "rbf" else None
         for s in STREAMS
     }
-    report = TrainingReport(
+    cache = model.grams
+    model.report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
@@ -365,17 +393,7 @@ def train_from_windows(
             "test_obs": cache.W_TO.shape[1],
         },
     )
-    return HsePsrModel(
-        windowed=windows,
-        kernels=kernels,
-        lam=lam,
-        grams=cache,
-        history_state_weights=A,
-        gram_states=G_states,
-        action_factors=action_factors,
-        state_factors=S,
-        report=report,
-    )
+    return model
 
 
 def train(

@@ -6,17 +6,14 @@ array named in the header, little-endian float64 in C order.  The header
 carries the window configuration, regularizer, kernel families and
 bandwidths, the standardization transform, and the array manifest.
 
-Only what training learned is stored: the windowed training data, the
-per-history weight matrix and the state Gram matrix.  Loading first checks
-every array against the header (row count, widths, finite values, kernel
-dimensions), then rebuilds the training Gram matrices and their low-rank
-factors from the windows, kernels and regularizer with
-``build_gram_cache``, bit-identical to the trained ones, and from them the
-action conditioning factors (``gramops.conditioning_factors``) and the
-state factors (``gramops.state_factors``), as training builds them; the
-start belief is uniform by definition.  Version 1 files also stored the
-eight training Grams and the start belief; they still load, and those
-arrays are read and ignored.
+Only what training learned is stored: the windowed training data and the
+per-history weight matrix (format v3).  Loading checks every array and the
+standardization transform against the header (row count, widths, finite
+values, kernel dimensions, positive scales), then rebuilds the rest with
+``learner.build_model``, as training builds it.  Version 2 files also
+stored the state Gram, and version 1 files the state Gram, the eight
+training Grams and the start belief; they still load, and those arrays
+are read and ignored.
 """
 
 from __future__ import annotations
@@ -26,14 +23,13 @@ import struct
 
 import numpy as np
 
-from hsepsr.gramops import build_gram_cache, conditioning_factors, state_factors
 from hsepsr.kernels import KernelSet, KernelSpec
-from hsepsr.learner import HsePsrModel
+from hsepsr.learner import HsePsrModel, build_model
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
 
 MAGIC = b"HSEPSR"
-FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, FORMAT_VERSION)
+FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
 
 _WINDOW_ARRAYS = (
     "histories",
@@ -44,18 +40,11 @@ _WINDOW_ARRAYS = (
     "cur_actions",
     "cur_obs",
 )
-_LEARNED_ARRAYS = (
-    "history_state_weights",
-    "gram_states",
-)
 
 
 def _collect_arrays(model: HsePsrModel) -> dict:
-    arrays = {}
-    for name in _WINDOW_ARRAYS:
-        arrays[name] = getattr(model.windowed, name)
-    for name in _LEARNED_ARRAYS:
-        arrays[name] = getattr(model, name)
+    arrays = {name: getattr(model.windowed, name) for name in _WINDOW_ARRAYS}
+    arrays["history_state_weights"] = model.history_state_weights
     return arrays
 
 
@@ -112,8 +101,10 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def _validate(header: dict, arrays: dict) -> None:
     """Check the arrays a model is rebuilt from against the header: T rows
     each, the widths the window lengths and stream dimensions imply, (T, T)
-    learned matrices, finite values, and kernel dimensions that match
-    their streams.  Raises ValueError naming the offending array."""
+    history weights, finite values, and kernel dimensions that match their
+    streams; and the standardization vectors: stream-dimension lengths,
+    finite values and positive scales.  Raises ValueError naming the
+    offending array or field."""
     T = int(header["n_samples"])
     L, N = int(header["history_length"]), int(header["test_length"])
     da, do = int(header["action_dim"]), int(header["obs_dim"])
@@ -126,7 +117,6 @@ def _validate(header: dict, arrays: dict) -> None:
         "cur_actions": (T, da),
         "cur_obs": (T, do),
         "history_state_weights": (T, T),
-        "gram_states": (T, T),
     }
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
@@ -150,14 +140,23 @@ def _validate(header: dict, arrays: dict) -> None:
                 f"model file kernel {stream} has dimension {dim}, but array "
                 f"{name} has width {shapes[name][1]}"
             )
+    for key in ("action_mean", "action_scale", "obs_mean", "obs_scale"):
+        dim = da if key.startswith("action") else do
+        v = np.asarray(header["standardizer"][key], dtype=float)
+        scale = key.endswith("scale")
+        if v.shape != (dim,) or not np.isfinite(v).all() or (scale and not (v > 0).all()):
+            raise ValueError(
+                f"model file standardizer {key} must hold {dim} finite"
+                + (" positive" if scale else "") + " values"
+            )
 
 
 def load_model(path) -> HsePsrModel:
     """Read a model container back into a usable model.
 
     The training report is not part of the container; the arrays are
-    validated against the header, and the training Grams, the action
-    factors and the state factors are rebuilt here.
+    validated against the header and the model is rebuilt from them by
+    ``build_model``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -176,11 +175,7 @@ def load_model(path) -> HsePsrModel:
         if fh.read(1):
             raise ValueError("model file has trailing bytes")
 
-    missing = [
-        name
-        for name in _WINDOW_ARRAYS + _LEARNED_ARRAYS
-        if name not in arrays
-    ]
+    missing = [n for n in _WINDOW_ARRAYS + ("history_state_weights",) if n not in arrays]
     if missing:
         raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
     _validate(header, arrays)
@@ -210,20 +205,6 @@ def load_model(path) -> HsePsrModel:
         discrete=bool(header["discrete"]),
         **{name: arrays[name] for name in _WINDOW_ARRAYS},
     )
-    lam = float(header["lam"])
-    grams = build_gram_cache(windowed, kernels, lam)
-    weights = arrays["history_state_weights"]
-    return HsePsrModel(
-        windowed=windowed,
-        kernels=kernels,
-        lam=lam,
-        grams=grams,
-        history_state_weights=weights,
-        gram_states=arrays["gram_states"],
-        action_factors=conditioning_factors(
-            weights, grams.V_A, grams.lam_T, label="action"
-        ),
-        state_factors=state_factors(
-            weights, grams.G_TA_TA, grams.lam_T, grams.W_TA, grams.W_TO
-        ),
+    return build_model(
+        windowed, kernels, float(header["lam"]), arrays["history_state_weights"]
     )

@@ -20,6 +20,7 @@ from hsepsr.learner import resolve_kernels, train, train_from_windows
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, build_windows
 
+from densegrams import dense_grams
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10
@@ -130,7 +131,7 @@ class TestEscalation:
 
         def history_weights(G_HH, lam_T, events=None):
             A = real(G_HH, lam_T, events=events)
-            A[:, 3] = _singular_row(cache.G_A_A, lam_T)
+            A[:, 3] = _singular_row(dense_grams(windows, kernels).G_A_A, lam_T)
             return A
 
         monkeypatch.setattr(learner_mod, "history_weights", history_weights)

@@ -34,6 +34,7 @@ from hsepsr.model_io import MAGIC, load_model, save_model
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData, build_windows
 
+from densegrams import dense_grams
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10
@@ -47,21 +48,22 @@ def _dense_states(model):
     """The dense (T, T, T) state tensor and the Gram of its slices."""
     g = model.grams
     C = conditioning_tensor(model.history_state_weights, g.G_TA_TA, g.lam_T)
-    G = state_gram(C, C, g.G_TO_TO, g.G_TA_TA)
+    d = dense_grams(model.windowed, model.kernels)
+    G = state_gram(C, C, d.G_TO_TO, g.G_TA_TA)
     return C, (G + G.T) / 2.0
 
 
 def _assert_propagate_matches_dense(model, rng):
     """Rows against ``test_propagate_matches_explicit_projection``'s
     projection, run through the ridge inverse of the dense states' Gram."""
-    g = model.grams
+    g, d = model.grams, dense_grams(model.windowed, model.kernels)
     T = model.n_samples
     C, G_states = _dense_states(model)
     W = np.vstack([model.feasible_weights, 1.0 / T + rng.normal(size=(2, T)) / T])
     got = propagate_many(model, W)
     for b in range(len(W)):
         C_w = conditioning_matrix(W[b], g.G_TAs_TAs, g.lam_T)
-        inner = g.G_TO_TOs @ C_w @ g.G_TA_TAs.T
+        inner = d.G_TO_TOs @ C_w @ d.G_TA_TAs.T
         q = (C * inner).sum(axis=(1, 2))
         assert _rel(got[b], ridge_solve(G_states, g.lam_T, q)) <= RTOL
 
@@ -139,8 +141,9 @@ class TestStateFactors:
             "G_TO_TO": (g.W_TO, g.W_TO),
             "G_TO_TOs": (g.W_TO, g.W_TOs),
         }
+        dense = dense_grams(w, k)
         for name, (left, right) in blocks.items():
-            G = getattr(g, name)
+            G = getattr(dense, name)
             assert np.abs(left @ right.T - G).max() <= 1e-12 * np.abs(G).max(), name
         # duplicate windows share one factor row
         now, shifted = window_factors(k.test_action, w.test_actions, w.test_actions)
@@ -300,12 +303,27 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="histories"):
             load_model(bad)
 
-    def test_state_gram_shape(self, saved, tmp_path):
-        def shrink(arrays):
-            arrays["gram_states"] = arrays["gram_states"][:-1, :-1]
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("obs_scale", [0.0]),
+            ("obs_scale", [-1.0]),
+            ("action_scale", [float("inf")]),
+            ("action_mean", [float("nan")]),
+            ("obs_mean", [0.0, 0.0]),
+            ("action_scale", []),
+        ],
+    )
+    def test_standardizer_vectors(self, saved, tmp_path, field, value):
+        """Each vector has its stream's length and finite values, and both
+        scales are positive: a zero scale would predict a constant at every
+        horizon, and an extra entry would fail only at the first update."""
 
-        bad = _rewrite(saved, tmp_path / "g.hsepsr", edit_arrays=shrink)
-        with pytest.raises(ValueError, match="gram_states"):
+        def edit(h):
+            h["standardizer"][field] = value
+
+        bad = _rewrite(saved, tmp_path / "std.hsepsr", edit_header=edit)
+        with pytest.raises(ValueError, match=field):
             load_model(bad)
 
     def test_non_finite_values(self, saved, tmp_path):

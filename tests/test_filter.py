@@ -20,6 +20,7 @@ from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
+from densegrams import dense_grams
 from synthdata import synthetic_trajectory
 
 
@@ -29,11 +30,11 @@ class TestStages:
         on the shifted windows, take inner products with every training
         state, and run them through the states' ridge inverse."""
         model, _ = model_factory()
-        g = model.grams
+        g, d = model.grams, dense_grams(model.windowed, model.kernels)
         T = model.n_samples
         w = rng.normal(size=T)
         C_w = conditioning_matrix(w, g.G_TAs_TAs, g.lam_T)
-        inner = g.G_TO_TOs @ C_w @ g.G_TA_TAs.T
+        inner = d.G_TO_TOs @ C_w @ d.G_TA_TAs.T
         q = np.empty(T)
         for i in range(T):
             C_i = conditioning_matrix(
@@ -54,7 +55,7 @@ class TestStages:
         """Stage equals the explicit sum over per-sample conditioning matrices."""
         model, traj = model_factory(seed=5, n=30)
         T = model.n_samples
-        g = model.grams
+        g, d = model.grams, dense_grams(model.windowed, model.kernels)
         w = rng.normal(size=T)
         a = traj.actions[0]
         k = kernel_vector(
@@ -64,7 +65,7 @@ class TestStages:
         )
         expect = np.zeros(T)
         for i in range(T):
-            C_i = conditioning_matrix(model.history_state_weights[:, i], g.G_A_A, g.lam_T)
+            C_i = conditioning_matrix(model.history_state_weights[:, i], d.G_A_A, g.lam_T)
             expect += w[i] * (C_i @ k)
         assert np.allclose(condition_action(model, w, a), expect, atol=1e-10)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,8 @@ from hsepsr.gramops import (
 )
 from hsepsr.kernels import KernelSet, KernelSpec, gram
 from hsepsr.windows import Trajectory, WindowConfig, build_windows
+
+from densegrams import dense_grams
 
 
 def random_psd(rng, n):
@@ -333,23 +336,22 @@ class TestGramCache:
         )
         cache = build_gram_cache(w, ks, lam=1e-3)
         T = w.n_samples
-        assert cache.n_samples == T
+        assert [f.name for f in dataclasses.fields(GramCache)] == [
+            "G_TA_TA", "G_TAs_TAs", "G_O_O", "V_A", "V_O",
+            "W_TA", "W_TAs", "W_TO", "W_TOs", "lam_T",
+        ]
         assert cache.lam_T == pytest.approx(1e-3 * T)
-        for name in (
-            "G_HH", "G_TA_TA", "G_TAs_TAs", "G_TO_TO",
-            "G_TO_TOs", "G_TA_TAs", "G_A_A", "G_O_O",
-        ):
+        for name in ("G_TA_TA", "G_TAs_TAs", "G_O_O"):
             assert getattr(cache, name).shape == (T, T)
         assert np.array_equal(
             cache.G_TAs_TAs,
             gram(ks.test_action, w.shifted_test_actions, w.shifted_test_actions),
         )
-        assert np.array_equal(
-            cache.G_TO_TOs, gram(ks.test_obs, w.test_obs, w.shifted_test_obs)
-        )
+        G_TO_TOs = dense_grams(w, ks).G_TO_TOs
+        assert np.abs(cache.W_TO @ cache.W_TOs.T - G_TO_TOs).max() <= 1e-12
         # same-list Grams are exactly symmetric, diagonals exactly 1 for rbf
-        assert np.array_equal(cache.G_HH, cache.G_HH.T)
-        assert np.all(np.diag(cache.G_TO_TO) == 1.0)
+        assert np.array_equal(cache.G_TA_TA, cache.G_TA_TA.T)
+        assert np.all(np.diag(cache.G_O_O) == 1.0)
 
     def test_single_step_factors_have_the_numerical_rank(self, rng):
         traj = Trajectory(rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
@@ -362,7 +364,8 @@ class TestGramCache:
             obs=KernelSpec("rbf", 2, bandwidth=0.9),
         )
         cache = build_gram_cache(w, ks, lam=1e-3)
-        for G, V in ((cache.G_A_A, cache.V_A), (cache.G_O_O, cache.V_O)):
+        G_A_A = dense_grams(w, ks).G_A_A
+        for G, V in ((G_A_A, cache.V_A), (cache.G_O_O, cache.V_O)):
             assert V.shape == (G.shape[0], np.linalg.matrix_rank(G))
             assert np.abs(V @ V.T - G).max() <= 1e-12 * np.abs(G).max()
 

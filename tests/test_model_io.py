@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from hsepsr.filter import filter_trajectory
+from hsepsr.gramops import GramCache
 from hsepsr.learner import train
 from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.predict import rollout_predict
-from hsepsr.windows import WindowConfig
+from hsepsr.windows import WindowConfig, WindowedData
 
+from densegrams import dense_grams
 from synthdata import synthetic_trajectory
 
 
@@ -22,9 +25,10 @@ def saved(tmp_path_factory):
     return model, path
 
 
-def _write_v1(model, saved_path, path):
-    """Write ``model`` in the version 1 layout, which also stored the eight
-    training Grams and the start belief, reusing the header of a saved file."""
+def _write_old(model, saved_path, path, version):
+    """Write ``model`` in an older layout, reusing the header of a saved
+    file: version 2 also stored the state Gram, version 1 the state Gram,
+    the eight training Grams and the start belief."""
     raw = saved_path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[len(MAGIC) + 4 : len(MAGIC) + 8])
     start = len(MAGIC) + 8
@@ -33,39 +37,58 @@ def _write_v1(model, saved_path, path):
         "histories", "test_actions", "test_obs", "shifted_test_actions",
         "shifted_test_obs", "cur_actions", "cur_obs",
     )
-    grams = (
-        "G_HH", "G_TA_TA", "G_TAs_TAs", "G_TO_TO", "G_TO_TOs", "G_TA_TAs",
-        "G_A_A", "G_O_O",
-    )
     arrays = {name: getattr(model.windowed, name) for name in windows}
-    arrays.update({name: getattr(model.grams, name) for name in grams})
-    for name in ("history_state_weights", "gram_states", "feasible_weights"):
+    if version == 1:
+        arrays.update(vars(dense_grams(model.windowed, model.kernels)))
+        learned = ("history_state_weights", "gram_states", "feasible_weights")
+    else:
+        learned = ("history_state_weights", "gram_states")
+    for name in learned:
         arrays[name] = getattr(model, name)
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(
         MAGIC
-        + struct.pack("<II", 1, len(blob))
+        + struct.pack("<II", version, len(blob))
         + blob
         + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values())
     )
+
+
+def _assert_same_arrays(model, loaded):
+    """Every array of the two models is bit for bit the same."""
+    for f in dataclasses.fields(GramCache):
+        a, b = getattr(model.grams, f.name), getattr(loaded.grams, f.name)
+        assert np.array_equal(a, b), f.name
+    for name in (
+        "history_state_weights", "gram_states", "state_factors", "feasible_weights",
+    ):
+        assert np.array_equal(getattr(model, name), getattr(loaded, name)), name
+    for name in ("V", "S", "lam"):
+        a, b = getattr(model.action_factors, name), getattr(loaded.action_factors, name)
+        assert np.array_equal(a, b), name
+    assert np.array_equal(model.state_ridge[0], loaded.state_ridge[0])
+    for f in dataclasses.fields(WindowedData):
+        a, b = getattr(model.windowed, f.name), getattr(loaded.windowed, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+
+
+def _assert_old_file_loads_to_the_same_model(model, path, old, version):
+    _write_old(model, path, old, version)
+    loaded = load_model(old)
+    _assert_same_arrays(model, loaded)
+    probe = synthetic_trajectory(seed=61, n=8)
+    s1 = filter_trajectory(model, None, probe.actions, probe.observations).final
+    s2 = filter_trajectory(loaded, None, probe.actions, probe.observations).final
+    assert np.array_equal(s1.weights, s2.weights)
 
 
 class TestRoundTrip:
     def test_arrays_bit_exact(self, saved):
         model, path = saved
         loaded = load_model(path)
-        pairs = [
-            (model.history_state_weights, loaded.history_state_weights),
-            (model.gram_states, loaded.gram_states),
-            (model.feasible_weights, loaded.feasible_weights),
-            (model.grams.G_O_O, loaded.grams.G_O_O),
-            (model.grams.G_TA_TAs, loaded.grams.G_TA_TAs),
-            (model.windowed.histories, loaded.windowed.histories),
-            (model.windowed.shifted_test_obs, loaded.windowed.shifted_test_obs),
-        ]
-        for a, b in pairs:
-            assert np.array_equal(a, b)
+        _assert_same_arrays(model, loaded)
         assert loaded.lam == model.lam
         assert loaded.grams.lam_T == model.grams.lam_T
         assert loaded.config == model.config
@@ -107,18 +130,21 @@ class TestRoundTrip:
         assert np.allclose(p1, p2, rtol=1e-10, atol=1e-10)
 
     def test_version_1_file_loads_to_the_same_model(self, saved, tmp_path):
-        model, path = saved
-        old = tmp_path / "v1.hsepsr"
-        _write_v1(model, path, old)
-        loaded = load_model(old)
-        for name in ("history_state_weights", "gram_states", "feasible_weights"):
-            assert np.array_equal(getattr(loaded, name), getattr(model, name))
-        for name in ("G_HH", "G_TA_TAs", "G_A_A", "G_O_O"):
-            assert np.array_equal(getattr(loaded.grams, name), getattr(model.grams, name))
-        probe = synthetic_trajectory(seed=61, n=8)
-        s1 = filter_trajectory(model, None, probe.actions, probe.observations).final
-        s2 = filter_trajectory(loaded, None, probe.actions, probe.observations).final
-        assert np.array_equal(s1.weights, s2.weights)
+        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v1.hsepsr", 1)
+
+    def test_version_2_file_loads_to_the_same_model(self, saved, tmp_path):
+        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v2.hsepsr", 2)
+
+    def test_file_stores_only_what_training_learned(self, saved):
+        _, path = saved
+        raw = path.read_bytes()
+        version, hlen = struct.unpack("<II", raw[len(MAGIC) : len(MAGIC) + 8])
+        header = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + hlen])
+        assert version == FORMAT_VERSION == 3
+        assert [name for name, _ in header["arrays"]] == [
+            "histories", "test_actions", "test_obs", "shifted_test_actions",
+            "shifted_test_obs", "cur_actions", "cur_obs", "history_state_weights",
+        ]
 
     def test_save_is_deterministic(self, saved, tmp_path):
         model, path = saved
