@@ -164,15 +164,13 @@ def ridge_solve_columns(
     *,
     label: str = "ridge",
     events: list | None = None,
-    first_row: int = 0,
 ) -> np.ndarray:
     """Solve (G + lam I) X = B with the prebuilt ``ridge_factor(G, lam)``.
 
     Each column is checked as ``escalated_solve`` checks a solve (finite,
     residual within ``RESIDUAL_RTOL``); only the columns that fail, all of
     them if ``factor`` is None, are solved again by ``ridge_solve``, which
-    escalates and records ``label[first_row + b]`` as a solve of that
-    column alone would.
+    escalates and records ``label[b]`` as a solve of column b alone would.
     """
     G = np.asarray(G, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -188,9 +186,7 @@ def ridge_solve_columns(
             (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
         )
     for b in np.flatnonzero(~ok):
-        X[:, b] = ridge_solve(
-            G, lam, B[:, b], label=f"{label}[{first_row + b}]", events=events
-        )
+        X[:, b] = ridge_solve(G, lam, B[:, b], label=f"{label}[{b}]", events=events)
     return X
 
 

@@ -200,14 +200,6 @@ class HsePsrModel:
         return self.windowed.cur_obs
 
     @property
-    def test_actions(self) -> np.ndarray:
-        return self.windowed.test_actions
-
-    @property
-    def test_obs(self) -> np.ndarray:
-        return self.windowed.test_obs
-
-    @property
     def shifted_test_actions(self) -> np.ndarray:
         return self.windowed.shifted_test_actions
 
@@ -262,15 +254,15 @@ def resolve_kernels(
     family: str | dict | None = None,
     bandwidths: dict | None = None,
     bandwidth_scale: float = 1.0,
-    median_cap: int = 1000,
 ) -> KernelSet:
     """Pick one kernel per data stream from the windowed training data.
 
     ``family`` is a single name for all streams, a per-stream dict, or None
     for the default (exact-match kernels on discrete data, rbf otherwise).
     rbf bandwidths come from the median pairwise distance of the stream's
-    unshifted window list unless pinned through ``bandwidths``; resolved
-    medians are multiplied by ``bandwidth_scale``.
+    unshifted window list (over at most ``kernels.MEDIAN_CAP`` strided
+    rows) unless pinned through ``bandwidths``; resolved medians are
+    multiplied by ``bandwidth_scale``.
     """
     if not bandwidth_scale > 0:
         raise ValueError("bandwidth_scale must be positive")
@@ -299,7 +291,7 @@ def resolve_kernels(
             # as a degenerate median
             specs[stream] = KernelSpec("rbf", dim, ZERO_MEDIAN_FALLBACK)
         else:
-            spec = resolve_spec(KernelSpec("rbf", dim), data[stream], cap=median_cap)
+            spec = resolve_spec(KernelSpec("rbf", dim), data[stream])
             specs[stream] = KernelSpec("rbf", dim, spec.bandwidth * bandwidth_scale)
     return KernelSet(**specs)
 
@@ -403,12 +395,13 @@ def train(
     family: str | dict | None = None,
     bandwidths: dict | None = None,
     bandwidth_scale: float = 1.0,
-    median_cap: int = 1000,
-    standardize: bool = True,
     max_samples: int | None = DEFAULT_MAX_SAMPLES,
 ) -> HsePsrModel:
     """Window a trajectory, resolve kernels, and train a model.
 
+    Continuous streams are always standardized (``build_windows``'s
+    default), and rbf bandwidths come from ``resolve_kernels``' median
+    heuristic over at most ``kernels.MEDIAN_CAP`` rows per stream.
     ``max_samples`` caps T by truncating the trajectory (the state factors
     hold T r_TO r_TA floats, up to T (T + 1)^2 when the test-window Grams
     have full rank); pass None to disable the cap.  A cut is recorded in
@@ -424,13 +417,9 @@ def train(
             traj.actions[:keep], traj.observations[:keep], discrete=traj.discrete
         )
         truncated_from = T_full
-    windows = build_windows(traj, config, standardize=standardize)
+    windows = build_windows(traj, config)
     kernels = resolve_kernels(
-        windows,
-        family=family,
-        bandwidths=bandwidths,
-        bandwidth_scale=bandwidth_scale,
-        median_cap=median_cap,
+        windows, family=family, bandwidths=bandwidths, bandwidth_scale=bandwidth_scale
     )
     model = train_from_windows(windows, kernels, lam=lam)
     model.report.truncated_from = truncated_from

@@ -7,9 +7,11 @@ carries the window configuration, regularizer, kernel families and
 bandwidths, the standardization transform, and the array manifest.
 
 Only what training learned is stored: the windowed training data and the
-per-history weight matrix (format v3).  Loading checks every array and the
-standardization transform against the header (row count, widths, finite
-values, kernel dimensions, positive scales), then rebuilds the rest with
+per-history weight matrix (format v3).  Loading checks the header's
+fields and JSON types and the manifest's size against the file's, then
+every array and the standardization transform against the header (row
+count, widths, finite values, kernel dimensions, positive scales), each
+failure a ValueError naming the field, and rebuilds the rest with
 ``learner.build_model``, as training builds it.  Version 2 files also
 stored the state Gram, and version 1 files the state Gram, the eight
 training Grams and the start belief; they still load, and those arrays
@@ -18,18 +20,49 @@ are read and ignored.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
 import struct
+import sys
 
 import numpy as np
 
 from hsepsr.kernels import KernelSet, KernelSpec
-from hsepsr.learner import HsePsrModel, build_model
+from hsepsr.learner import STREAMS, HsePsrModel, build_model
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
 
 MAGIC = b"HSEPSR"
 FORMAT_VERSION = 3
 _READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
+
+_STANDARDIZER_FIELDS = ("action_mean", "action_scale", "obs_mean", "obs_scale")
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+
+#: Every header field with the JSON type ``save_model`` writes: a dict is an
+#: object with these keys, [t] a list of t, [t, u] a pair; integers are
+#: sizes, never negative.
+_HEADER = {
+    **dict.fromkeys(
+        ("n_samples", "history_length", "test_length", "action_dim", "obs_dim"), int
+    ),
+    "lam": _NUMBER,
+    "discrete": bool,
+    "kernels": dict.fromkeys(
+        STREAMS, {"family": str, "dimension": int, "bandwidth": _NUMBER_OR_NULL}
+    ),
+    "standardizer": dict.fromkeys(_STANDARDIZER_FIELDS, [_NUMBER]),
+    "arrays": [[str, [int]]],
+}
+_TYPE_NAMES = {
+    int: "a non-negative integer",
+    _NUMBER: "a number",
+    _NUMBER_OR_NULL: "a number or null",
+    bool: "a boolean",
+    str: "a string",
+}
 
 _WINDOW_ARRAYS = (
     "histories",
@@ -42,15 +75,10 @@ _WINDOW_ARRAYS = (
 )
 
 
-def _collect_arrays(model: HsePsrModel) -> dict:
-    arrays = {name: getattr(model.windowed, name) for name in _WINDOW_ARRAYS}
-    arrays["history_state_weights"] = model.history_state_weights
-    return arrays
-
-
 def save_model(model: HsePsrModel, path) -> None:
     """Write a trained model to ``path`` in the binary container format."""
-    arrays = _collect_arrays(model)
+    arrays = {name: getattr(model.windowed, name) for name in _WINDOW_ARRAYS}
+    arrays["history_state_weights"] = model.history_state_weights
     std = model.standardizer
     header = {
         "n_samples": model.n_samples,
@@ -60,26 +88,8 @@ def save_model(model: HsePsrModel, path) -> None:
         "obs_dim": model.obs_dim,
         "lam": model.lam,
         "discrete": model.discrete,
-        "kernels": {
-            stream: {
-                "family": spec.family,
-                "dimension": spec.dimension,
-                "bandwidth": spec.bandwidth,
-            }
-            for stream, spec in (
-                ("history", model.kernels.history),
-                ("test_action", model.kernels.test_action),
-                ("test_obs", model.kernels.test_obs),
-                ("action", model.kernels.action),
-                ("obs", model.kernels.obs),
-            )
-        },
-        "standardizer": {
-            "action_mean": std.action_mean.tolist(),
-            "action_scale": std.action_scale.tolist(),
-            "obs_mean": std.obs_mean.tolist(),
-            "obs_scale": std.obs_scale.tolist(),
-        },
+        "kernels": {s: dataclasses.asdict(getattr(model.kernels, s)) for s in STREAMS},
+        "standardizer": {k: getattr(std, k).tolist() for k in _STANDARDIZER_FIELDS},
         "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=False).encode("utf-8")
@@ -91,11 +101,49 @@ def save_model(model: HsePsrModel, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    """Read n bytes; a file holding fewer is reported as truncated before
+    any of them are allocated."""
+    if n > _bytes_left(fh):
         raise ValueError(f"model file truncated while reading {what}")
-    return data
+    return fh.read(n)
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that JSON booleans are not numbers, integers
+    must not be negative, and an integer where a float may stand must fit
+    a float."""
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is int:
+        return value >= 0
+    return type(value) is not int or abs(value) <= sys.float_info.max
+
+
+def _check(value, schema, name: str = "header") -> None:
+    """Raise ValueError naming the first part of ``value`` that is missing
+    or not of the type ``schema`` (see ``_HEADER``) gives it."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"model file {name} must be a JSON object")
+        for key, sub in schema.items():
+            if key not in value:
+                raise ValueError(f"model file {name}.{key} is missing")
+            _check(value[key], sub, f"{name}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list) or len(schema) > 1 and len(value) != len(schema):
+            size = f" of {len(schema)}" if len(schema) > 1 else ""
+            raise ValueError(f"model file {name} must be a list{size}")
+        for i, item in enumerate(value):
+            _check(item, schema[i] if len(schema) > 1 else schema[0], f"{name}[{i}]")
+    elif not _is(value, schema):
+        raise ValueError(
+            f"model file {name} must be {_TYPE_NAMES[schema]}, got {json.dumps(value)}"
+        )
 
 
 def _validate(header: dict, arrays: dict) -> None:
@@ -167,35 +215,30 @@ def load_model(path) -> HsePsrModel:
             raise ValueError(f"unsupported model format version {version}")
         hlen = struct.unpack("<I", _read_exact(fh, 4, "header length"))[0]
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        _check(header, _HEADER)
+        declared = sum(8 * math.prod(shape) for _, shape in header["arrays"])
+        if declared < _bytes_left(fh):
+            raise ValueError("model file has trailing bytes")
         arrays = {}
         for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * count, f"array {name}")
+            raw = _read_exact(fh, 8 * math.prod(shape), f"array {name}")
             arrays[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("model file has trailing bytes")
 
     missing = [n for n in _WINDOW_ARRAYS + ("history_state_weights",) if n not in arrays]
     if missing:
         raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
     _validate(header, arrays)
 
+    specs = header["kernels"]
     kernels = KernelSet(
         **{
-            stream: KernelSpec(
-                entry["family"],
-                int(entry["dimension"]),
-                None if entry["bandwidth"] is None else float(entry["bandwidth"]),
-            )
-            for stream, entry in header["kernels"].items()
+            s: KernelSpec(specs[s]["family"], specs[s]["dimension"], specs[s]["bandwidth"])
+            for s in STREAMS
         }
     )
-    std_raw = header["standardizer"]
+    std = header["standardizer"]
     standardizer = Standardizer(
-        action_mean=np.asarray(std_raw["action_mean"], dtype=float),
-        action_scale=np.asarray(std_raw["action_scale"], dtype=float),
-        obs_mean=np.asarray(std_raw["obs_mean"], dtype=float),
-        obs_scale=np.asarray(std_raw["obs_scale"], dtype=float),
+        **{k: np.asarray(std[k], dtype=float) for k in _STANDARDIZER_FIELDS}
     )
     windowed = WindowedData(
         config=WindowConfig(

@@ -4,10 +4,11 @@ The belief's conditioning matrix against the shifted test-action windows
 (the same kernel Bayes regression the filter's propagation step forms,
 with the current weights as prior) is applied to the kernel vector of a
 planned action window.  That yields weights gamma over the shifted
-test-observation windows; expectations of any per-window function are
-then weighted sums.  The observation predicted for step j of the window
-is the j-th block of the shifted window list, mapped back to raw units
-with the model's standardizer.
+test-observation windows, and the observation predicted for step j of the
+window is the gamma-weighted average of the j-th blocks, mapped back to
+raw units with the model's standardizer.  This is the first level of the
+rollout; ``predict_observation_at``'s conditioned mode reads one horizon
+of it.
 
 Horizons past the window length roll the filter forward: each advance
 feeds the one-step-ahead predicted observation back through a filter
@@ -39,38 +40,6 @@ from hsepsr.learner import BeliefState, HsePsrModel
 MODES = ("conditioned", "direct")
 
 
-def condition_test_actions(
-    model: HsePsrModel, state: BeliefState, action_window: np.ndarray
-) -> np.ndarray:
-    """Weights over shifted test-observation windows after conditioning the
-    belief on a raw planned action window of shape (test_length, da)."""
-    window = np.asarray(action_window, dtype=float)
-    expected = (model.config.test_length, model.action_dim)
-    if window.size != expected[0] * expected[1]:
-        raise ValueError(
-            f"planned action window must hold exactly {expected[0]} actions "
-            f"of dimension {expected[1]}, got shape {window.shape}"
-        )
-    window = window.reshape(expected)
-    window_std = model.standardizer.transform_actions(window).ravel()
-    return condition_test_actions_many(model, state.weights[None], window_std[None])[0]
-
-
-def expect_function(
-    model: HsePsrModel, gamma: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Expectation of per-sample values (T,) or (T, m) under weights gamma."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != model.n_samples:
-        raise ValueError("values must carry one row per training sample")
-    return values.T @ gamma
-
-
-def _obs_block(model: HsePsrModel, horizon: int) -> np.ndarray:
-    do = model.obs_dim
-    return model.shifted_test_obs[:, (horizon - 1) * do : horizon * do]
-
-
 def predict_observation_at(
     model: HsePsrModel,
     state: BeliefState,
@@ -80,10 +49,12 @@ def predict_observation_at(
 ) -> np.ndarray:
     """Predict the raw observation ``horizon`` steps ahead (within the window).
 
-    ``future_actions`` holds at least ``test_length`` planned actions; the
-    first window of them is conditioned on.  Mode "direct" skips action
-    conditioning and evaluates the expectation under the belief weights
-    themselves, a diagnostic for how informative the belief alone is.
+    Mode "conditioned" is the rollout's first level:
+    ``rollout_predict(model, state, future_actions, [horizon])``, which
+    conditions on the first ``test_length`` of at least that many planned
+    actions.  Mode "direct" skips action conditioning and averages the
+    shifted test-observation windows under the belief weights themselves,
+    a diagnostic for how informative the belief alone is.
     """
     N = model.config.test_length
     if mode not in MODES:
@@ -94,15 +65,12 @@ def predict_observation_at(
             "use rollout_predict for longer ranges"
         )
     if mode == "direct":
-        weights = state.weights
-    else:
-        if future_actions is None:
-            raise ValueError("conditioned prediction needs planned actions")
-        A = np.asarray(future_actions, dtype=float).reshape(-1, model.action_dim)
-        _checked_horizons(model, A.shape[0], [horizon])
-        weights = condition_test_actions(model, state, A[:N])
-    pred_std = expect_function(model, weights, _obs_block(model, horizon))
-    return model.standardizer.inverse_obs(pred_std)
+        do = model.obs_dim
+        block = model.shifted_test_obs[:, (horizon - 1) * do : horizon * do]
+        return model.standardizer.inverse_obs(block.T @ state.weights)
+    if future_actions is None:
+        raise ValueError("conditioned prediction needs planned actions")
+    return rollout_predict(model, state, future_actions, [horizon]).predictions[0]
 
 
 @dataclass

@@ -88,10 +88,6 @@ class ExplicitModel:
     def n_samples(self) -> int:
         return self.prior_weights.shape[0]
 
-    @property
-    def n_obs_symbols(self) -> int:
-        return self.obs_codec.size
-
     def feasible_weights(self) -> np.ndarray:
         return np.full(self.n_samples, 1.0 / self.n_samples)
 

@@ -162,14 +162,6 @@ class WindowedData:
     def n_samples(self) -> int:
         return self.histories.shape[0]
 
-    @property
-    def action_dim(self) -> int:
-        return self.cur_actions.shape[1]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.cur_obs.shape[1]
-
 
 def _time_major_windows(x: np.ndarray, width: int) -> np.ndarray:
     """All contiguous windows of ``width`` rows of x, each flattened time-major."""
@@ -240,7 +232,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(path, discrete: bool = False) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory_csv`."""
+    """Read a trajectory written by :func:`write_trajectory_csv`, skipping
+    blank lines; a malformed row raises ValueError naming file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -257,8 +250,16 @@ def read_trajectory_csv(path, discrete: bool = False) -> Trajectory:
         for row in reader:
             if not row:
                 continue
-            actions.append([float(row[i]) for i in a_cols])
-            observations.append([float(row[i]) for i in o_cols])
+            where = f"{path}:{reader.line_num}"
+            if len(row) < len(header):
+                raise ValueError(
+                    f"{where}: row has {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                actions.append([float(row[i]) for i in a_cols])
+                observations.append([float(row[i]) for i in o_cols])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if not actions:
         raise ValueError(f"{path}: no data rows")
     return Trajectory(np.array(actions), np.array(observations), discrete=discrete)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hsepsr.filter import filter_trajectory
 from hsepsr.gramops import GramCache
@@ -25,14 +27,35 @@ def saved(tmp_path_factory):
     return model, path
 
 
+def _split(raw):
+    """(header, array bytes) of a saved file."""
+    (hlen,) = struct.unpack("<I", raw[len(MAGIC) + 4 : len(MAGIC) + 8])
+    start = len(MAGIC) + 8
+    return json.loads(raw[start : start + hlen]), raw[start + hlen :]
+
+
+def _with_header(raw, header):
+    """The saved file ``raw`` with its header replaced by ``header``."""
+    blob = json.dumps(header).encode("utf-8")
+    version = raw[len(MAGIC) : len(MAGIC) + 4]
+    return MAGIC + version + struct.pack("<I", len(blob)) + blob + _split(raw)[1]
+
+
+def _header_paths(value, path=()):
+    """The path of every value below ``value``, nested ones included."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield path + (key,)
+        yield from _header_paths(child, path + (key,))
+
+
 def _write_old(model, saved_path, path, version):
     """Write ``model`` in an older layout, reusing the header of a saved
     file: version 2 also stored the state Gram, version 1 the state Gram,
     the eight training Grams and the start belief."""
-    raw = saved_path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[len(MAGIC) + 4 : len(MAGIC) + 8])
-    start = len(MAGIC) + 8
-    header = json.loads(raw[start : start + hlen])
+    header, _ = _split(saved_path.read_bytes())
     windows = (
         "histories", "test_actions", "test_obs", "shifted_test_actions",
         "shifted_test_obs", "cur_actions", "cur_obs",
@@ -190,3 +213,70 @@ class TestRejections:
         bad.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_model(bad)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.pop("n_samples"), "n_samples is missing"),
+            (lambda h: h.pop("kernels"), "kernels is missing"),
+            (lambda h: h.pop("standardizer"), "standardizer is missing"),
+            (lambda h: h.update(n_samples=None), "n_samples must be a non-negative int"),
+            (lambda h: h.update(arrays=5), "arrays must be a list"),
+            (lambda h: h["arrays"][0].__setitem__(1, [2.5, 3]), r"arrays\[0\]"),
+            (lambda h: h["arrays"][0].__setitem__(1, [10**11]), "truncated.*histories"),
+            (lambda h: h["arrays"][0].__setitem__(1, [-3]), r"arrays\[0\]\[1\]\[0\].*-3"),
+            (lambda h: h["kernels"]["obs"].pop("bandwidth"), "obs.bandwidth is missing"),
+            (lambda h: h["standardizer"]["obs_mean"].append("0"), "obs_mean"),
+            (lambda h: h.update(discrete=1), "discrete must be a boolean"),
+            (lambda h: ["not", "an", "object"], "JSON object"),
+        ],
+    )
+    def test_malformed_header(self, saved, tmp_path, edit, message):
+        """Each header field is checked for presence and JSON type, and the
+        manifest against the file's size before any array is read."""
+        _, path = saved
+        raw = path.read_bytes()
+        header, _ = _split(raw)
+        edited = edit(header)
+        bad = tmp_path / "header.bin"
+        bad.write_bytes(_with_header(raw, edited if isinstance(edited, list) else header))
+        with pytest.raises(ValueError, match=message):
+            load_model(bad)
+
+
+@pytest.fixture(scope="module")
+def small_file(saved, tmp_path_factory):
+    return saved[1].read_bytes(), tmp_path_factory.mktemp("prop") / "model.bin"
+
+
+@given(data=st.data())
+def test_a_cut_file_raises_value_error(small_file, data):
+    raw, path = small_file
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+_REPLACEMENTS = (None, "x", [], [0], {}, {"x": 0}, -1, 10**12)
+
+
+@given(data=st.data())
+def test_an_edited_header_loads_or_raises_value_error(small_file, data):
+    """Delete one header key or replace one value, nested ones included:
+    the file loads or raises ValueError, never another exception."""
+    raw, path = small_file
+    header, _ = _split(raw)
+    where = data.draw(st.sampled_from(list(_header_paths(header))), label="path")
+    parent = header
+    for key in where[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = data.draw(st.sampled_from(_REPLACEMENTS), label="value")
+    path.write_bytes(_with_header(raw, header))
+    try:
+        load_model(path)
+    except ValueError:
+        pass

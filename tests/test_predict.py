@@ -10,9 +10,7 @@ from hsepsr.gramops import conditioning_matrix
 from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.predict import (
-    condition_test_actions,
     condition_test_actions_many,
-    expect_function,
     predict_observation_at,
     rollout_predict,
     rollout_predict_many,
@@ -34,6 +32,12 @@ def plan(n, da=1, lo=-0.5, hi=0.5, seed=41):
     return np.random.default_rng(seed).uniform(lo, hi, (n, da))
 
 
+def condition_one(model, weights, window):
+    """Gamma for one belief and one raw planned window, as a batch of one."""
+    window_std = model.standardizer.transform_actions(window).ravel()
+    return condition_test_actions_many(model, weights[None], window_std[None])[0]
+
+
 class TestConditionTestActions:
     def test_matches_explicit_conditional(self, filtered):
         """Gamma equals the belief's conditioning matrix against the
@@ -50,19 +54,8 @@ class TestConditionTestActions:
             )
             @ k
         )
-        got = condition_test_actions(model, state, window)
+        got = condition_one(model, state.weights, window)
         assert np.allclose(got, expect, atol=1e-10)
-
-    def test_rejects_partial_windows(self, filtered):
-        model, state = filtered
-        with pytest.raises(ValueError, match="exactly"):
-            condition_test_actions(
-                model, state, plan(model.config.test_length - 1)
-            )
-        with pytest.raises(ValueError, match="exactly"):
-            condition_test_actions(
-                model, state, plan(model.config.test_length + 1)
-            )
 
     def test_batched_matches_single(self, filtered, rng):
         model, state = filtered
@@ -75,18 +68,8 @@ class TestConditionTestActions:
         )
         got = condition_test_actions_many(model, W, windows_std)
         for b in range(B):
-            single = condition_test_actions(model, BeliefState(W[b]), windows_raw[b])
+            single = condition_one(model, W[b], windows_raw[b])
             assert np.allclose(got[b], single, atol=1e-10)
-
-    def test_expect_function_shapes(self, filtered, rng):
-        model, _ = filtered
-        T = model.n_samples
-        gamma = rng.normal(size=T)
-        vals = rng.normal(size=(T, 2))
-        assert np.allclose(expect_function(model, gamma, vals), vals.T @ gamma)
-        assert expect_function(model, gamma, vals[:, 0]).shape == ()
-        with pytest.raises(ValueError, match="per training sample"):
-            expect_function(model, gamma, vals[: T - 1])
 
 
 class TestPredictObservationAt:
@@ -102,12 +85,23 @@ class TestPredictObservationAt:
     def test_conditioned_mode_uses_gamma(self, filtered):
         model, state = filtered
         actions = plan(model.config.test_length)
-        gamma = condition_test_actions(model, state, actions)
+        gamma = condition_one(model, state.weights, actions)
         do = model.obs_dim
         got = predict_observation_at(model, state, actions, 2)
         block = model.shifted_test_obs[:, do : 2 * do]
         expect = model.standardizer.inverse_obs(block.T @ gamma)
         assert np.allclose(got, expect, atol=1e-12)
+
+    def test_conditioned_mode_is_the_rollout_first_level(self, filtered):
+        """Every horizon of the window reads the rollout's first level,
+        bit for bit, also when the plan runs past the window."""
+        model, state = filtered
+        N = model.config.test_length
+        for actions in (plan(N), plan(N + 4)):
+            for h in range(1, N + 1):
+                want = rollout_predict(model, state, actions, [h]).predictions[0]
+                got = predict_observation_at(model, state, actions, h)
+                assert np.array_equal(got, want)
 
     def test_validation(self, filtered):
         model, state = filtered

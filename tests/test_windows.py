@@ -153,3 +153,22 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("1,0.5", "row has 2 cells, header has 3"), ("1,0.5,abc", "abc")],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad_row, message):
+        """A short row or a non-numeric cell is reported at its line; the
+        blank line before it is skipped but still counted."""
+        path = tmp_path / "rows.csv"
+        path.write_text(f"t,a_0,o_0\n0,0.1,0.2\n\n{bad_row}\n2,0.3,0.4\n")
+        with pytest.raises(ValueError, match=f"rows.csv:4: .*{message}"):
+            read_trajectory_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,a_0,o_0\n\n0,0.1,0.2\n\n1,0.3,0.4\n\n")
+        traj = read_trajectory_csv(path)
+        assert np.array_equal(traj.actions, [[0.1], [0.3]])
+        assert np.array_equal(traj.observations, [[0.2], [0.4]])
