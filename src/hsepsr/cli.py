@@ -339,7 +339,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return COMMANDS[cfg.command](cfg)
-    except Exception as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+        # the errors a command is expected to raise; any other is a bug
+        # and keeps its type and traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,10 @@ action-observation pair runs three stages:
                 factors (``gramops.window_factors``) give, against the
                 training states' rows ``HsePsrModel.state_factors``, its
                 inner products with every training state, which the
-                ridge inverse of the states' Gram maps back onto them;
-                this realigns the belief with the windows one step ahead,
+                ridge inverse of the states' Gram, built once per model
+                (``HsePsrModel.state_ridge``), maps back onto them by one
+                product; this realigns the belief with the windows one
+                step ahead,
 2. action step: mix the per-sample action conditioning matrices by the
                 propagated weights and apply them to the executed action's
                 kernel vector against the training actions; the matrices
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from hsepsr.gramops import kbr_step_batch, ridge_solve_columns
+from hsepsr.gramops import kbr_step_batch
 from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
@@ -247,9 +249,10 @@ def propagate_many(
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
 
-    and the inner products q_b go through the ridge inverse of
-    ``gram_states`` with the model's Cholesky factor, columns that fail
-    its residual test escalating alone as ``propagate[b]``.
+    and the inner products q_b are mapped back onto the training states
+    by the product with the model's ridge inverse ``state_ridge``
+    (S S^T + lam_T I)^-1, built and residual-checked once per model, so
+    this step solves nothing.
 
     ``extra`` (B, T), if given, holds one more kernel vector per row, the
     rollout's planned window against the shifted test-action windows, that
@@ -268,10 +271,7 @@ def propagate_many(
     if extra is not None:
         X, solved_extra = X
     q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
-    out = ridge_solve_columns(
-        model.gram_states, g.lam_T, model.state_ridge, q.T,
-        label="propagate", events=events,
-    ).T
+    out = q @ model.state_ridge.T
     return out if extra is None else (out, solved_extra)
 
 

@@ -12,7 +12,10 @@ The two solve shapes are
 
 and both escalate the regularizer by factors of 10 (up to three retries)
 when a factorization fails or the relative residual exceeds 1e-8, so a
-near-singular Gram degrades accuracy instead of aborting a run.
+near-singular Gram degrades accuracy instead of aborting a run.  The ridge
+shape is solved only while a model is built (the history weights and the
+inverse of the training states' Gram, which the filter then multiplies
+by); every filter step solves the conditioning shape.
 ``solve_rows`` solves many such systems, one per row: each row's system is
 written into buffers reused from row to row and factored in place by
 LAPACK ``getrf``, and only the rows that fail the same test, an exactly
@@ -52,7 +55,8 @@ propagation step for the belief.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -108,7 +112,11 @@ def escalated_solve(
     for attempt in range(1 + MAX_JITTER_RETRIES):
         lhs = build_lhs(lam_eff)
         try:
-            x = _factor_solve(lhs, rhs, sym)
+            # the residual test below judges the attempt; scipy's condition
+            # warning would only repeat it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                x = _factor_solve(lhs, rhs, sym)
         except np.linalg.LinAlgError:
             x = None
         if x is not None and np.isfinite(x).all():
@@ -142,52 +150,6 @@ def ridge_solve(
         lambda l: G + l * eye, np.asarray(B, dtype=float), lam,
         sym=True, label=label, events=events,
     )
-
-
-def ridge_factor(G: np.ndarray, lam: float):
-    """Cholesky factor of G + lam I in ``scipy.linalg.cho_factor`` form, for
-    ``ridge_solve_columns``; None when the factorization fails."""
-    G = np.asarray(G, dtype=float)
-    try:
-        return sla.cho_factor(
-            G + lam * np.eye(G.shape[0]), lower=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        return None
-
-
-def ridge_solve_columns(
-    G: np.ndarray,
-    lam: float,
-    factor,
-    B: np.ndarray,
-    *,
-    label: str = "ridge",
-    events: list | None = None,
-) -> np.ndarray:
-    """Solve (G + lam I) X = B with the prebuilt ``ridge_factor(G, lam)``.
-
-    Each column is checked as ``escalated_solve`` checks a solve (finite,
-    residual within ``RESIDUAL_RTOL``); only the columns that fail, all of
-    them if ``factor`` is None, are solved again by ``ridge_solve``, which
-    escalates and records ``label[b]`` as a solve of column b alone would.
-    """
-    G = np.asarray(G, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if factor is None:
-        X = np.empty(B.shape)
-        ok = np.zeros(B.shape[1], dtype=bool)
-    else:
-        X = sla.cho_solve(factor, B, check_finite=False)
-        with np.errstate(invalid="ignore", over="ignore"):
-            residual = np.linalg.norm(G @ X + lam * X - B, axis=0)
-        norm = np.linalg.norm(B, axis=0)
-        ok = np.isfinite(X).all(axis=0) & (
-            (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
-        )
-    for b in np.flatnonzero(~ok):
-        X[:, b] = ridge_solve(G, lam, B[:, b], label=f"{label}[{b}]", events=events)
-    return X
 
 
 def conditioning_matrix(

@@ -21,8 +21,9 @@ model alike:
    W_TO^T C_i W_TA, r_TO r_TA numbers); C_i W_TA is solved in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per sample near full rank,
-4. the Gram matrix between those states, the Gram of the ``state_factors``
-   rows, which the filter's propagation step uses to project each belief's
+4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
+   states, S S^T for the ``state_factors`` rows S, solved once per model;
+   the filter's propagation step multiplies by it to project each belief's
    one-step-extended window conditional back onto the training states.
 
 No dense (T x T^2) tensor is built outside the oracles
@@ -48,7 +49,7 @@ from hsepsr.gramops import (
     conditioning_tensor,
     history_weights,
     kbr_form,
-    ridge_factor,
+    ridge_solve,
     state_factors,
 )
 from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
@@ -153,15 +154,14 @@ class HsePsrModel:
     """Everything filtering and prediction need at runtime.
 
     ``history_state_weights`` column t holds the prior sample weights for
-    training history t; ``gram_states`` holds the inner products between
-    the operator-valued training states those columns define, and
-    ``state_factors`` row t the coordinates of state t in the joint
-    test-window factors (``gramops.state_factors``), so that
-    ``gram_states`` is their Gram.  The filter's propagation step forms
+    training history t; ``state_factors`` row t the coordinates of the
+    operator-valued state that column defines in the joint test-window
+    factors (``gramops.state_factors``), so that the Gram of the training
+    states is S S^T for the rows S; and ``state_ridge`` the ridge inverse
+    (S S^T + lam_T I)^-1 of that Gram.  The filter's propagation step forms
     the belief's shifted-window conditional in the same coordinates,
-    takes its inner products with the rows and runs them through the
-    ridge inverse of ``gram_states``, whose Cholesky factor is built once
-    per model.  ``action_factors`` holds the per-sample action
+    takes its inner products with the rows and multiplies them by
+    ``state_ridge``.  ``action_factors`` holds the per-sample action
     conditioning matrices in Woodbury form.
     """
 
@@ -170,14 +170,10 @@ class HsePsrModel:
     lam: float
     grams: GramCache
     history_state_weights: np.ndarray
-    gram_states: np.ndarray
     action_factors: ConditioningFactors
     state_factors: np.ndarray
+    state_ridge: np.ndarray
     report: TrainingReport | None = None
-    state_ridge: tuple | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.state_ridge = ridge_factor(self.gram_states, self.grams.lam_T)
 
     @property
     def config(self) -> WindowConfig:
@@ -306,12 +302,15 @@ def build_model(
     stage_seconds: dict | None = None,
 ) -> HsePsrModel:
     """The model, without a report, that the windows, kernels, regularizer
-    and history weights define: Gram cache, action factors, state factors,
-    state Gram S S^T and its ridge factor.  Training and
+    and history weights define: Gram cache, action factors, state factors
+    S and the ridge inverse P of the state Gram S S^T.  Training and
     ``model_io.load_model`` both build here, so a loaded model is the
-    trained one bit for bit.  Escalated solves go to ``events`` and the
-    stage times (``grams``, ``action-factors``, ``conditioning``,
-    ``state-gram``) to ``stage_seconds``, when given."""
+    trained one bit for bit.  P passes ``ridge_solve``'s residual test,
+    ||(S S^T + lam I) P - I||_F <= ``RESIDUAL_RTOL`` ||I||_F at the
+    regularizer lam it was solved with; escalated solves (P's as
+    ``state-ridge``) go to ``events`` and the stage times (``grams``,
+    ``action-factors``, ``conditioning``, ``state-gram``) to
+    ``stage_seconds``, when given."""
     stages = {} if stage_seconds is None else stage_seconds
 
     def tick(stage, t0):
@@ -337,6 +336,9 @@ def build_model(
 
     G_states = S @ S.T
     G_states = (G_states + G_states.T) / 2.0
+    state_ridge = ridge_solve(
+        G_states, cache.lam_T, np.eye(len(S)), label="state-ridge", events=events
+    )
     tick("state-gram", t0)
     return HsePsrModel(
         windowed=windowed,
@@ -344,9 +346,9 @@ def build_model(
         lam=lam,
         grams=cache,
         history_state_weights=A,
-        gram_states=G_states,
         action_factors=action_factors,
         state_factors=S,
+        state_ridge=state_ridge,
     )
 
 

@@ -233,7 +233,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 def read_trajectory_csv(path, discrete: bool = False) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`, skipping
-    blank lines; a malformed row raises ValueError naming file and line."""
+    blank lines; a malformed row (too short, a non-numeric, NaN or infinite
+    cell) raises ValueError naming file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -256,10 +257,13 @@ def read_trajectory_csv(path, discrete: bool = False) -> Trajectory:
                     f"{where}: row has {len(row)} cells, header has {len(header)}"
                 )
             try:
-                actions.append([float(row[i]) for i in a_cols])
-                observations.append([float(row[i]) for i in o_cols])
+                values = [float(row[i]) for i in a_cols + o_cols]
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{where}: non-finite value in {row}")
+            actions.append(values[: len(a_cols)])
+            observations.append(values[len(a_cols) :])
     if not actions:
         raise ValueError(f"{path}: no data rows")
     return Trajectory(np.array(actions), np.array(observations), discrete=discrete)

@@ -2,7 +2,8 @@
 
 The model keeps only the Grams its runtime reads (``GramCache``); the
 tests that check a factored path against the dense one evaluate the rest
-here, with the same ``kernels.gram`` calls training uses.
+here, with the same ``kernels.gram`` calls training uses, and the state
+Gram S S^T, which the model keeps only as its ridge inverse.
 """
 
 from types import SimpleNamespace
@@ -24,3 +25,11 @@ def dense_grams(windowed, kernels):
         G_A_A=gram(k.action, w.cur_actions, w.cur_actions),
         G_O_O=gram(k.obs, w.cur_obs, w.cur_obs),
     )
+
+
+def factor_state_gram(model):
+    """The training states' Gram S S^T from the model's ``state_factors``
+    rows S, symmetrized as the model build does."""
+    S = model.state_factors
+    G = S @ S.T
+    return (G + G.T) / 2.0

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+import hsepsr.cli as cli
 from hsepsr.cli import RunConfig, build_parser, config_from_args, main
 from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
 from hsepsr.simbench.benchmark import evaluate
@@ -99,6 +100,17 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_programming_error_keeps_its_type(self, tmp_path, monkeypatch):
+        """Only the errors a command is expected to raise become one-line
+        messages; a bug propagates with its traceback."""
+
+        def broken(cfg):
+            raise TypeError("a bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["simulate", str(tmp_path / "traj.csv")])
 
     def test_full_pipeline(self, tmp_path, capsys):
         data = tmp_path / "traj.csv"

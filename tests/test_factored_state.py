@@ -4,22 +4,24 @@ Propagation contracts the belief's shift conditional with the training
 states' factor coordinates (``HsePsrModel.state_factors``) instead of the
 dense conditioning tensor; each case here starts both from the same model
 and beliefs and compares with the hand-built dense projection.  Also
-covered: the joint test-window factors, escalations of the propagation
-solves, the reloaded factors, model-file validation and the training
-report's truncation and rank lines.
+covered: the joint test-window factors, the states' ridge inverse,
+escalations of the propagation and build solves, the reloaded factors,
+model-file validation and the training report's truncation and rank
+lines.
 """
 
-import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import hsepsr.gramops as gramops
 import hsepsr.learner as learner_mod
 from hsepsr.cli import main
 from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
+    RESIDUAL_RTOL,
     build_gram_cache,
     conditioning_matrix,
     conditioning_tensor,
@@ -34,7 +36,7 @@ from hsepsr.model_io import MAGIC, load_model, save_model
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData, build_windows
 
-from densegrams import dense_grams
+from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10
@@ -127,7 +129,14 @@ class TestStateFactors:
         _, dense = _dense_states(model)
         S = model.state_factors
         assert _rel(S @ S.T, dense) <= 1e-12
-        assert _rel(model.gram_states, dense) <= 1e-12
+        assert _rel(factor_state_gram(model), dense) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["rbf", "delta"])
+    def test_state_ridge_is_the_inverse(self, model_factory, which):
+        model = model_factory()[0] if which == "rbf" else _delta_model()
+        T = model.n_samples
+        A = factor_state_gram(model) + model.grams.lam_T * np.eye(T)
+        assert np.linalg.norm(A @ model.state_ridge - np.eye(T)) <= RESIDUAL_RTOL
 
     def test_window_factor_blocks_reproduce_the_test_window_grams(
         self, model_factory
@@ -174,41 +183,40 @@ class TestEscalation:
         assert [e.label for e in alone] == ["shift-conditional[0]"]
         assert _rel(got[:2], propagate_many(model, W[:2])) <= RTOL
 
-    def test_one_propagate_column_escalates_alone(self, model_factory, rng):
-        """Make gram_states + lam I near-singular along a direction only
-        row 1's inner products reach: row 1 escalates exactly as it does
-        alone, with one event, and rows 0 and 2 are plain solves."""
-        model, _ = model_factory()
-        g = model.grams
-        T = model.n_samples
-        W = np.vstack(
-            [model.feasible_weights, np.eye(T)[5], 1.0 / T + rng.normal(size=T) / T]
-        )
-        X = np.stack([kbr_step(w, g.G_TAs_TAs, g.lam_T, g.W_TAs) for w in W])
-        q = (g.W_TOs.T @ X).reshape(3, -1) @ model.state_factors.T
-        basis, _ = np.linalg.qr(q[[0, 2]].T)
-        v = q[1] - basis @ (basis.T @ q[1])
-        v /= np.linalg.norm(v)
-        P = np.eye(T) - np.outer(v, v)
-        top = np.linalg.eigvalsh(model.gram_states).max()
-        # eigenvalue 1e-10 * top of gram_states + lam I along v
-        G = P @ model.gram_states @ P + (1e-10 * top - g.lam_T) * np.outer(v, v)
-        near = dataclasses.replace(model, gram_states=G)
-        assert near.state_ridge is not None
+    def test_state_ridge_escalation_is_in_the_training_report(
+        self, monkeypatch, rng
+    ):
+        """Spoil the first solve of the states' ridge inverse: the build
+        escalates once, records ``state-ridge``, and ``propagate_many``
+        applies the escalated inverse."""
+        windows = build_windows(synthetic_trajectory(seed=2, n=50), WindowConfig(2, 3))
+        real = gramops._factor_solve
+        spoiled = []
 
-        events = []
-        got = propagate_many(near, W, events=events)
-        assert [e.label for e in events] == ["propagate[1]"]
-        alone = []
-        assert _rel(got[1], propagate_many(near, W[1:2], events=alone)[0]) <= RTOL
-        assert [e.label for e in alone] == ["propagate[0]"]
-        assert events[0].used == alone[0].used > g.lam_T
-        for b in (0, 2):
-            plain = []
-            want = ridge_solve(G, g.lam_T, q[b], events=plain)
-            assert plain == []
-            # v carries the solve's rounding at the condition number 1e10
-            assert _rel(got[b], want) <= 1e-5
+        def spoil_first_inverse(lhs, rhs, sym):
+            out = real(lhs, rhs, sym)
+            if sym and not spoiled and np.array_equal(rhs, np.eye(len(rhs))):
+                spoiled.append(1)
+                return out + 1.0
+            return out
+
+        monkeypatch.setattr(gramops, "_factor_solve", spoil_first_inverse)
+        model = train_from_windows(windows, resolve_kernels(windows), lam=1e-3)
+        monkeypatch.undo()
+        g = model.grams
+        events = [e for e in model.report.solve_events if e.label == "state-ridge"]
+        assert len(events) == 1
+        assert events[0].attempts == 2
+        assert events[0].used == pytest.approx(10.0 * g.lam_T)
+
+        T = model.n_samples
+        W = np.vstack([model.feasible_weights, 1.0 / T + rng.normal(size=(2, T)) / T])
+        X = np.stack([kbr_step(w, g.G_TAs_TAs, g.lam_T, g.W_TAs) for w in W])
+        q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
+        G = factor_state_gram(model)
+        got = propagate_many(model, W)
+        assert _rel(got, ridge_solve(G, events[0].used, q.T).T) <= RTOL
+        assert _rel(got, ridge_solve(G, g.lam_T, q.T).T) > 1e-6
 
     def test_state_escalation_is_in_the_training_report(self, monkeypatch):
         traj = synthetic_trajectory(seed=2, n=50)
@@ -247,7 +255,7 @@ class TestReload:
                 getattr(loaded.grams, name), getattr(model.grams, name)
             )
         assert np.array_equal(loaded.state_factors, model.state_factors)
-        assert np.array_equal(loaded.state_ridge[0], model.state_ridge[0])
+        assert np.array_equal(loaded.state_ridge, model.state_ridge)
 
 
 def _rewrite(path, out, edit_header=None, edit_arrays=None):

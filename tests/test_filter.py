@@ -20,7 +20,7 @@ from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
-from densegrams import dense_grams
+from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
 
@@ -41,7 +41,7 @@ class TestStages:
                 model.history_state_weights[:, i], g.G_TA_TA, g.lam_T
             )
             q[i] = float((C_i * inner).sum())
-        expect = ridge_solve(model.gram_states, g.lam_T, q)
+        expect = ridge_solve(factor_state_gram(model), g.lam_T, q)
         assert np.allclose(propagate(model, w), expect, atol=1e-10)
 
     def test_propagate_accepts_belief_state(self, model_factory):

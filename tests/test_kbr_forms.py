@@ -19,7 +19,6 @@ from hsepsr.gramops import (
     kbr_form,
     kbr_step,
     kbr_step_batch,
-    ridge_solve_columns,
     state_factors,
 )
 from hsepsr.kernels import gram
@@ -182,7 +181,7 @@ class TestFullRankIsTheDensePath:
         W = _beliefs(model, rng)
         X = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None])
         q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
-        want = ridge_solve_columns(model.gram_states, g.lam_T, model.state_ridge, q.T).T
+        want = q @ model.state_ridge.T
         assert np.array_equal(propagate_many(model, W), want)
 
     def test_condition_test_actions_many(self, model, rng):

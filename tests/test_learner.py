@@ -14,7 +14,7 @@ from hsepsr.learner import (
 from hsepsr.predict import rollout_predict
 from hsepsr.windows import Trajectory, WindowConfig, WindowedData, build_windows
 
-from densegrams import dense_grams
+from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
 
@@ -66,7 +66,7 @@ class TestTrain:
         T = traj.n - 2 - 3
         assert model.n_samples == T
         assert model.history_state_weights.shape == (T, T)
-        assert model.gram_states.shape == (T, T)
+        assert model.state_ridge.shape == (T, T)
         assert model.shifted_test_obs.shape == (T, 3 * traj.obs_dim)
         rep = model.report
         assert rep.n_samples == T
@@ -183,7 +183,9 @@ class TestModelInvariances:
         m1 = train(traj, cfg, lam=1e-3)
         m2 = train(scaled, cfg, lam=1e-3)
         # standardization makes the internal problems identical
-        assert np.allclose(m2.gram_states, m1.gram_states, atol=1e-8)
+        assert np.allclose(
+            factor_state_gram(m2), factor_state_gram(m1), atol=1e-8
+        )
 
         # short probe and in-window horizons, as in the permutation test
         probe = synthetic_trajectory(seed=9, n=3)

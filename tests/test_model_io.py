@@ -14,7 +14,7 @@ from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.predict import rollout_predict
 from hsepsr.windows import WindowConfig, WindowedData
 
-from densegrams import dense_grams
+from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
 
@@ -63,11 +63,10 @@ def _write_old(model, saved_path, path, version):
     arrays = {name: getattr(model.windowed, name) for name in windows}
     if version == 1:
         arrays.update(vars(dense_grams(model.windowed, model.kernels)))
-        learned = ("history_state_weights", "gram_states", "feasible_weights")
-    else:
-        learned = ("history_state_weights", "gram_states")
-    for name in learned:
-        arrays[name] = getattr(model, name)
+    arrays["history_state_weights"] = model.history_state_weights
+    arrays["gram_states"] = factor_state_gram(model)
+    if version == 1:
+        arrays["feasible_weights"] = model.feasible_weights
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(
@@ -84,13 +83,12 @@ def _assert_same_arrays(model, loaded):
         a, b = getattr(model.grams, f.name), getattr(loaded.grams, f.name)
         assert np.array_equal(a, b), f.name
     for name in (
-        "history_state_weights", "gram_states", "state_factors", "feasible_weights",
+        "history_state_weights", "state_factors", "state_ridge", "feasible_weights",
     ):
         assert np.array_equal(getattr(model, name), getattr(loaded, name)), name
     for name in ("V", "S", "lam"):
         a, b = getattr(model.action_factors, name), getattr(loaded.action_factors, name)
         assert np.array_equal(a, b), name
-    assert np.array_equal(model.state_ridge[0], loaded.state_ridge[0])
     for f in dataclasses.fields(WindowedData):
         a, b = getattr(model.windowed, f.name), getattr(loaded.windowed, f.name)
         if isinstance(a, np.ndarray):

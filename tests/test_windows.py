@@ -156,11 +156,16 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "bad_row, message",
-        [("1,0.5", "row has 2 cells, header has 3"), ("1,0.5,abc", "abc")],
+        [
+            ("1,0.5", "row has 2 cells, header has 3"),
+            ("1,0.5,abc", "abc"),
+            ("1,nan,0.3", "non-finite value"),
+            ("1,0.5,inf", "non-finite value"),
+        ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, bad_row, message):
-        """A short row or a non-numeric cell is reported at its line; the
-        blank line before it is skipped but still counted."""
+        """A short row or a non-numeric, NaN or infinite cell is reported at
+        its line; the blank line before it is skipped but still counted."""
         path = tmp_path / "rows.csv"
         path.write_text(f"t,a_0,o_0\n0,0.1,0.2\n\n{bad_row}\n2,0.3,0.4\n")
         with pytest.raises(ValueError, match=f"rows.csv:4: .*{message}"):
