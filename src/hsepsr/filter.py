@@ -5,14 +5,15 @@ action-observation pair runs three stages:
 
 1. propagate:   form the belief's own conditioning matrix C_w against
                 the shifted test-action windows (a kernel Bayes
-                regression with the current weights as prior), applied
-                to the r_TA columns of the shifted windows' factor W_TAs
-                (one ``kbr_step_batch`` per belief: r_TA x r_TA Woodbury
-                systems over W_TAs when the rank is low, one T x T LU
-                near full rank);
-                its coordinates W_TOs^T C_w W_TAs in the joint test-window
-                factors (``gramops.window_factors``) give, against the
-                training states' rows ``HsePsrModel.state_factors``, its
+                regression with the current weights as prior), in its
+                coordinates W_TOs^T C_w W_TAs in the joint test-window
+                factors (``gramops.window_factors``), solved from the
+                observation side: the r_TO columns of W_TOs are the left
+                columns of one ``kbr_step_batch`` per belief (r_TA x r_TA
+                Woodbury systems over W_TAs when the rank is low, one
+                T x T LU near full rank), and W_TAs enters by one product;
+                against the training states' rows
+                ``HsePsrModel.state_factors`` they give the conditional's
                 inner products with every training state, which the
                 ridge inverse of the states' Gram, built once per model
                 (``HsePsrModel.state_ridge``), maps back onto them by one
@@ -241,11 +242,14 @@ def propagate_many(
     """Propagate B beliefs held as rows of W.
 
     Each row gets its own shift conditional (it is nonlinear in the
-    weights), solved against the r_TA columns of the shifted test-action
-    factor by ``kbr_step_batch`` in the form ``gramops.kbr_form`` picks
-    for that rank (an r_TA x r_TA Woodbury system per row at low rank,
-    one T x T LU per row near full rank); for training state i with
-    coordinates S_i = W_TO^T C_i W_TA,
+    weights), held only as its coordinates W_TOs^T C_w W_TAs =
+    Z^T (w * W_TAs) with Z = A_w^-T W_TOs, A_w = diag(w) G_TAs_TAs +
+    lam_T I: the r_TO columns of the shifted test-observation factor are
+    the left columns of ``kbr_step_batch``, in the form
+    ``gramops.kbr_form`` picks for the shifted test-action factor's rank
+    (an r_TA x r_TA Woodbury system per row at low rank, one T x T LU per
+    row near full rank).  For training state i with coordinates S_i =
+    W_TO^T C_i W_TA,
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
 
@@ -256,21 +260,24 @@ def propagate_many(
 
     ``extra`` (B, T), if given, holds one more kernel vector per row, the
     rollout's planned window against the shifted test-action windows, that
-    rides on the same factorization as one more column; the result is
-    then the pair (propagated rows, C_w applied to each extra vector), and
+    rides on the same factorization as one more, right-hand, column; the
+    result is then the pair (propagated rows, C_w applied to each extra
+    vector), and
     a row whose solve fails is solved again as the two separate solves,
     ``window-conditioning[b]`` and ``shift-conditional[b]``.
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
-    X = kbr_step_batch(  # C_w @ W_TAs per row
-        W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None], factor=g.W_TAs,
+    Z = kbr_step_batch(  # C_w^T W_TOs = diag(w) Z per row
+        W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=g.W_TAs, left=True,
         label="shift-conditional", events=events,
         extra=extra, extra_label="window-conditioning",
     )
     if extra is not None:
-        X, solved_extra = X
-    q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
+        Z, solved_extra = Z
+    Z *= W[:, :, None]
+    coords = Z.transpose(0, 2, 1) @ g.W_TAs  # W_TOs^T C_w W_TAs per row
+    q = coords.reshape(len(W), -1) @ model.state_factors.T
     out = q @ model.state_ridge.T
     return out if extra is None else (out, solved_extra)
 

@@ -21,35 +21,52 @@ written into buffers reused from row to row and factored in place by
 LAPACK ``getrf``, and only the rows that fail the same test, an exactly
 singular one included, go through that escalation.
 
-When a Gram has low numerical rank, G = V V^T with V of shape (T, r), the
+When a Gram has low rank, G = V V^T with V of shape (T, r), the
 conditioning solve takes the Woodbury form
 
     (diag(w) G + lam I)^-1 diag(w) k = (w*k - w * (V y)) / lam,
     (lam I_r + V^T diag(w) V) y = V^T (w*k),
 
-an r x r system; ``low_rank_factor`` finds V at numpy's ``matrix_rank``
-tolerance, so the two forms agree to rounding.  ``kbr_step_batch`` is the
-one row-batched kernel Bayes solve of training and filtering, and picks
-the form per call from the rank of the factor it is given: by the rule
-``kbr_form``, Woodbury costs about 2 T r^2 + 8 T r m flops for m columns
-and the dense per-row LU about (2/3) T^3 + 4 T^2 m, and the cheaper one
-runs.  It follows the rank the factor has, not a setting: the discrete
-models' test-action Grams (rank 2-6) and every single-step observation
-Gram seen so far solve in Woodbury form, the ODE and desk test-action
-Grams (rank T + 1) in the dense form.  Both forms apply the dense
-system's residual test and escalate a failing row alike.
+an r x r system.  ``kbr_step_batch`` is the one row-batched kernel Bayes
+solve of training and filtering, and picks the form per call from the
+rank of the factor it is given: by the rule ``kbr_form``, Woodbury costs
+about 2 T r^2 + 8 T r m flops for m columns and the dense per-row LU
+about (2/3) T^3 + 4 T^2 m, and the cheaper one runs.  It follows the
+rank the factor has, not a setting: the discrete models' test-action
+Grams (rank 2-6) and every single-step observation Gram seen so far
+solve in Woodbury form, the T = 160 ODE test-action Grams (rank 155) in
+the dense form.  Both forms apply the dense system's residual test and
+escalate a failing row alike.  The Woodbury form solves with V V^T in
+place of G, so over a truncated factor (below) the two forms differ by
+as much as the dropped eigenvalues move the solve.
+
+Besides right columns k, ``kbr_step_batch`` solves left columns L,
+Z = (diag(w) G + lam I)^-T L, from the same factorization: ``getrs``
+with the transpose in the dense form, and Z = (L - V y) / lam with the
+same r x r system, y solved against V^T (w*L), in the Woodbury form.
+Then L^T C Y = Z^T (w * Y) for the conditioning matrix C, without a
+solve against the columns of Y.
 
 The test windows and their one-step shifts are factored jointly
 (``window_factors``): one factor of the Gram of both lists, split by rows
 into W_now and W_shifted, so every test-window Gram is a product of two
-factor blocks, e.g. G_TA_TAs = W_TA W_TAs^T.  A conditioning matrix C
-against those windows then enters an inner product of operators only as
-its factor coordinates W_obs^T C W_act:
+factor blocks, e.g. G_TA_TAs = W_TA W_TAs^T.  Their eigenvalues at or
+below ``FACTOR_FLOOR`` times the scaled regularizer lam_T are dropped,
+a Nystrom-type truncation (Williams & Seeger, NIPS 2001): an eigenvalue
+far below the ridge barely moves a ridge solution.  The T = 160 ODE
+model keeps 155 test-action and 40 test-observation eigenvalues of 161,
+the T = 480 desk model 253 and 53 of 481.
+The single-step factors (``low_rank_factor`` at floor 0) keep every
+eigenvalue above numpy's ``matrix_rank`` tolerance.  A conditioning
+matrix C against the test windows then enters an inner product of
+operators only as its factor coordinates W_obs^T C W_act:
 
     <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
 
 which ``state_factors`` computes for the training states and the filter's
-propagation step for the belief.
+propagation step for the belief, both from the observation side: the
+r_obs factor columns are the left columns of the solve, and W_act enters
+only through one product.
 """
 
 from __future__ import annotations
@@ -68,6 +85,10 @@ RESIDUAL_RTOL = 1e-8
 
 #: Number of times the regularizer is multiplied by 10 before giving up.
 MAX_JITTER_RETRIES = 3
+
+#: Eigenvalues of the test-window Grams at or below this times lam_T are
+#: dropped from their factors (``build_gram_cache``).
+FACTOR_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -176,32 +197,6 @@ def conditioning_matrix(
     )
 
 
-def kbr_step(
-    weights: np.ndarray,
-    G: np.ndarray,
-    lam: float,
-    k: np.ndarray,
-    *,
-    label: str = "kbr",
-    events: list | None = None,
-) -> np.ndarray:
-    """Posterior sample weights (diag(w) G + lam I)^-1 diag(w) k.
-
-    Equivalent to ``conditioning_matrix(w, G, lam) @ k`` but solved against
-    the single right-hand side, which is much cheaper.  ``k`` may also be a
-    matrix whose columns are kernel vectors of several conditioning points.
-    """
-    w = np.asarray(weights, dtype=float)
-    G = np.asarray(G, dtype=float)
-    k = np.asarray(k, dtype=float)
-    eye = np.eye(w.shape[0])
-    rhs = w * k if k.ndim == 1 else w[:, None] * k
-    return escalated_solve(
-        lambda l: w[:, None] * G + l * eye, rhs, lam,
-        sym=False, label=label, events=events,
-    )
-
-
 def _within_rtol(res: np.ndarray, rhs: np.ndarray) -> bool:
     """The residual's Frobenius norm is within ``RESIDUAL_RTOL`` times the
     right-hand side's, or the right-hand side is zero."""
@@ -210,7 +205,9 @@ def _within_rtol(res: np.ndarray, rhs: np.ndarray) -> bool:
     return residual <= RESIDUAL_RTOL * math.sqrt(rhs_sq) or rhs_sq == 0.0
 
 
-def _factor_rows(fill, shape, lam: float, split: int | None = None):
+def _factor_rows(
+    fill, shape, lam: float, split: int | None = None, left: bool = False
+):
     """Plain per-row solves of (M_b + lam I) X_b = R_b, without escalation.
 
     ``shape`` is (B, n, m); ``fill(b, M, R)`` writes row b's (n, n) matrix
@@ -221,9 +218,12 @@ def _factor_rows(fill, shape, lam: float, split: int | None = None):
     factorization succeeded, X_b is finite and its residual on the system
     solved is within ``RESIDUAL_RTOL`` of the norm of R_b.  With ``split``,
     the columns before and after it are tested separately, each against
-    its own right-hand side's norm.
+    its own right-hand side's norm.  With ``left``, the columns before
+    ``split`` (all of them without it) solve the transposed system
+    (M_b + lam I)^T X = R from the same factorization.
     """
     B, n, m = shape
+    split = m if split is None else split
     x = np.empty(shape)
     ok = np.zeros(B, dtype=bool)
     lhs = np.empty((n, n))
@@ -232,7 +232,12 @@ def _factor_rows(fill, shape, lam: float, split: int | None = None):
     rhs = np.empty((n, m))
     xb = np.empty((n, m), order="F")
     res = np.empty((n, m))
-    groups = [slice(None, split), slice(split, None)] if split else [slice(None)]
+    tested = [slice(None, split), slice(split, None)] if split < m else [slice(None)]
+    # (columns, transposed) per getrs call
+    if left and split < m:
+        solves = [(tested[0], 1), (tested[1], 0)]
+    else:
+        solves = [(slice(None), int(left))]
     with np.errstate(invalid="ignore", over="ignore"):
         for b in range(B):
             fill(b, lhs, rhs)
@@ -242,13 +247,19 @@ def _factor_rows(fill, shape, lam: float, split: int | None = None):
             if info != 0:
                 continue
             np.copyto(xb, rhs)
-            xb, info = sla.lapack.dgetrs(lu, piv, xb, overwrite_b=1)
+            for g, trans in solves:
+                # an F-order column block is contiguous: solved in place
+                _, info_g = sla.lapack.dgetrs(
+                    lu, piv, xb[:, g], trans=trans, overwrite_b=1
+                )
+                info = info or info_g
             x[b] = xb
             if info != 0 or not np.isfinite(xb).all():
                 continue
-            np.matmul(lhs, xb, out=res)
+            for g, trans in solves:
+                np.matmul(lhs.T if trans else lhs, xb[:, g], out=res[:, g])
             res -= rhs
-            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in groups)
+            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in tested)
     return x, ok
 
 
@@ -272,13 +283,15 @@ def solve_rows(
     events: list | None = None,
     first_row: int = 0,
     accept=None,
+    left: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (M_b + lam I) X_b = R_b for every row b, one LU per row.
 
     ``shape`` is (B, n, m) and ``fill(b, M, R)`` writes row b's system into
-    reused buffers (``_stacked`` adapts stacked arrays).  Each row is
-    checked as ``escalated_solve`` checks a solve: finite, with a residual
-    within ``RESIDUAL_RTOL`` on the system solved, and passing
+    reused buffers (``_stacked`` adapts stacked arrays); with ``left`` the
+    transposed systems (M_b + lam I)^T X_b = R_b are solved instead.  Each
+    row is checked as ``escalated_solve`` checks a solve: finite, with a
+    residual within ``RESIDUAL_RTOL`` on the system solved, and passing
     ``accept(X[rows], lam_rows, rows)`` (if given; it returns one bool per
     row).  Rows that fail, an exactly singular one included, are solved
     again by ``escalated_solve``, which escalates and records
@@ -287,7 +300,7 @@ def solve_rows(
     solved with.
     """
     B, n, m = shape
-    x, ok = _factor_rows(fill, shape, lam)
+    x, ok = _factor_rows(fill, shape, lam, left=left)
     used = np.full(B, float(lam))
     if accept is not None:
         rows = np.flatnonzero(ok)
@@ -297,6 +310,8 @@ def solve_rows(
         row = np.array([b])
         M_b, rhs_b = np.empty((n, n)), np.empty((n, m))
         fill(b, M_b, rhs_b)
+        if left:
+            M_b = M_b.T
         row_events: list = []
         x[b] = escalated_solve(
             lambda l: M_b + l * eye, rhs_b, lam, sym=False,
@@ -325,26 +340,39 @@ def kbr_form(T: int, r: int, m: int) -> str:
 
 
 class _WoodburyRows:
-    """Row b's kernel Bayes step (diag(w_b) V V^T + lam I)^-1 (w_b * K_b)
-    in Woodbury form: the r x r systems
+    """Row b's kernel Bayes step in Woodbury form over G = V V^T, with
+    A_b = diag(w_b) V V^T + lam I and M_b = lam I_r + V^T diag(w_b) V:
 
-        (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * K_b)
+        right columns K:  A_b^-1 (w_b * K) = (w_b * K - w_b * (V Y)) / lam,
+        left columns L:   A_b^-T L         = (L - V Y) / lam,
+        M_b Y = V^T (w_b * K), resp. V^T (w_b * L),
 
-    in ``solve_rows``' fill form, and the steps X_b = (w_b * K_b -
-    w_b * (V Y_b)) / lam they give.  ``cols`` is (B or 1, T, m), ``extra``
-    (B, T) or None, one more column per row.  Kernel vectors are held as
-    the rows of (B, n, T) arrays, so that a single column is computed with
-    the same (B, T) by (T, r) products as a plain (B, T) batch."""
+    so both kinds share the one r x r system per row.  The systems are in
+    ``solve_rows``' fill form, and ``apply`` turns their solutions into
+    the steps.  ``cols`` is (B or 1, T, m), right columns or, with
+    ``left``, left ones; ``extra`` (B, T) or None, one more right column
+    per row.  Kernel vectors are held as the rows of (B, n, T) arrays, so
+    that a single column is computed with the same (B, T) by (T, r)
+    products as a plain (B, T) batch.  ``steps`` keeps what ``accept``
+    computed, so that an accepted solution is applied only once."""
 
-    def __init__(self, W, cols, extra, V):
+    def __init__(self, W, cols, extra, V, left=False):
         B, T = W.shape
-        WK = W[:, None, :] * cols.transpose(0, 2, 1)
+        m = cols.shape[2]
+        K = cols.transpose(0, 2, 1)
+        WK = W[:, None, :] * K
+        # the dense system's right-hand sides; one row is shared by all rows
+        rhs = K if left else WK
         if extra is not None:
-            WK = np.concatenate([WK, (W * extra)[:, None, :]], axis=1)
-        self.W, self.V, self.WK = W, V, WK
+            WE = (W * extra)[:, None, :]
+            WK = np.concatenate([WK, WE], axis=1)
+            rhs = np.concatenate([np.broadcast_to(rhs, (B, m, T)), WE], axis=1)
+        self.W, self.V, self.rhs = W, V, rhs
+        self.n_left = m if left else 0
         self.M = (W[:, None, :] * V.T[None, :, :]) @ V
         self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
         self.shape = (B, V.shape[1], WK.shape[1])
+        self.steps = np.empty((B, T, WK.shape[1]))
 
     def fill(self, b, lhs, rhs):
         lhs[...] = self.M[b]
@@ -357,33 +385,47 @@ class _WoodburyRows:
         X = Y.transpose(0, 2, 1).reshape(-1, r) @ self.V.T
         X = X.reshape(len(Y), self.shape[2], T)
         with np.errstate(invalid="ignore", over="ignore"):
-            X *= self.W[rows, None, :]
-            np.subtract(self.WK[rows], X, out=X)
+            if self.n_left < X.shape[1]:
+                X[:, self.n_left :] *= self.W[rows, None, :]
+            np.subtract(self._rhs(rows), X, out=X)
             X /= lam[:, None, None]
         return X.transpose(0, 2, 1)
 
+    def _rhs(self, rows):
+        return self.rhs if len(self.rhs) == 1 else self.rhs[rows]
+
     def accept(self, Y, lam, rows) -> np.ndarray:
-        """``solve_rows``' accept hook: ``rows_ok`` of the steps of Y."""
-        return self.rows_ok(self.apply(Y, lam, rows), lam, rows)
+        """``solve_rows``' accept hook: ``rows_ok`` of the steps of Y, which
+        are kept in ``steps`` (a row's last call is its accepted one)."""
+        X = self.apply(Y, lam, rows)
+        self.steps[rows] = X
+        return self.rows_ok(X, lam, rows)
 
     def rows_ok(self, X, lam, rows=slice(None), split=None) -> np.ndarray:
-        """Per row: X is finite and solves (diag(w) V V^T + lam I) X = w*K
-        within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to
-        the dense system, evaluated in factored form (the r x r system
-        alone can pass its own test while the step it stands for is
-        singular).  With ``split``, the columns before and after it are
-        tested against their own right-hand side's norm."""
+        """Per row: X is finite and solves the dense system, A_b X = w*K for
+        right columns and A_b^T X = L for left ones, within
+        ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies, evaluated
+        in factored form (the r x r system alone can pass its own test
+        while the step it stands for is singular).  With ``split``, the
+        columns before and after it are tested against their own
+        right-hand side's norm."""
         T = self.V.shape[0]
         Xt = X.transpose(0, 2, 1)
-        WK = self.WK[rows]
+        rhs = self._rhs(rows)
+        W = self.W[rows, None, :]
+        n_left = self.n_left
         with np.errstate(invalid="ignore", over="ignore"):
-            res = ((Xt.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
-            res *= self.W[rows, None, :]
+            P = Xt * W if n_left else Xt  # left columns: V V^T (w * X)
+            if 0 < n_left < Xt.shape[1]:
+                P[:, n_left:] = Xt[:, n_left:]
+            res = ((P.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
+            if n_left < Xt.shape[1]:  # right columns: w * (V V^T X)
+                res[:, n_left:] *= W
             res += lam[:, None, None] * Xt
-            res -= WK
+            res -= rhs
         ok = np.isfinite(Xt).all(axis=(1, 2))
         for g in [slice(None, split), slice(split, None)] if split else [slice(None)]:
-            ok &= _rows_within_rtol(res[:, g], WK[:, g])
+            ok &= _rows_within_rtol(res[:, g], rhs[:, g])
         return ok
 
 
@@ -401,33 +443,41 @@ def kbr_step_batch(
     k: np.ndarray,
     *,
     factor: np.ndarray | None = None,
+    left: bool = False,
     label: str = "kbr",
     events: list | None = None,
     first_row: int = 0,
     extra: np.ndarray | None = None,
     extra_label: str = "extra",
 ):
-    """Row-batched ``kbr_step``, the one kernel Bayes solve of training and
-    filtering: weights are (B, T); k is (B, T), giving a (B, T) result, or
+    """The one kernel Bayes solve of training and filtering, row-batched:
+    weights are (B, T); k is (B, T), giving a (B, T) result, or
     (B, T, m), giving (B, T, m) (leading dimension 1 shares it across
-    rows).
+    rows).  Row b solves A_b = diag(w_b) G + lam I against w_b * k_b,
+    giving C_b k_b for the conditioning matrix C_b = A_b^-1 diag(w_b);
+    with ``left``, the columns of k are left columns L_b instead, and the
+    result is Z_b = A_b^-T L_b, so that L_b^T C_b Y = Z_b^T (w_b * Y) for
+    any Y without solving against Y's columns.
 
     The form is chosen per call by ``kbr_form`` from T, the number of
-    columns and the rank r of ``factor`` V (G = V V^T, shape (T, r)), if
-    given.  The dense form writes row b's system diag(w_b) G + lam I and
-    its right-hand sides into ``solve_rows``' row buffers and factors them
-    in place.  The Woodbury form solves the r x r systems
-    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) through ``solve_rows``
-    and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
-    pass the dense system's residual test, evaluated in factored form, and
-    a row that fails either test escalates its regularizer, which then
-    enters both the r x r solve and the outer 1/lam.  Either way a failing
-    row records ``label[first_row + b]`` as a single-row solve would.
+    columns (those of k and the extra one) and the rank r of ``factor`` V
+    (G = V V^T, shape (T, r)), if given.  The dense form writes row b's
+    system A_b and its right-hand sides into ``solve_rows``' row buffers
+    and factors them in place; left columns are solved against the
+    transposed factors.  The Woodbury form solves the r x r systems
+    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b), for right and left
+    columns alike, through ``solve_rows`` and returns X_b = (w_b * k_b -
+    w_b * (V Y_b)) / lam, or (L_b - V Y_b) / lam for left columns; each
+    row must also pass the dense system's residual test, evaluated in
+    factored form, and a row that fails either test escalates its
+    regularizer, which then enters both the r x r solve and the outer
+    1/lam.  Either way a failing row records ``label[first_row + b]`` as
+    a single-row solve would.
 
-    ``extra`` (B, T), if given, holds one more kernel vector per row,
-    solved in the same factorization; the result is then the pair (that
-    of k, the (B, T) extra solutions).  The columns of k and the extra
-    column each pass the residual test against their own right-hand
+    ``extra`` (B, T), if given, holds one more kernel vector per row, a
+    right column solved in the same factorization; the result is then the
+    pair (that of k, the (B, T) extra solutions).  The columns of k and the
+    extra column each pass the residual test against their own right-hand
     side's norm, so the many columns of k cannot mask a poor extra one.
     A row that fails either test is solved again by the two separate
     calls, all extra ones first, which escalate and record
@@ -440,28 +490,33 @@ def kbr_step_batch(
     n = m + (extra is not None)
     woodbury = None
     if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
-        woodbury = _WoodburyRows(w, cols, extra, factor)
+        woodbury = _WoodburyRows(w, cols, extra, factor, left)
         fill, shape = woodbury.fill, woodbury.shape
     else:
 
         def fill(b, lhs, rhs):
             wb = w[b, :, None]
             np.multiply(wb, G, out=lhs)
-            np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
+            if left:
+                rhs[:, :m] = cols[b % len(cols)]
+            else:
+                np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
             if extra is not None:
                 np.multiply(w[b], extra[b], out=rhs[:, m])
 
         shape = (len(w), len(G), n)
+    # the Woodbury form solves left columns against M_b itself
+    transposed = left and woodbury is None
 
     if extra is None:
         x, used = solve_rows(
             fill, shape, lam, label=label, events=events, first_row=first_row,
-            accept=None if woodbury is None else woodbury.accept,
+            accept=None if woodbury is None else woodbury.accept, left=transposed,
         )
         if woodbury is not None:
-            x = woodbury.apply(x, used)
+            x = woodbury.steps
     else:
-        x, ok = _factor_rows(fill, shape, lam, split=m)
+        x, ok = _factor_rows(fill, shape, lam, split=m, left=transposed)
         if woodbury is not None:
             lam_rows = np.full(len(w), float(lam))
             x = woodbury.apply(x, lam_rows)
@@ -475,7 +530,7 @@ def kbr_step_batch(
         for b in failed:
             x[b, :, :m] = kbr_step_batch(
                 w[b : b + 1], G, lam, cols[b % len(cols)][None], factor=factor,
-                label=label, events=events, first_row=first_row + b,
+                left=left, label=label, events=events, first_row=first_row + b,
             )[0]
     out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
     # a copy, so that the extra solutions do not keep all of x alive
@@ -505,33 +560,36 @@ def conditioning_tensor(
     return out
 
 
-def low_rank_factor(G: np.ndarray) -> np.ndarray:
-    """(T, r) factor V with G = V V^T up to rounding, for symmetric PSD G.
+def low_rank_factor(G: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """(T, r) factor V with G = V V^T up to the dropped eigenvalues, for
+    symmetric PSD G.
 
-    The columns are the eigenvectors whose eigenvalues exceed numpy's
+    The columns are the eigenvectors whose eigenvalues exceed both numpy's
     ``matrix_rank`` tolerance (largest magnitude times T times machine
-    epsilon), scaled by the square roots of those eigenvalues; r is the
-    numerical rank.
+    epsilon) and ``floor``, scaled by the square roots of those
+    eigenvalues, so ||G - V V^T||_2 is at most the larger of the two.  At
+    ``floor`` 0, r is the numerical rank and V V^T is G to rounding.
     """
     vals, vecs = np.linalg.eigh(G)
-    keep = vals > np.abs(vals).max(initial=0.0) * G.shape[0] * np.finfo(float).eps
+    tol = np.abs(vals).max(initial=0.0) * G.shape[0] * np.finfo(float).eps
+    keep = vals > max(tol, floor)
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def window_factors(kernel, now: np.ndarray, shifted: np.ndarray):
+def window_factors(kernel, now: np.ndarray, shifted: np.ndarray, floor: float = 0.0):
     """Joint low-rank factor of a window list and its one-step shift.
 
     The two lists are stacked, exact duplicate rows dropped (a shifted
     window is usually the next sample's window, so real data has at most
     T + 1 distinct ones), and the Gram of the distinct windows is factored
-    by ``low_rank_factor``.  Returns (W_now, W_shifted), the factor rows of
-    each list, so that gram(now, now), gram(shifted, shifted) and
-    gram(now, shifted) are W_now W_now^T, W_shifted W_shifted^T and
-    W_now W_shifted^T up to rounding.
+    by ``low_rank_factor`` at ``floor``.  Returns (W_now, W_shifted), the
+    factor rows of each list, so that gram(now, now), gram(shifted,
+    shifted) and gram(now, shifted) are W_now W_now^T, W_shifted
+    W_shifted^T and W_now W_shifted^T up to the dropped eigenvalues.
     """
     stacked = np.vstack([now, shifted])
     distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    W = low_rank_factor(gram(kernel, distinct, distinct))[inverse.ravel()]
+    W = low_rank_factor(gram(kernel, distinct, distinct), floor)[inverse.ravel()]
     return W[: len(now)], W[len(now) :]
 
 
@@ -548,26 +606,29 @@ def state_factors(
     """Factor coordinates of the conditioning matrices of ``weight_columns``.
 
     Row s is W_obs^T C_s W_act, flattened, with C_s =
-    ``conditioning_matrix(weight_columns[:, s], G, lam)`` for the Gram
-    G = W_act W_act^T; C_s W_act is the ``kbr_step_batch`` row of weight
-    column s against the r columns of W_act, in the form ``kbr_form``
-    picks for W_act's rank (r x r Woodbury systems while r is well below
-    T, one T x T LU per sample near full rank), escalated and recorded as
-    ``label[s]``.  Samples are solved in blocks of T // r (at least one)
-    and each block is contracted with W_obs at once, so no temporary
-    exceeds about T^2 floats.  The Gram of the matrices,
+    ``conditioning_matrix(a_s, G, lam)`` for weight column a_s and the Gram
+    G = W_act W_act^T.  It is solved from the observation side: W_obs^T C_s
+    W_act = Z_s^T (a_s * W_act) with Z_s = A_s^-T W_obs, the ``left``
+    columns of the ``kbr_step_batch`` row of a_s, so each sample solves
+    r_obs columns in the form ``kbr_form`` picks for W_act's rank (r x r
+    Woodbury systems while r is well below T, one T x T LU per sample near
+    full rank), escalated and recorded as ``label[s]``.  Samples are
+    solved in blocks of T // max(r_act, r_obs) (at least one), so no
+    temporary exceeds about T^2 floats.  The Gram of the matrices,
     trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of the rows.
     """
     A = np.asarray(weight_columns, dtype=float)
     T, S = A.shape
     out = np.empty((S, W_obs.shape[1] * W_act.shape[1]))
-    block = max(1, T // max(1, W_act.shape[1]))
+    block = max(1, T // max(1, W_act.shape[1], W_obs.shape[1]))
     for start in range(0, S, block):
-        X = kbr_step_batch(
-            A[:, start : start + block].T, G, lam, W_act[None], factor=W_act,
+        a = A[:, start : start + block].T
+        Z = kbr_step_batch(
+            a, G, lam, W_obs[None], factor=W_act, left=True,
             label=label, events=events, first_row=start,
         )
-        out[start : start + len(X)] = (W_obs.T @ X).reshape(len(X), -1)
+        Z *= a[:, :, None]
+        out[start : start + len(Z)] = (Z.transpose(0, 2, 1) @ W_act).reshape(len(Z), -1)
     return out
 
 
@@ -629,38 +690,6 @@ def history_weights(
     return ridge_solve(G_HH, lam, G_HH, label="history-weights", events=events)
 
 
-def state_gram(
-    left: np.ndarray,
-    right: np.ndarray,
-    G_obs: np.ndarray,
-    G_act: np.ndarray,
-    block: int = 64,
-) -> np.ndarray:
-    """Inner products between operator-valued states in coefficient form.
-
-    State i on the left is the operator with coefficient matrix left[i]
-    against its obs/action sample lists; entry (i, j) of the result is
-
-        trace(left[i]^T @ G_obs @ right[j] @ G_act^T)
-
-    where G_obs and G_act are the Gram matrices between the left and right
-    obs window lists and action window lists.  Columns are processed in
-    blocks so the flattened right factors never exceed block * T^2 floats.
-    """
-    S_left, T, _ = left.shape
-    S_right = right.shape[0]
-    left_rows = left.reshape(S_left, T * T)
-    G_act_T = np.ascontiguousarray(G_act.T)
-    out = np.empty((S_left, S_right))
-    for start in range(0, S_right, block):
-        stop = min(start + block, S_right)
-        m = np.empty((stop - start, T * T))
-        for j in range(start, stop):
-            m[j - start] = (G_obs @ right[j] @ G_act_T).ravel()
-        out[:, start:stop] = left_rows @ m.T
-    return out
-
-
 @dataclass
 class GramCache:
     """The training Grams and factors that runtime code reads: the
@@ -695,11 +724,14 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
     if not lam > 0:
         raise ValueError("lam must be positive")
     G_O_O = gram(kernels.obs, windows.cur_obs, windows.cur_obs)
+    lam_T = lam * windows.n_samples
+    floor = FACTOR_FLOOR * lam_T
     W_TA, W_TAs = window_factors(
-        kernels.test_action, windows.test_actions, windows.shifted_test_actions
+        kernels.test_action, windows.test_actions, windows.shifted_test_actions,
+        floor,
     )
     W_TO, W_TOs = window_factors(
-        kernels.test_obs, windows.test_obs, windows.shifted_test_obs
+        kernels.test_obs, windows.test_obs, windows.shifted_test_obs, floor
     )
     return GramCache(
         G_TA_TA=gram(kernels.test_action, windows.test_actions, windows.test_actions),
@@ -717,5 +749,5 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         W_TAs=W_TAs,
         W_TO=W_TO,
         W_TOs=W_TOs,
-        lam_T=lam * windows.n_samples,
+        lam_T=lam_T,
     )

@@ -18,7 +18,9 @@ model alike:
    windows, the coefficient form of that sample's operator-valued state,
    kept only as its coordinates in the joint factors of the test windows
    (``gramops.state_factors``: row i of ``state_factors`` is
-   W_TO^T C_i W_TA, r_TO r_TA numbers); C_i W_TA is solved in the form
+   W_TO^T C_i W_TA, r_TO r_TA numbers, over the factors truncated at
+   ``gramops.FACTOR_FLOOR`` times lam_T); it is solved from the
+   observation side, the r_TO columns of W_TO as left columns, in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per sample near full rank,
 4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import hsepsr.gramops as gramops
 from hsepsr.gramops import (
     ConditioningFactors,
     GramCache,
@@ -107,8 +110,10 @@ class TrainingReport:
     ``test_obs`` for the joint test-window factors, whose product
     r_test_obs * r_test_action is the length of one state-factor row.
     ``summary_lines`` also names the form (``gramops.kbr_form``) in which
-    the state build and the filter's shift conditional solve for that
-    test-action rank and T.
+    the state build solves: the test-action rank and T pick it, and the
+    r_test_obs left columns are solved per sample.  ``factor_floor`` is the
+    eigenvalue floor of the test-window factors (``gramops.FACTOR_FLOOR``
+    times lam_T).
     """
 
     n_samples: int
@@ -119,19 +124,28 @@ class TrainingReport:
     stage_seconds: dict = field(default_factory=dict)
     truncated_from: int | None = None
     ranks: dict = field(default_factory=dict)
+    factor_floor: float = 0.0
 
     def summary_lines(self) -> list[str]:
         samples = f"samples: {self.n_samples}"
         if self.truncated_from is not None:
             samples += f" (truncated from {self.truncated_from} by max_samples)"
-        lines = [samples, f"regularizer: {self.lam:g} (scaled {self.lam_T:g})"]
+        lines = [
+            samples,
+            f"regularizer: {self.lam:g} (scaled {self.lam_T:g})",
+            f"factor floor: {self.factor_floor:g} "
+            f"({self.factor_floor / self.lam_T:g} x lam_T)",
+        ]
         for stream, rank in self.ranks.items():
             lines.append(f"rank[{stream}]: {rank}")
-            if stream == "test_action":
-                form = kbr_form(self.n_samples, rank, rank)
-                lines.append(
-                    f"solve[test_action]: {form} (rank {rank} of T = {self.n_samples})"
-                )
+        if {"test_action", "test_obs"} <= self.ranks.keys():
+            T, r_act, r_obs = (
+                self.n_samples, self.ranks["test_action"], self.ranks["test_obs"]
+            )
+            lines.append(
+                f"solve[test_action]: {kbr_form(T, r_act, r_obs)} "
+                f"(rank {r_act} of T = {T}, {r_obs} left columns)"
+            )
         for stream, bw in self.bandwidths.items():
             lines.append(
                 f"bandwidth[{stream}]: " + (f"{bw:g}" if bw is not None else "n/a")
@@ -386,6 +400,7 @@ def train_from_windows(
             "test_action": cache.W_TA.shape[1],
             "test_obs": cache.W_TO.shape[1],
         },
+        factor_floor=gramops.FACTOR_FLOOR * cache.lam_T,
     )
     return model
 
@@ -405,9 +420,10 @@ def train(
     default), and rbf bandwidths come from ``resolve_kernels``' median
     heuristic over at most ``kernels.MEDIAN_CAP`` rows per stream.
     ``max_samples`` caps T by truncating the trajectory (the state factors
-    hold T r_TO r_TA floats, up to T (T + 1)^2 when the test-window Grams
-    have full rank); pass None to disable the cap.  A cut is recorded in
-    the report's ``truncated_from``.
+    hold T r_TO r_TA floats: 49 MiB at the desk's T = 480, where the
+    factors keep 53 and 253 eigenvalues above ``gramops.FACTOR_FLOOR``
+    times lam_T, and at most T (T + 1)^2); pass None to disable the cap.
+    A cut is recorded in the report's ``truncated_from``.
     """
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be positive or None, got {max_samples}")

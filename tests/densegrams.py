@@ -1,13 +1,19 @@
-"""Dense training Grams for the oracle tests.
+"""Dense oracles for the tests: training Grams, the single-belief kernel
+Bayes step and the state Gram of coefficient matrices.
 
 The model keeps only the Grams its runtime reads (``GramCache``); the
 tests that check a factored path against the dense one evaluate the rest
 here, with the same ``kernels.gram`` calls training uses, and the state
-Gram S S^T, which the model keeps only as its ridge inverse.
+Gram S S^T, which the model keeps only as its ridge inverse.  ``kbr_step``
+and ``state_gram`` are the dense forms the row-batched solve and the
+factored states replaced.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
+
+from hsepsr.gramops import escalated_solve
 from hsepsr.kernels import gram
 
 
@@ -33,3 +39,37 @@ def factor_state_gram(model):
     S = model.state_factors
     G = S @ S.T
     return (G + G.T) / 2.0
+
+
+def kbr_step(weights, G, lam, k, *, label="kbr", events=None):
+    """Posterior sample weights (diag(w) G + lam I)^-1 diag(w) k for one
+    belief w, by one dense escalated solve; ``k`` is a kernel vector or a
+    matrix whose columns are kernel vectors."""
+    w = np.asarray(weights, dtype=float)
+    G = np.asarray(G, dtype=float)
+    k = np.asarray(k, dtype=float)
+    eye = np.eye(w.shape[0])
+    rhs = w * k if k.ndim == 1 else w[:, None] * k
+    return escalated_solve(
+        lambda l: w[:, None] * G + l * eye, rhs, lam,
+        sym=False, label=label, events=events,
+    )
+
+
+def state_gram(left, right, G_obs, G_act, block=64):
+    """Inner products between operator-valued states in coefficient form:
+    entry (i, j) is trace(left[i]^T @ G_obs @ right[j] @ G_act^T), with
+    G_obs and G_act the Grams between the left and right obs and action
+    window lists.  Columns go in blocks of ``block`` states."""
+    S_left, T, _ = left.shape
+    S_right = right.shape[0]
+    left_rows = left.reshape(S_left, T * T)
+    G_act_T = np.ascontiguousarray(G_act.T)
+    out = np.empty((S_left, S_right))
+    for start in range(0, S_right, block):
+        stop = min(start + block, S_right)
+        m = np.empty((stop - start, T * T))
+        for j in range(start, stop):
+            m[j - start] = (G_obs @ right[j] @ G_act_T).ravel()
+        out[:, start:stop] = left_rows @ m.T
+    return out

@@ -15,12 +15,12 @@ from hsepsr.filter import (
     condition_observation_many,
     update_standardized_many,
 )
-from hsepsr.gramops import build_gram_cache, kbr_step, kbr_step_batch
+from hsepsr.gramops import build_gram_cache, kbr_step_batch
 from hsepsr.learner import resolve_kernels, train, train_from_windows
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, build_windows
 
-from densegrams import dense_grams
+from densegrams import dense_grams, kbr_step
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10

@@ -25,9 +25,7 @@ from hsepsr.gramops import (
     build_gram_cache,
     conditioning_matrix,
     conditioning_tensor,
-    kbr_step,
     ridge_solve,
-    state_gram,
     window_factors,
 )
 from hsepsr.kernels import gram
@@ -36,7 +34,7 @@ from hsepsr.model_io import MAGIC, load_model, save_model
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData, build_windows
 
-from densegrams import dense_grams, factor_state_gram
+from densegrams import dense_grams, factor_state_gram, kbr_step, state_gram
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10
@@ -109,9 +107,11 @@ class TestPropagateMatchesDense:
         assert model.state_factors.shape[1] <= 2 * 3
         _assert_propagate_matches_dense(model, rng)
 
-    def test_permuted_windows(self, rng):
+    def test_permuted_windows(self, rng, monkeypatch):
         """The shifted windows of a permuted data set are not the next
-        sample's windows; the factors must not assume they are."""
+        sample's windows; the factors must not assume they are.  (Built at
+        floor 0, so that the factors are exact.)"""
+        monkeypatch.setattr(gramops, "FACTOR_FLOOR", 0.0)
         windows = build_windows(synthetic_trajectory(seed=3, n=40), WindowConfig(2, 3))
         p = np.random.default_rng(7).permutation(windows.n_samples)
         permuted = _permuted(windows, p)
@@ -160,6 +160,70 @@ class TestStateFactors:
         assert now.shape[1] == np.linalg.matrix_rank(
             gram(k.test_action, w.test_actions, w.test_actions)
         )
+
+
+def _todays_factor(G):
+    """``low_rank_factor`` as it was before the floor: every eigenvalue
+    above numpy's ``matrix_rank`` tolerance."""
+    vals, vecs = np.linalg.eigh(G)
+    keep = vals > np.abs(vals).max(initial=0.0) * G.shape[0] * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+class TestFactorFloor:
+    def test_floor_zero_is_todays_factor(self, model_factory):
+        """At floor 0 ``low_rank_factor``, ``window_factors`` and the model
+        built by ``model_factory`` hold the old factors bit for bit."""
+        model, _ = model_factory()
+        w, k, g = model.windowed, model.kernels, model.grams
+        for kernel, now, shifted, built in (
+            (k.test_action, w.test_actions, w.shifted_test_actions, (g.W_TA, g.W_TAs)),
+            (k.test_obs, w.test_obs, w.shifted_test_obs, (g.W_TO, g.W_TOs)),
+        ):
+            distinct, inverse = np.unique(
+                np.vstack([now, shifted]), axis=0, return_inverse=True
+            )
+            G = gram(kernel, distinct, distinct)
+            want = _todays_factor(G)
+            assert np.array_equal(gramops.low_rank_factor(G, 0.0), want)
+            rows = want[inverse.ravel()]
+            assert np.array_equal(np.vstack(window_factors(kernel, now, shifted)), rows)
+            assert np.array_equal(np.vstack(built), rows)
+
+    def test_default_floor_bounds_the_dropped_spectrum(self, model_factory):
+        """||G - W W^T||_2 <= max(floor, tolerance) for every test-window
+        Gram, and the floor does cut both factors."""
+        model, _ = model_factory(factor_floor=gramops.FACTOR_FLOOR)
+        g = model.grams
+        T = model.n_samples
+        floor = gramops.FACTOR_FLOOR * g.lam_T
+        assert model.report.factor_floor == floor
+        assert g.W_TA.shape[1] < T and g.W_TO.shape[1] < T
+        d = dense_grams(model.windowed, model.kernels)
+        for G, left, right in (
+            (d.G_TA_TA, g.W_TA, g.W_TA),
+            (d.G_TAs_TAs, g.W_TAs, g.W_TAs),
+            (d.G_TA_TAs, g.W_TA, g.W_TAs),
+            (d.G_TO_TO, g.W_TO, g.W_TO),
+            (d.G_TO_TOs, g.W_TO, g.W_TOs),
+        ):
+            tol = np.linalg.norm(G, 2) * (T + 1) * np.finfo(float).eps
+            assert np.linalg.norm(G - left @ right.T, 2) <= max(floor, tol) * (1 + 1e-9)
+
+    def test_discrete_factors_are_unchanged(self):
+        """The delta-kernel test-window Grams have eigenvalues 1 = lam_T at
+        lam 1/T, far above the floor, so the default floor drops nothing."""
+        T = 240
+        for seed in (0, 1):
+            traj = sample_trajectory(default_system(), T + 2, seed=seed)
+            windows = build_windows(traj, WindowConfig(1, 1))
+            kernels = resolve_kernels(windows)
+            cut = build_gram_cache(windows, kernels, 1.0 / T)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gramops, "FACTOR_FLOOR", 0.0)
+                exact = build_gram_cache(windows, kernels, 1.0 / T)
+            for name in ("W_TA", "W_TAs", "W_TO", "W_TOs"):
+                assert np.array_equal(getattr(cut, name), getattr(exact, name)), name
 
 
 class TestEscalation:
@@ -379,3 +443,5 @@ class TestTrainingReport:
         assert "samples: 30 (truncated from 55 by max_samples)" in out
         for stream in ("action", "obs", "test_action", "test_obs"):
             assert f"rank[{stream}]: " in out
+        assert "factor floor: " in out and "(0.01 x lam_T)" in out
+        assert "solve[test_action]: " in out

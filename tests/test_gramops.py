@@ -13,15 +13,13 @@ from hsepsr.gramops import (
     conditioning_tensor,
     escalated_solve,
     history_weights,
-    kbr_step,
     kbr_step_batch,
     ridge_solve,
-    state_gram,
 )
 from hsepsr.kernels import KernelSet, KernelSpec, gram
 from hsepsr.windows import Trajectory, WindowConfig, build_windows
 
-from densegrams import dense_grams
+from densegrams import dense_grams, kbr_step, state_gram
 
 
 def random_psd(rng, n):

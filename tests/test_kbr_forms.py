@@ -3,10 +3,13 @@
 ``kbr_step_batch`` solves in Woodbury form over the Gram's factor when
 ``kbr_form`` finds that cheaper, and row by row with one T x T LU
 otherwise; without a factor it always takes the dense form, which is the
-reference here.  Low-rank cases run on the delta model (T = 118, rank 2)
-and on an rbf model with L = N = 1 (T = 58, rank 15); full-rank cases on
-the default rbf model, where every result must be the dense path's bit
-for bit.
+reference here.  Left columns L (``left=True``) give A_b^-T L from the same
+factorization and are checked against ``np.linalg.solve`` of the
+transposed system.  Low-rank cases run on the delta model (T = 118, rank
+2) and on an rbf model with L = N = 1 (T = 58, rank 15); full-rank cases
+on the default rbf model, where the propagation and the state build,
+solved from the observation side, must match the right-side dense path
+within 1e-10 and the window conditioning must be it bit for bit.
 """
 
 import tracemalloc
@@ -17,7 +20,6 @@ import pytest
 from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
     kbr_form,
-    kbr_step,
     kbr_step_batch,
     state_factors,
 )
@@ -27,6 +29,8 @@ from hsepsr.model_io import load_model, save_model
 from hsepsr.predict import condition_test_actions_many
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig
+
+from densegrams import kbr_step
 
 RTOL = 1e-10
 
@@ -50,7 +54,9 @@ def delta_model():
 def low_rank_model(request, delta_model, model_factory):
     model = delta_model if request.param == "delta" else model_factory(L=1, N=1)[0]
     T, r = model.grams.W_TAs.shape
+    r_obs = model.grams.W_TOs.shape[1]
     assert r < T and kbr_form(T, r, 1) == kbr_form(T, r, r + 1) == "woodbury"
+    assert kbr_form(T, r, r_obs) == kbr_form(T, r, r_obs + 1) == "woodbury"
     return model
 
 
@@ -168,6 +174,73 @@ class TestEscalation:
         assert np.array_equal(got_e, want_e) and np.array_equal(got, want)
 
 
+def _transposed_solves(W, G, lam, L):
+    """Row b: np.linalg.solve((diag(W[b]) G + lam_b I)^T, L), with lam one
+    regularizer or one per row."""
+    lam = np.broadcast_to(lam, len(W))
+    T = G.shape[0]
+    return np.stack(
+        [np.linalg.solve((w[:, None] * G + l * np.eye(T)).T, L) for w, l in zip(W, lam)]
+    )
+
+
+@pytest.fixture(params=["woodbury", "dense"])
+def form(request):
+    return request.param
+
+
+class TestLeftColumns:
+    """Z_b = A_b^-T L for A_b = diag(w_b) G + lam I, in both forms: on the
+    low-rank models with their factor (Woodbury) and without it (dense)."""
+
+    def test_match_the_transposed_solve(self, low_rank_model, form, rng):
+        g = low_rank_model.grams
+        W = _beliefs(low_rank_model, rng)
+        L = g.W_TOs
+        factor = g.W_TAs if form == "woodbury" else None
+        got = kbr_step_batch(
+            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True
+        )
+        assert _rel(got, _transposed_solves(W, g.G_TAs_TAs, g.lam_T, L)) <= RTOL
+        # the fused right column rides on the same factorization
+        E = rng.uniform(0.0, 1.0, W.shape)
+        fused, fused_e = kbr_step_batch(
+            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True, extra=E
+        )
+        assert _rel(fused, got) <= RTOL
+        assert _rel(fused_e, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, E)) <= RTOL
+
+    def test_give_the_projected_conditional(self, low_rank_model, form, rng):
+        """L^T C_w Y = Z^T (w * Y), the identity the propagation uses."""
+        g = low_rank_model.grams
+        W = _beliefs(low_rank_model, rng)
+        factor = g.W_TAs if form == "woodbury" else None
+        Z = kbr_step_batch(
+            W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=factor, left=True
+        )
+        X = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None])
+        got = (W[:, :, None] * Z).transpose(0, 2, 1) @ g.W_TAs
+        assert _rel(got, g.W_TOs.T @ X) <= RTOL
+
+    def test_singular_row_escalates_alone(self, low_rank_model, form, rng):
+        g = low_rank_model.grams
+        W = _beliefs(low_rank_model, rng, B=3)
+        W[1] = _singular_row(g.G_TAs_TAs, g.lam_T)
+        L = g.W_TOs
+        factor = g.W_TAs if form == "woodbury" else None
+        events = []
+        got = kbr_step_batch(
+            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True,
+            label="shift", events=events, first_row=4,
+        )
+        single = []
+        kbr_step(W[1], g.G_TAs_TAs, g.lam_T, g.W_TAs, label="shift[5]", events=single)
+        assert [e.label for e in events] == ["shift[5]"]
+        assert events == single
+        lam = np.array([g.lam_T, events[0].used, g.lam_T])
+        assert _rel(got, _transposed_solves(W, g.G_TAs_TAs, lam, L)) <= RTOL
+
+
 class TestFullRankIsTheDensePath:
     @pytest.fixture
     def model(self, model_factory):
@@ -177,12 +250,14 @@ class TestFullRankIsTheDensePath:
         return model
 
     def test_propagate_many(self, model, rng):
+        """Against the right-side solve C_w W_TAs that the left-side one
+        replaced."""
         g = model.grams
         W = _beliefs(model, rng)
         X = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None])
         q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
         want = q @ model.state_ridge.T
-        assert np.array_equal(propagate_many(model, W), want)
+        assert _rel(propagate_many(model, W), want) <= RTOL
 
     def test_condition_test_actions_many(self, model, rng):
         g = model.grams
@@ -193,7 +268,7 @@ class TestFullRankIsTheDensePath:
         assert np.array_equal(got, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, K))
 
     def test_state_factors(self, model):
-        assert np.array_equal(model.state_factors, _dense_state_factors(model))
+        assert _rel(model.state_factors, _dense_state_factors(model)) <= RTOL
 
 
 class TestStateFactorsMemory:
@@ -219,6 +294,28 @@ class TestStateFactorsMemory:
         assert peak - base - S.nbytes <= 8 * T * T * S.itemsize
 
 
+    def test_dense_build_stays_within_a_few_t_squared(self, rng):
+        """T = 160 at full test-action rank and 20 observation columns: one
+        T x T LU per sample in reused buffers, so no (T, T, r) stack of
+        the samples' systems or solutions is formed."""
+        T, r_obs = 160, 20
+        V = rng.normal(size=(T, T)) / np.sqrt(T)
+        G = V @ V.T
+        A = 1.0 / T + rng.normal(size=(T, T)) / T
+        W_obs = rng.normal(size=(T, r_obs))
+        assert kbr_form(T, T, r_obs) == "dense"
+        state_factors(A[:, :4], G, 0.1, V, W_obs)  # warm any one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            S = state_factors(A, G, 0.1, V, W_obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (T, r_obs * T)
+        assert peak - base - S.nbytes <= 8 * T * T * S.itemsize
+
+
 class TestReload:
     def test_loaded_delta_model_has_the_trained_state_factors(
         self, delta_model, tmp_path
@@ -231,11 +328,20 @@ class TestReload:
 
 class TestTrainingReport:
     def test_names_the_form_for_the_test_action_rank(self, delta_model, model_factory):
+        """The state build solves r_test_obs left columns per sample in the
+        form the test-action rank picks; the floor line gives the cut."""
         lines = delta_model.report.summary_lines()
+        assert "factor floor: 0.01 (0.01 x lam_T)" in lines
         i = lines.index("rank[test_action]: 2")
-        assert lines[i + 1] == "solve[test_action]: woodbury (rank 2 of T = 118)"
+        assert lines[i + 1] == "rank[test_obs]: 3"
+        assert lines[i + 2] == (
+            "solve[test_action]: woodbury (rank 2 of T = 118, 3 left columns)"
+        )
         full, _ = model_factory()
         T = full.n_samples
         lines = full.report.summary_lines()
+        assert "factor floor: 0 (0 x lam_T)" in lines
         i = lines.index(f"rank[test_action]: {T + 1}")
-        assert lines[i + 1] == f"solve[test_action]: dense (rank {T + 1} of T = {T})"
+        assert lines[i + 2] == (
+            f"solve[test_action]: dense (rank {T + 1} of T = {T}, {T + 1} left columns)"
+        )
