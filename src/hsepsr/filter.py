@@ -7,11 +7,13 @@ action-observation pair runs three stages:
                 the shifted test-action windows (a kernel Bayes
                 regression with the current weights as prior), in its
                 coordinates W_TOs^T C_w W_TAs in the joint test-window
-                factors (``gramops.window_factors``), solved from the
-                observation side: the r_TO columns of W_TOs are the left
-                columns of one ``kbr_step_batch`` per belief (r_TA x r_TA
-                Woodbury systems over W_TAs when the rank is low, one
-                T x T LU near full rank), and W_TAs enters by one product;
+                factors (``gramops.window_factors``): C_w is symmetric,
+                so one ``kbr_step_batch`` per belief solves it against
+                the fewer factor columns, the r_TO of W_TOs on the ODE
+                models (r_TA x r_TA Woodbury systems over W_TAs when the
+                rank is low, one T x T LU near full rank), and the other
+                factor enters by one product
+                (``gramops.factor_coordinates``);
                 against the training states' rows
                 ``HsePsrModel.state_factors`` they give the conditional's
                 inner products with every training state, which the
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from hsepsr.gramops import kbr_step_batch
+from hsepsr.gramops import factor_coordinates, kbr_step_batch
 from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
@@ -242,14 +244,14 @@ def propagate_many(
     """Propagate B beliefs held as rows of W.
 
     Each row gets its own shift conditional (it is nonlinear in the
-    weights), held only as its coordinates W_TOs^T C_w W_TAs =
-    Z^T (w * W_TAs) with Z = A_w^-T W_TOs, A_w = diag(w) G_TAs_TAs +
-    lam_T I: the r_TO columns of the shifted test-observation factor are
-    the left columns of ``kbr_step_batch``, in the form
-    ``gramops.kbr_form`` picks for the shifted test-action factor's rank
-    (an r_TA x r_TA Woodbury system per row at low rank, one T x T LU per
-    row near full rank).  For training state i with coordinates S_i =
-    W_TO^T C_i W_TA,
+    weights), held only as its coordinates W_TOs^T C_w W_TAs
+    (``gramops.factor_coordinates``: C_w is symmetric, so one
+    ``kbr_step_batch`` per row solves it against the r_TO columns of the
+    shifted test-observation factor or the r_TA of the test-action one,
+    whichever are fewer, in the form ``gramops.kbr_form`` picks for the
+    test-action rank: an r_TA x r_TA Woodbury system per row at low rank,
+    one T x T LU per row near full rank).  For training state i with
+    coordinates S_i = W_TO^T C_i W_TA,
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
 
@@ -260,23 +262,20 @@ def propagate_many(
 
     ``extra`` (B, T), if given, holds one more kernel vector per row, the
     rollout's planned window against the shifted test-action windows, that
-    rides on the same factorization as one more, right-hand, column; the
-    result is then the pair (propagated rows, C_w applied to each extra
-    vector), and
+    rides on the same factorization as one more column; the result is
+    then the pair (propagated rows, C_w applied to each extra vector), and
     a row whose solve fails is solved again as the two separate solves,
     ``window-conditioning[b]`` and ``shift-conditional[b]``.
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
-    Z = kbr_step_batch(  # C_w^T W_TOs = diag(w) Z per row
-        W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=g.W_TAs, left=True,
+    coords = factor_coordinates(  # W_TOs^T C_w W_TAs per row
+        W, g.G_TAs_TAs, g.lam_T, g.W_TAs, g.W_TOs,
         label="shift-conditional", events=events,
         extra=extra, extra_label="window-conditioning",
     )
     if extra is not None:
-        Z, solved_extra = Z
-    Z *= W[:, :, None]
-    coords = Z.transpose(0, 2, 1) @ g.W_TAs  # W_TOs^T C_w W_TAs per row
+        coords, solved_extra = coords
     q = coords.reshape(len(W), -1) @ model.state_factors.T
     out = q @ model.state_ridge.T
     return out if extra is None else (out, solved_extra)

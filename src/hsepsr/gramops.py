@@ -36,16 +36,11 @@ rank the factor has, not a setting: the discrete models' test-action
 Grams (rank 2-6) and every single-step observation Gram seen so far
 solve in Woodbury form, the T = 160 ODE test-action Grams (rank 155) in
 the dense form.  Both forms apply the dense system's residual test and
-escalate a failing row alike.  The Woodbury form solves with V V^T in
-place of G, so over a truncated factor (below) the two forms differ by
-as much as the dropped eigenvalues move the solve.
-
-Besides right columns k, ``kbr_step_batch`` solves left columns L,
-Z = (diag(w) G + lam I)^-T L, from the same factorization: ``getrs``
-with the transpose in the dense form, and Z = (L - V y) / lam with the
-same r x r system, y solved against V^T (w*L), in the Woodbury form.
-Then L^T C Y = Z^T (w * Y) for the conditioning matrix C, without a
-solve against the columns of Y.
+escalate a failing row alike.  The Gram G the dense form is given equals
+V V^T to rounding (the cache builds the test-action Grams from their
+truncated factors, and the single-step factors drop nothing above
+rounding), so the form is a choice of speed only: both solve the same
+system and agree to rounding.
 
 The test windows and their one-step shifts are factored jointly
 (``window_factors``): one factor of the Gram of both lists, split by rows
@@ -55,18 +50,22 @@ below ``FACTOR_FLOOR`` times the scaled regularizer lam_T are dropped,
 a Nystrom-type truncation (Williams & Seeger, NIPS 2001): an eigenvalue
 far below the ridge barely moves a ridge solution.  The T = 160 ODE
 model keeps 155 test-action and 40 test-observation eigenvalues of 161,
-the T = 480 desk model 253 and 53 of 481.
-The single-step factors (``low_rank_factor`` at floor 0) keep every
-eigenvalue above numpy's ``matrix_rank`` tolerance.  A conditioning
-matrix C against the test windows then enters an inner product of
-operators only as its factor coordinates W_obs^T C W_act:
+the T = 480 desk model 253 and 53 of 481.  The test-action Grams the
+solves read, G_TA_TA and G_TAs_TAs, are the products of the truncated
+factors, so every solve against them, dense or Woodbury, uses the same
+truncated Gram.  The single-step factors (``low_rank_factor`` at floor
+0) keep every eigenvalue above numpy's ``matrix_rank`` tolerance.  A
+conditioning matrix C against the test windows then enters an inner
+product of operators only as its factor coordinates W_obs^T C W_act:
 
     <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
 
-which ``state_factors`` computes for the training states and the filter's
-propagation step for the belief, both from the observation side: the
-r_obs factor columns are the left columns of the solve, and W_act enters
-only through one product.
+which ``factor_coordinates`` computes, for the training states
+(``state_factors``) and for the belief in the filter's propagation step.
+C is symmetric for a symmetric G (C = diag(w) (G diag(w) + lam I)^-1 by
+push-through), so W_obs^T C W_act = (C W_obs)^T W_act, and the solve runs
+against whichever factor has fewer columns: the observation side on the
+ODE and desk models, the action side on the discrete ones.
 """
 
 from __future__ import annotations
@@ -205,9 +204,7 @@ def _within_rtol(res: np.ndarray, rhs: np.ndarray) -> bool:
     return residual <= RESIDUAL_RTOL * math.sqrt(rhs_sq) or rhs_sq == 0.0
 
 
-def _factor_rows(
-    fill, shape, lam: float, split: int | None = None, left: bool = False
-):
+def _factor_rows(fill, shape, lam: float, split: int | None = None):
     """Plain per-row solves of (M_b + lam I) X_b = R_b, without escalation.
 
     ``shape`` is (B, n, m); ``fill(b, M, R)`` writes row b's (n, n) matrix
@@ -218,12 +215,9 @@ def _factor_rows(
     factorization succeeded, X_b is finite and its residual on the system
     solved is within ``RESIDUAL_RTOL`` of the norm of R_b.  With ``split``,
     the columns before and after it are tested separately, each against
-    its own right-hand side's norm.  With ``left``, the columns before
-    ``split`` (all of them without it) solve the transposed system
-    (M_b + lam I)^T X = R from the same factorization.
+    its own right-hand side's norm.
     """
     B, n, m = shape
-    split = m if split is None else split
     x = np.empty(shape)
     ok = np.zeros(B, dtype=bool)
     lhs = np.empty((n, n))
@@ -232,12 +226,7 @@ def _factor_rows(
     rhs = np.empty((n, m))
     xb = np.empty((n, m), order="F")
     res = np.empty((n, m))
-    tested = [slice(None, split), slice(split, None)] if split < m else [slice(None)]
-    # (columns, transposed) per getrs call
-    if left and split < m:
-        solves = [(tested[0], 1), (tested[1], 0)]
-    else:
-        solves = [(slice(None), int(left))]
+    groups = [slice(None, split), slice(split, None)] if split else [slice(None)]
     with np.errstate(invalid="ignore", over="ignore"):
         for b in range(B):
             fill(b, lhs, rhs)
@@ -247,19 +236,13 @@ def _factor_rows(
             if info != 0:
                 continue
             np.copyto(xb, rhs)
-            for g, trans in solves:
-                # an F-order column block is contiguous: solved in place
-                _, info_g = sla.lapack.dgetrs(
-                    lu, piv, xb[:, g], trans=trans, overwrite_b=1
-                )
-                info = info or info_g
+            xb, info = sla.lapack.dgetrs(lu, piv, xb, overwrite_b=1)
             x[b] = xb
             if info != 0 or not np.isfinite(xb).all():
                 continue
-            for g, trans in solves:
-                np.matmul(lhs.T if trans else lhs, xb[:, g], out=res[:, g])
+            np.matmul(lhs, xb, out=res)
             res -= rhs
-            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in tested)
+            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in groups)
     return x, ok
 
 
@@ -283,15 +266,13 @@ def solve_rows(
     events: list | None = None,
     first_row: int = 0,
     accept=None,
-    left: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (M_b + lam I) X_b = R_b for every row b, one LU per row.
 
     ``shape`` is (B, n, m) and ``fill(b, M, R)`` writes row b's system into
-    reused buffers (``_stacked`` adapts stacked arrays); with ``left`` the
-    transposed systems (M_b + lam I)^T X_b = R_b are solved instead.  Each
-    row is checked as ``escalated_solve`` checks a solve: finite, with a
-    residual within ``RESIDUAL_RTOL`` on the system solved, and passing
+    reused buffers (``_stacked`` adapts stacked arrays).  Each row is
+    checked as ``escalated_solve`` checks a solve: finite, with a residual
+    within ``RESIDUAL_RTOL`` on the system solved, and passing
     ``accept(X[rows], lam_rows, rows)`` (if given; it returns one bool per
     row).  Rows that fail, an exactly singular one included, are solved
     again by ``escalated_solve``, which escalates and records
@@ -300,7 +281,7 @@ def solve_rows(
     solved with.
     """
     B, n, m = shape
-    x, ok = _factor_rows(fill, shape, lam, left=left)
+    x, ok = _factor_rows(fill, shape, lam)
     used = np.full(B, float(lam))
     if accept is not None:
         rows = np.flatnonzero(ok)
@@ -310,8 +291,6 @@ def solve_rows(
         row = np.array([b])
         M_b, rhs_b = np.empty((n, n)), np.empty((n, m))
         fill(b, M_b, rhs_b)
-        if left:
-            M_b = M_b.T
         row_events: list = []
         x[b] = escalated_solve(
             lambda l: M_b + l * eye, rhs_b, lam, sym=False,
@@ -340,35 +319,25 @@ def kbr_form(T: int, r: int, m: int) -> str:
 
 
 class _WoodburyRows:
-    """Row b's kernel Bayes step in Woodbury form over G = V V^T, with
-    A_b = diag(w_b) V V^T + lam I and M_b = lam I_r + V^T diag(w_b) V:
+    """Row b's kernel Bayes step (diag(w_b) V V^T + lam I)^-1 (w_b * K_b)
+    in Woodbury form: the r x r systems
 
-        right columns K:  A_b^-1 (w_b * K) = (w_b * K - w_b * (V Y)) / lam,
-        left columns L:   A_b^-T L         = (L - V Y) / lam,
-        M_b Y = V^T (w_b * K), resp. V^T (w_b * L),
+        (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * K_b)
 
-    so both kinds share the one r x r system per row.  The systems are in
-    ``solve_rows``' fill form, and ``apply`` turns their solutions into
-    the steps.  ``cols`` is (B or 1, T, m), right columns or, with
-    ``left``, left ones; ``extra`` (B, T) or None, one more right column
-    per row.  Kernel vectors are held as the rows of (B, n, T) arrays, so
-    that a single column is computed with the same (B, T) by (T, r)
-    products as a plain (B, T) batch.  ``steps`` keeps what ``accept``
-    computed, so that an accepted solution is applied only once."""
+    in ``solve_rows``' fill form, and the steps X_b = (w_b * K_b -
+    w_b * (V Y_b)) / lam they give.  ``cols`` is (B or 1, T, m), ``extra``
+    (B, T) or None, one more column per row.  Kernel vectors are held as
+    the rows of (B, n, T) arrays, so that a single column is computed with
+    the same (B, T) by (T, r) products as a plain (B, T) batch.  ``steps``
+    keeps what ``accept`` computed, so that an accepted solution is
+    applied only once."""
 
-    def __init__(self, W, cols, extra, V, left=False):
+    def __init__(self, W, cols, extra, V):
         B, T = W.shape
-        m = cols.shape[2]
-        K = cols.transpose(0, 2, 1)
-        WK = W[:, None, :] * K
-        # the dense system's right-hand sides; one row is shared by all rows
-        rhs = K if left else WK
+        WK = W[:, None, :] * cols.transpose(0, 2, 1)
         if extra is not None:
-            WE = (W * extra)[:, None, :]
-            WK = np.concatenate([WK, WE], axis=1)
-            rhs = np.concatenate([np.broadcast_to(rhs, (B, m, T)), WE], axis=1)
-        self.W, self.V, self.rhs = W, V, rhs
-        self.n_left = m if left else 0
+            WK = np.concatenate([WK, (W * extra)[:, None, :]], axis=1)
+        self.W, self.V, self.WK = W, V, WK
         self.M = (W[:, None, :] * V.T[None, :, :]) @ V
         self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
         self.shape = (B, V.shape[1], WK.shape[1])
@@ -385,14 +354,10 @@ class _WoodburyRows:
         X = Y.transpose(0, 2, 1).reshape(-1, r) @ self.V.T
         X = X.reshape(len(Y), self.shape[2], T)
         with np.errstate(invalid="ignore", over="ignore"):
-            if self.n_left < X.shape[1]:
-                X[:, self.n_left :] *= self.W[rows, None, :]
-            np.subtract(self._rhs(rows), X, out=X)
+            X *= self.W[rows, None, :]
+            np.subtract(self.WK[rows], X, out=X)
             X /= lam[:, None, None]
         return X.transpose(0, 2, 1)
-
-    def _rhs(self, rows):
-        return self.rhs if len(self.rhs) == 1 else self.rhs[rows]
 
     def accept(self, Y, lam, rows) -> np.ndarray:
         """``solve_rows``' accept hook: ``rows_ok`` of the steps of Y, which
@@ -402,30 +367,23 @@ class _WoodburyRows:
         return self.rows_ok(X, lam, rows)
 
     def rows_ok(self, X, lam, rows=slice(None), split=None) -> np.ndarray:
-        """Per row: X is finite and solves the dense system, A_b X = w*K for
-        right columns and A_b^T X = L for left ones, within
-        ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies, evaluated
-        in factored form (the r x r system alone can pass its own test
-        while the step it stands for is singular).  With ``split``, the
-        columns before and after it are tested against their own
-        right-hand side's norm."""
+        """Per row: X is finite and solves (diag(w) V V^T + lam I) X = w*K
+        within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to
+        the dense system, evaluated in factored form (the r x r system
+        alone can pass its own test while the step it stands for is
+        singular).  With ``split``, the columns before and after it are
+        tested against their own right-hand side's norm."""
         T = self.V.shape[0]
         Xt = X.transpose(0, 2, 1)
-        rhs = self._rhs(rows)
-        W = self.W[rows, None, :]
-        n_left = self.n_left
+        WK = self.WK[rows]
         with np.errstate(invalid="ignore", over="ignore"):
-            P = Xt * W if n_left else Xt  # left columns: V V^T (w * X)
-            if 0 < n_left < Xt.shape[1]:
-                P[:, n_left:] = Xt[:, n_left:]
-            res = ((P.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
-            if n_left < Xt.shape[1]:  # right columns: w * (V V^T X)
-                res[:, n_left:] *= W
+            res = ((Xt.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
+            res *= self.W[rows, None, :]
             res += lam[:, None, None] * Xt
-            res -= rhs
+            res -= WK
         ok = np.isfinite(Xt).all(axis=(1, 2))
         for g in [slice(None, split), slice(split, None)] if split else [slice(None)]:
-            ok &= _rows_within_rtol(res[:, g], rhs[:, g])
+            ok &= _rows_within_rtol(res[:, g], WK[:, g])
         return ok
 
 
@@ -443,7 +401,6 @@ def kbr_step_batch(
     k: np.ndarray,
     *,
     factor: np.ndarray | None = None,
-    left: bool = False,
     label: str = "kbr",
     events: list | None = None,
     first_row: int = 0,
@@ -454,30 +411,25 @@ def kbr_step_batch(
     weights are (B, T); k is (B, T), giving a (B, T) result, or
     (B, T, m), giving (B, T, m) (leading dimension 1 shares it across
     rows).  Row b solves A_b = diag(w_b) G + lam I against w_b * k_b,
-    giving C_b k_b for the conditioning matrix C_b = A_b^-1 diag(w_b);
-    with ``left``, the columns of k are left columns L_b instead, and the
-    result is Z_b = A_b^-T L_b, so that L_b^T C_b Y = Z_b^T (w_b * Y) for
-    any Y without solving against Y's columns.
+    giving C_b k_b for the conditioning matrix C_b = A_b^-1 diag(w_b).
 
     The form is chosen per call by ``kbr_form`` from T, the number of
-    columns (those of k and the extra one) and the rank r of ``factor`` V
-    (G = V V^T, shape (T, r)), if given.  The dense form writes row b's
+    columns (those of k and the extra one) and the rank r of ``factor`` V,
+    if given, which must satisfy G = V V^T, so that both forms solve the
+    same system and agree to rounding.  The dense form writes row b's
     system A_b and its right-hand sides into ``solve_rows``' row buffers
-    and factors them in place; left columns are solved against the
-    transposed factors.  The Woodbury form solves the r x r systems
-    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b), for right and left
-    columns alike, through ``solve_rows`` and returns X_b = (w_b * k_b -
-    w_b * (V Y_b)) / lam, or (L_b - V Y_b) / lam for left columns; each
-    row must also pass the dense system's residual test, evaluated in
-    factored form, and a row that fails either test escalates its
-    regularizer, which then enters both the r x r solve and the outer
-    1/lam.  Either way a failing row records ``label[first_row + b]`` as
-    a single-row solve would.
+    and factors them in place.  The Woodbury form solves the r x r systems
+    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) through ``solve_rows``
+    and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
+    pass the dense system's residual test, evaluated in factored form, and
+    a row that fails either test escalates its regularizer, which then
+    enters both the r x r solve and the outer 1/lam.  Either way a failing
+    row records ``label[first_row + b]`` as a single-row solve would.
 
-    ``extra`` (B, T), if given, holds one more kernel vector per row, a
-    right column solved in the same factorization; the result is then the
-    pair (that of k, the (B, T) extra solutions).  The columns of k and the
-    extra column each pass the residual test against their own right-hand
+    ``extra`` (B, T), if given, holds one more kernel vector per row,
+    solved in the same factorization; the result is then the pair (that
+    of k, the (B, T) extra solutions).  The columns of k and the extra
+    column each pass the residual test against their own right-hand
     side's norm, so the many columns of k cannot mask a poor extra one.
     A row that fails either test is solved again by the two separate
     calls, all extra ones first, which escalate and record
@@ -490,33 +442,28 @@ def kbr_step_batch(
     n = m + (extra is not None)
     woodbury = None
     if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
-        woodbury = _WoodburyRows(w, cols, extra, factor, left)
+        woodbury = _WoodburyRows(w, cols, extra, factor)
         fill, shape = woodbury.fill, woodbury.shape
     else:
 
         def fill(b, lhs, rhs):
             wb = w[b, :, None]
             np.multiply(wb, G, out=lhs)
-            if left:
-                rhs[:, :m] = cols[b % len(cols)]
-            else:
-                np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
+            np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
             if extra is not None:
                 np.multiply(w[b], extra[b], out=rhs[:, m])
 
         shape = (len(w), len(G), n)
-    # the Woodbury form solves left columns against M_b itself
-    transposed = left and woodbury is None
 
     if extra is None:
         x, used = solve_rows(
             fill, shape, lam, label=label, events=events, first_row=first_row,
-            accept=None if woodbury is None else woodbury.accept, left=transposed,
+            accept=None if woodbury is None else woodbury.accept,
         )
         if woodbury is not None:
             x = woodbury.steps
     else:
-        x, ok = _factor_rows(fill, shape, lam, split=m, left=transposed)
+        x, ok = _factor_rows(fill, shape, lam, split=m)
         if woodbury is not None:
             lam_rows = np.full(len(w), float(lam))
             x = woodbury.apply(x, lam_rows)
@@ -530,7 +477,7 @@ def kbr_step_batch(
         for b in failed:
             x[b, :, :m] = kbr_step_batch(
                 w[b : b + 1], G, lam, cols[b % len(cols)][None], factor=factor,
-                left=left, label=label, events=events, first_row=first_row + b,
+                label=label, events=events, first_row=first_row + b,
             )[0]
     out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
     # a copy, so that the extra solutions do not keep all of x alive
@@ -593,6 +540,44 @@ def window_factors(kernel, now: np.ndarray, shifted: np.ndarray, floor: float = 
     return W[: len(now)], W[len(now) :]
 
 
+def factor_coordinates(
+    weights: np.ndarray,
+    G: np.ndarray,
+    lam: float,
+    W_act: np.ndarray,
+    W_obs: np.ndarray,
+    *,
+    label: str,
+    events: list | None = None,
+    first_row: int = 0,
+    extra: np.ndarray | None = None,
+    extra_label: str = "extra",
+):
+    """Row b: the factor coordinates W_obs^T C_b W_act, shape (r_obs, r_act),
+    of the conditioning matrix C_b = ``conditioning_matrix(w_b, G, lam)``
+    for the Gram G = W_act W_act^T.
+
+    C_b is symmetric for a symmetric G (C_b = diag(w_b) (G diag(w_b) +
+    lam I)^-1 by push-through), so the coordinates are (C_b W_obs)^T W_act
+    as well as W_obs^T (C_b W_act): one ``kbr_step_batch`` per row solves
+    the side with fewer factor columns, the observation side when
+    r_obs < r_act, in the form ``kbr_form`` picks for W_act's rank, and
+    the other factor enters by one product.  ``label``, ``events``,
+    ``first_row``, ``extra`` and ``extra_label`` go to ``kbr_step_batch``;
+    with ``extra`` the result is the pair (coordinates, extra solutions).
+    """
+    obs_side = W_obs.shape[1] < W_act.shape[1]
+    X = kbr_step_batch(
+        weights, G, lam, (W_obs if obs_side else W_act)[None], factor=W_act,
+        label=label, events=events, first_row=first_row,
+        extra=extra, extra_label=extra_label,
+    )
+    if extra is not None:
+        X, solved_extra = X
+    coords = X.transpose(0, 2, 1) @ W_act if obs_side else W_obs.T @ X
+    return coords if extra is None else (coords, solved_extra)
+
+
 def state_factors(
     weight_columns: np.ndarray,
     G: np.ndarray,
@@ -607,28 +592,24 @@ def state_factors(
 
     Row s is W_obs^T C_s W_act, flattened, with C_s =
     ``conditioning_matrix(a_s, G, lam)`` for weight column a_s and the Gram
-    G = W_act W_act^T.  It is solved from the observation side: W_obs^T C_s
-    W_act = Z_s^T (a_s * W_act) with Z_s = A_s^-T W_obs, the ``left``
-    columns of the ``kbr_step_batch`` row of a_s, so each sample solves
-    r_obs columns in the form ``kbr_form`` picks for W_act's rank (r x r
-    Woodbury systems while r is well below T, one T x T LU per sample near
-    full rank), escalated and recorded as ``label[s]``.  Samples are
-    solved in blocks of T // max(r_act, r_obs) (at least one), so no
-    temporary exceeds about T^2 floats.  The Gram of the matrices,
+    G = W_act W_act^T: the ``factor_coordinates`` row of a_s, solved
+    against the smaller of the two factors (r x r Woodbury systems while
+    W_act's rank r is well below T, one T x T LU per sample near full
+    rank), escalated and recorded as ``label[s]``.  Samples are solved in
+    blocks of T // r_act (at least one), so no temporary exceeds about
+    T^2 floats.  The Gram of the matrices,
     trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of the rows.
     """
     A = np.asarray(weight_columns, dtype=float)
     T, S = A.shape
     out = np.empty((S, W_obs.shape[1] * W_act.shape[1]))
-    block = max(1, T // max(1, W_act.shape[1], W_obs.shape[1]))
+    block = max(1, T // max(1, W_act.shape[1]))
     for start in range(0, S, block):
-        a = A[:, start : start + block].T
-        Z = kbr_step_batch(
-            a, G, lam, W_obs[None], factor=W_act, left=True,
+        coords = factor_coordinates(
+            A[:, start : start + block].T, G, lam, W_act, W_obs,
             label=label, events=events, first_row=start,
         )
-        Z *= a[:, :, None]
-        out[start : start + len(Z)] = (Z.transpose(0, 2, 1) @ W_act).reshape(len(Z), -1)
+        out[start : start + len(coords)] = coords.reshape(len(coords), -1)
     return out
 
 
@@ -693,9 +674,11 @@ def history_weights(
 @dataclass
 class GramCache:
     """The training Grams and factors that runtime code reads: the
-    test-action Gram ``G_TA_TA`` (the state build), its shifted twin
-    ``G_TAs_TAs`` (the filter's shift and window conditioning) and the
-    observation Gram ``G_O_O`` (the dense form of ``kbr_step_batch``);
+    test-action Gram ``G_TA_TA`` (the state build) and its shifted twin
+    ``G_TAs_TAs`` (the filter's shift and window conditioning), formed as
+    W_TA W_TA^T and W_TAs W_TAs^T from the truncated factors, and the
+    observation Gram ``G_O_O``, all read by the dense form of
+    ``kbr_step_batch``;
     low-rank factors ``V_A``/``V_O`` of the single-step action and
     observation Grams (``low_rank_factor``); joint factors ``W_TA``/``W_TAs``
     and ``W_TO``/``W_TOs`` of the test windows and their shifts
@@ -719,7 +702,9 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
     ``windows`` is a WindowedData and ``kernels`` a resolved KernelSet;
     shifted window lists reuse the kernel of their unshifted stream.  The
     regularizer is scaled by the sample count, matching its role as a
-    ridge penalty on averaged Gram operators.
+    ridge penalty on averaged Gram operators.  The test-action Grams are
+    the products of their factors, so that a dense solve against them and
+    a Woodbury solve over the factor solve the same system.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -734,12 +719,8 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         kernels.test_obs, windows.test_obs, windows.shifted_test_obs, floor
     )
     return GramCache(
-        G_TA_TA=gram(kernels.test_action, windows.test_actions, windows.test_actions),
-        G_TAs_TAs=gram(
-            kernels.test_action,
-            windows.shifted_test_actions,
-            windows.shifted_test_actions,
-        ),
+        G_TA_TA=W_TA @ W_TA.T,
+        G_TAs_TAs=W_TAs @ W_TAs.T,
         G_O_O=G_O_O,
         V_A=low_rank_factor(
             gram(kernels.action, windows.cur_actions, windows.cur_actions)

@@ -19,8 +19,9 @@ model alike:
    kept only as its coordinates in the joint factors of the test windows
    (``gramops.state_factors``: row i of ``state_factors`` is
    W_TO^T C_i W_TA, r_TO r_TA numbers, over the factors truncated at
-   ``gramops.FACTOR_FLOOR`` times lam_T); it is solved from the
-   observation side, the r_TO columns of W_TO as left columns, in the form
+   ``gramops.FACTOR_FLOOR`` times lam_T); it is solved against the fewer
+   factor columns (``gramops.factor_coordinates``: the r_TO of W_TO on the
+   ODE and desk models), in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per sample near full rank,
 4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import hsepsr.gramops as gramops
 from hsepsr.gramops import (
+    FACTOR_FLOOR,
     ConditioningFactors,
     GramCache,
     SolveEvent,
@@ -111,9 +112,9 @@ class TrainingReport:
     r_test_obs * r_test_action is the length of one state-factor row.
     ``summary_lines`` also names the form (``gramops.kbr_form``) in which
     the state build solves: the test-action rank and T pick it, and the
-    r_test_obs left columns are solved per sample.  ``factor_floor`` is the
-    eigenvalue floor of the test-window factors (``gramops.FACTOR_FLOOR``
-    times lam_T).
+    smaller of r_test_obs and r_test_action is the number of columns
+    solved per sample; and the eigenvalue floor of the test-window
+    factors, ``gramops.FACTOR_FLOOR`` times lam_T.
     """
 
     n_samples: int
@@ -124,7 +125,6 @@ class TrainingReport:
     stage_seconds: dict = field(default_factory=dict)
     truncated_from: int | None = None
     ranks: dict = field(default_factory=dict)
-    factor_floor: float = 0.0
 
     def summary_lines(self) -> list[str]:
         samples = f"samples: {self.n_samples}"
@@ -133,18 +133,17 @@ class TrainingReport:
         lines = [
             samples,
             f"regularizer: {self.lam:g} (scaled {self.lam_T:g})",
-            f"factor floor: {self.factor_floor:g} "
-            f"({self.factor_floor / self.lam_T:g} x lam_T)",
+            f"factor floor: {FACTOR_FLOOR * self.lam_T:g} "
+            f"({FACTOR_FLOOR:g} x lam_T)",
         ]
         for stream, rank in self.ranks.items():
             lines.append(f"rank[{stream}]: {rank}")
         if {"test_action", "test_obs"} <= self.ranks.keys():
-            T, r_act, r_obs = (
-                self.n_samples, self.ranks["test_action"], self.ranks["test_obs"]
-            )
+            T, r_act = self.n_samples, self.ranks["test_action"]
+            m = min(r_act, self.ranks["test_obs"])
             lines.append(
-                f"solve[test_action]: {kbr_form(T, r_act, r_obs)} "
-                f"(rank {r_act} of T = {T}, {r_obs} left columns)"
+                f"solve[test_action]: {kbr_form(T, r_act, m)} "
+                f"(rank {r_act} of T = {T}, {m} columns)"
             )
         for stream, bw in self.bandwidths.items():
             lines.append(
@@ -400,7 +399,6 @@ def train_from_windows(
             "test_action": cache.W_TA.shape[1],
             "test_obs": cache.W_TO.shape[1],
         },
-        factor_floor=gramops.FACTOR_FLOOR * cache.lam_T,
     )
     return model
 

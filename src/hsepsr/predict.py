@@ -22,7 +22,7 @@ system per belief, (diag(w) G_TAs_TAs + lam_T I), from the same belief at
 the same level, each in the form ``gramops.kbr_form`` picks for the rank
 of G_TAs_TAs.  At every level followed by a feedback update the window's
 kernel vector therefore rides on the propagation's solve as one more
-column, a right column beside the propagation's left ones, so each row's
+column, beside the propagation's factor columns, so each row's
 system is factored once per level; the last level conditions on its
 window alone.
 """

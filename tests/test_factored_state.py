@@ -162,7 +162,7 @@ class TestStateFactors:
         )
 
 
-def _todays_factor(G):
+def _unfloored_factor(G):
     """``low_rank_factor`` as it was before the floor: every eigenvalue
     above numpy's ``matrix_rank`` tolerance."""
     vals, vecs = np.linalg.eigh(G)
@@ -171,7 +171,7 @@ def _todays_factor(G):
 
 
 class TestFactorFloor:
-    def test_floor_zero_is_todays_factor(self, model_factory):
+    def test_floor_zero_is_unfloored_factor(self, model_factory):
         """At floor 0 ``low_rank_factor``, ``window_factors`` and the model
         built by ``model_factory`` hold the old factors bit for bit."""
         model, _ = model_factory()
@@ -184,7 +184,7 @@ class TestFactorFloor:
                 np.vstack([now, shifted]), axis=0, return_inverse=True
             )
             G = gram(kernel, distinct, distinct)
-            want = _todays_factor(G)
+            want = _unfloored_factor(G)
             assert np.array_equal(gramops.low_rank_factor(G, 0.0), want)
             rows = want[inverse.ravel()]
             assert np.array_equal(np.vstack(window_factors(kernel, now, shifted)), rows)
@@ -197,7 +197,7 @@ class TestFactorFloor:
         g = model.grams
         T = model.n_samples
         floor = gramops.FACTOR_FLOOR * g.lam_T
-        assert model.report.factor_floor == floor
+        assert f"factor floor: {floor:g} (0.01 x lam_T)" in model.report.summary_lines()
         assert g.W_TA.shape[1] < T and g.W_TO.shape[1] < T
         d = dense_grams(model.windowed, model.kernels)
         for G, left, right in (

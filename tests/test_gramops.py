@@ -7,6 +7,7 @@ import scipy.linalg as sla
 
 import hsepsr.gramops as gramops
 from hsepsr.gramops import (
+    FACTOR_FLOOR,
     GramCache,
     build_gram_cache,
     conditioning_matrix,
@@ -341,10 +342,14 @@ class TestGramCache:
         assert cache.lam_T == pytest.approx(1e-3 * T)
         for name in ("G_TA_TA", "G_TAs_TAs", "G_O_O"):
             assert getattr(cache, name).shape == (T, T)
-        assert np.array_equal(
-            cache.G_TAs_TAs,
-            gram(ks.test_action, w.shifted_test_actions, w.shifted_test_actions),
-        )
+        # the test-action Grams are the products of their truncated factors,
+        # within the floor of the shifted windows' Gram under the test-action
+        # kernel
+        assert np.array_equal(cache.G_TAs_TAs, cache.W_TAs @ cache.W_TAs.T)
+        assert np.array_equal(cache.G_TA_TA, cache.W_TA @ cache.W_TA.T)
+        G_TAs_TAs = gram(ks.test_action, w.shifted_test_actions, w.shifted_test_actions)
+        floor = FACTOR_FLOOR * cache.lam_T
+        assert np.linalg.norm(cache.G_TAs_TAs - G_TAs_TAs, 2) <= floor * (1 + 1e-9)
         G_TO_TOs = dense_grams(w, ks).G_TO_TOs
         assert np.abs(cache.W_TO @ cache.W_TOs.T - G_TO_TOs).max() <= 1e-12
         # same-list Grams are exactly symmetric, diagonals exactly 1 for rbf

@@ -3,13 +3,14 @@
 ``kbr_step_batch`` solves in Woodbury form over the Gram's factor when
 ``kbr_form`` finds that cheaper, and row by row with one T x T LU
 otherwise; without a factor it always takes the dense form, which is the
-reference here.  Left columns L (``left=True``) give A_b^-T L from the same
-factorization and are checked against ``np.linalg.solve`` of the
-transposed system.  Low-rank cases run on the delta model (T = 118, rank
-2) and on an rbf model with L = N = 1 (T = 58, rank 15); full-rank cases
-on the default rbf model, where the propagation and the state build,
-solved from the observation side, must match the right-side dense path
-within 1e-10 and the window conditioning must be it bit for bit.
+reference here.  Low-rank cases run on the delta model (T = 118, rank 2)
+and on an rbf model with L = N = 1 (T = 58, rank 15); full-rank cases on
+the default rbf model, where every result must be the dense path's bit
+for bit.  At the default factor floor the dense form is given the
+truncated Gram, so it must agree with the Woodbury form, a fused call
+with its unfused calls, and a propagation solved from the observation
+side with the dense path against the test-action factor, within 1e-10,
+also where two of them pick different forms.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ import pytest
 
 from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
+    FACTOR_FLOOR,
     kbr_form,
     kbr_step_batch,
     state_factors,
@@ -174,71 +176,68 @@ class TestEscalation:
         assert np.array_equal(got_e, want_e) and np.array_equal(got, want)
 
 
-def _transposed_solves(W, G, lam, L):
-    """Row b: np.linalg.solve((diag(W[b]) G + lam_b I)^T, L), with lam one
-    regularizer or one per row."""
-    lam = np.broadcast_to(lam, len(W))
-    T = G.shape[0]
-    return np.stack(
-        [np.linalg.solve((w[:, None] * G + l * np.eye(T)).T, L) for w, l in zip(W, lam)]
-    )
+#: rbf models at the default factor floor, by the side the propagation
+#: solves, the window conditioning's form and the propagation's form
+FLOORED = {
+    # T = 55, r_TA = 30, r_TO = 32
+    "action-mixed": (dict(seed=1), "action", "woodbury", "dense"),
+    # T = 56, r_TA = 30, r_TO = 15
+    "obs-woodbury": (dict(L=2, N=2, da=2, lam=1e-2), "obs", "woodbury", "woodbury"),
+    # T = 55, r_TA = 56 (all T + 1 distinct windows), r_TO = 32
+    "obs-dense": (dict(da=2), "obs", "dense", "dense"),
+}
 
 
-@pytest.fixture(params=["woodbury", "dense"])
-def form(request):
-    return request.param
+@pytest.fixture(params=list(FLOORED))
+def floored_model(request, model_factory):
+    kw, side, window, propagation = FLOORED[request.param]
+    model, _ = model_factory(factor_floor=FACTOR_FLOOR, **kw)
+    T = model.n_samples
+    r, r_obs = model.grams.W_TAs.shape[1], model.grams.W_TOs.shape[1]
+    assert (r_obs < r) == (side == "obs")
+    assert kbr_form(T, r, 1) == window
+    assert kbr_form(T, r, min(r, r_obs) + 1) == propagation
+    return model
 
 
-class TestLeftColumns:
-    """Z_b = A_b^-T L for A_b = diag(w_b) G + lam I, in both forms: on the
-    low-rank models with their factor (Woodbury) and without it (dense)."""
+class TestFormsAgreeAtTheDefaultFloor:
+    """The form is a choice of speed only: the cache's test-action Grams
+    are the products of the truncated factors, so the dense form and the
+    Woodbury form solve one system."""
 
-    def test_match_the_transposed_solve(self, low_rank_model, form, rng):
-        g = low_rank_model.grams
-        W = _beliefs(low_rank_model, rng)
-        L = g.W_TOs
-        factor = g.W_TAs if form == "woodbury" else None
-        got = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True
+    def test_woodbury_and_dense_forms(self, floored_model, rng):
+        g = floored_model.grams
+        W = _beliefs(floored_model, rng)
+        K = rng.uniform(0.0, 1.0, W.shape)
+        for k in (K, g.W_TOs[None], g.W_TAs[None]):
+            got = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, k, factor=g.W_TAs)
+            assert _rel(got, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, k)) <= RTOL
+        S = floored_model.state_factors
+        assert _rel(S, _dense_state_factors(floored_model)) <= RTOL
+
+    def test_fused_and_unfused_calls(self, floored_model, rng):
+        model = floored_model
+        W = _beliefs(model, rng)
+        windows = model.shifted_test_actions[rng.integers(0, model.n_samples, len(W))]
+        K = gram(model.kernels.test_action, windows, model.shifted_test_actions)
+        gamma, P = condition_test_actions_many(model, W, windows, propagate=True)
+        assert _rel(gamma, condition_test_actions_many(model, W, windows)) <= RTOL
+        assert _rel(P, propagate_many(model, W)) <= RTOL
+        g = model.grams
+        _, fused_e = kbr_step_batch(
+            W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=g.W_TAs, extra=K
         )
-        assert _rel(got, _transposed_solves(W, g.G_TAs_TAs, g.lam_T, L)) <= RTOL
-        # the fused right column rides on the same factorization
-        E = rng.uniform(0.0, 1.0, W.shape)
-        fused, fused_e = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True, extra=E
-        )
-        assert _rel(fused, got) <= RTOL
-        assert _rel(fused_e, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, E)) <= RTOL
+        assert _rel(fused_e, gamma) <= RTOL
 
-    def test_give_the_projected_conditional(self, low_rank_model, form, rng):
-        """L^T C_w Y = Z^T (w * Y), the identity the propagation uses."""
-        g = low_rank_model.grams
-        W = _beliefs(low_rank_model, rng)
-        factor = g.W_TAs if form == "woodbury" else None
-        Z = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=factor, left=True
-        )
+    def test_propagate_many_matches_the_dense_path(self, floored_model, rng):
+        """Against the dense solve of C_w W_TAs on the same truncated Gram,
+        whichever side the propagation solves."""
+        model = floored_model
+        g = model.grams
+        W = _beliefs(model, rng)
         X = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None])
-        got = (W[:, :, None] * Z).transpose(0, 2, 1) @ g.W_TAs
-        assert _rel(got, g.W_TOs.T @ X) <= RTOL
-
-    def test_singular_row_escalates_alone(self, low_rank_model, form, rng):
-        g = low_rank_model.grams
-        W = _beliefs(low_rank_model, rng, B=3)
-        W[1] = _singular_row(g.G_TAs_TAs, g.lam_T)
-        L = g.W_TOs
-        factor = g.W_TAs if form == "woodbury" else None
-        events = []
-        got = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, L[None], factor=factor, left=True,
-            label="shift", events=events, first_row=4,
-        )
-        single = []
-        kbr_step(W[1], g.G_TAs_TAs, g.lam_T, g.W_TAs, label="shift[5]", events=single)
-        assert [e.label for e in events] == ["shift[5]"]
-        assert events == single
-        lam = np.array([g.lam_T, events[0].used, g.lam_T])
-        assert _rel(got, _transposed_solves(W, g.G_TAs_TAs, lam, L)) <= RTOL
+        q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
+        assert _rel(propagate_many(model, W), q @ model.state_ridge.T) <= RTOL
 
 
 class TestFullRankIsTheDensePath:
@@ -250,14 +249,12 @@ class TestFullRankIsTheDensePath:
         return model
 
     def test_propagate_many(self, model, rng):
-        """Against the right-side solve C_w W_TAs that the left-side one
-        replaced."""
         g = model.grams
         W = _beliefs(model, rng)
         X = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, g.W_TAs[None])
         q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
         want = q @ model.state_ridge.T
-        assert _rel(propagate_many(model, W), want) <= RTOL
+        assert np.array_equal(propagate_many(model, W), want)
 
     def test_condition_test_actions_many(self, model, rng):
         g = model.grams
@@ -268,7 +265,7 @@ class TestFullRankIsTheDensePath:
         assert np.array_equal(got, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, K))
 
     def test_state_factors(self, model):
-        assert _rel(model.state_factors, _dense_state_factors(model)) <= RTOL
+        assert np.array_equal(model.state_factors, _dense_state_factors(model))
 
 
 class TestStateFactorsMemory:
@@ -328,20 +325,20 @@ class TestReload:
 
 class TestTrainingReport:
     def test_names_the_form_for_the_test_action_rank(self, delta_model, model_factory):
-        """The state build solves r_test_obs left columns per sample in the
-        form the test-action rank picks; the floor line gives the cut."""
+        """The state build solves the fewer of r_test_obs and r_test_action
+        columns per sample in the form the test-action rank picks; the
+        floor line gives the cut."""
         lines = delta_model.report.summary_lines()
         assert "factor floor: 0.01 (0.01 x lam_T)" in lines
         i = lines.index("rank[test_action]: 2")
         assert lines[i + 1] == "rank[test_obs]: 3"
         assert lines[i + 2] == (
-            "solve[test_action]: woodbury (rank 2 of T = 118, 3 left columns)"
+            "solve[test_action]: woodbury (rank 2 of T = 118, 2 columns)"
         )
         full, _ = model_factory()
         T = full.n_samples
         lines = full.report.summary_lines()
-        assert "factor floor: 0 (0 x lam_T)" in lines
         i = lines.index(f"rank[test_action]: {T + 1}")
         assert lines[i + 2] == (
-            f"solve[test_action]: dense (rank {T + 1} of T = {T}, {T + 1} left columns)"
+            f"solve[test_action]: dense (rank {T + 1} of T = {T}, {T + 1} columns)"
         )
