@@ -264,8 +264,9 @@ def propagate_many(
     rollout's planned window against the shifted test-action windows, that
     rides on the same factorization as one more column; the result is
     then the pair (propagated rows, C_w applied to each extra vector), and
-    a row whose solve fails is solved again as the two separate solves,
-    ``window-conditioning[b]`` and ``shift-conditional[b]``.
+    a row whose solve fails has the window column and then the shift
+    columns escalated alone, recording ``window-conditioning[b]`` and
+    ``shift-conditional[b]`` as the two separate solves would.
     """
     g = model.grams
     W = np.asarray(W, dtype=float)

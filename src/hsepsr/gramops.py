@@ -16,10 +16,14 @@ near-singular Gram degrades accuracy instead of aborting a run.  The ridge
 shape is solved only while a model is built (the history weights and the
 inverse of the training states' Gram, which the filter then multiplies
 by); every filter step solves the conditioning shape.
-``solve_rows`` solves many such systems, one per row: each row's system is
-written into buffers reused from row to row and factored in place by
-LAPACK ``getrf``, and only the rows that fail the same test, an exactly
-singular one included, go through that escalation.
+Many such systems, one per row, are solved in one plain pass
+(``_factor_rows``): each row's system is written by its form into
+buffers reused from row to row and factored in place by LAPACK
+``getrf``.  The form then turns the solutions into steps and applies its
+own test (``steps``), and only the rows that fail either test, an
+exactly singular one included, are solved again by ``escalated_solve``,
+one row at a time (``_escalated_row``), with the form's test as its
+``accept``.  Every escalation goes through ``escalated_solve``.
 
 When a Gram has low rank, G = V V^T with V of shape (T, r), the
 conditioning solve takes the Woodbury form
@@ -70,7 +74,6 @@ ODE and desk models, the action side on the discrete ones.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -127,7 +130,6 @@ def escalated_solve(
     """
     if not lam > 0:
         raise ValueError("regularizer must be positive")
-    rhs_norm = float(np.linalg.norm(rhs))
     lam_eff = float(lam)
     for attempt in range(1 + MAX_JITTER_RETRIES):
         lhs = build_lhs(lam_eff)
@@ -140,8 +142,8 @@ def escalated_solve(
         except np.linalg.LinAlgError:
             x = None
         if x is not None and np.isfinite(x).all():
-            residual = float(np.linalg.norm(lhs @ x - rhs))
-            if (residual <= RESIDUAL_RTOL * rhs_norm or rhs_norm == 0.0) and (
+            res = lhs @ x - rhs
+            if _within_rtol(np.vdot(res, res), np.vdot(rhs, rhs)) and (
                 accept is None or accept(x, lam_eff)
             ):
                 if attempt > 0 and events is not None:
@@ -196,29 +198,28 @@ def conditioning_matrix(
     )
 
 
-def _within_rtol(res: np.ndarray, rhs: np.ndarray) -> bool:
-    """The residual's Frobenius norm is within ``RESIDUAL_RTOL`` times the
-    right-hand side's, or the right-hand side is zero."""
-    rhs_sq = float(np.vdot(rhs, rhs))
-    residual = math.sqrt(np.vdot(res, res))
-    return residual <= RESIDUAL_RTOL * math.sqrt(rhs_sq) or rhs_sq == 0.0
+def _within_rtol(res_sq, rhs_sq):
+    """The one residual test of every solve here, on squared Frobenius
+    norms (scalars or one per row): the residual's norm is within
+    ``RESIDUAL_RTOL`` times the right-hand side's, or the right-hand side
+    is zero."""
+    return (res_sq <= RESIDUAL_RTOL**2 * rhs_sq) | (rhs_sq == 0.0)
 
 
-def _factor_rows(fill, shape, lam: float, split: int | None = None):
+def _factor_rows(form, lam: float, groups=(slice(None),)):
     """Plain per-row solves of (M_b + lam I) X_b = R_b, without escalation.
 
-    ``shape`` is (B, n, m); ``fill(b, M, R)`` writes row b's (n, n) matrix
-    and (n, m) right-hand side into the buffers it is given, which are
-    reused from row to row, so no stack of systems is ever formed.  Each
-    row is factored by LAPACK ``getrf`` and solved by ``getrs``.  Returns
-    X and, per row, whether it passed ``escalated_solve``'s test: the
-    factorization succeeded, X_b is finite and its residual on the system
-    solved is within ``RESIDUAL_RTOL`` of the norm of R_b.  With ``split``,
-    the columns before and after it are tested separately, each against
-    its own right-hand side's norm.
+    ``form.shape`` is (B, n, m); ``form.fill(b, M, R)`` writes row b's
+    (n, n) matrix and (n, m) right-hand side into the buffers it is given,
+    which are reused from row to row, so no stack of systems is ever
+    formed.  Each row is factored by LAPACK ``getrf`` and solved by
+    ``getrs``.  Returns X and, per row, whether it passed
+    ``escalated_solve``'s test: the factorization succeeded, X_b is finite
+    and each column group in ``groups`` has a residual on the system
+    solved within ``RESIDUAL_RTOL`` of the norm of its own right-hand side.
     """
-    B, n, m = shape
-    x = np.empty(shape)
+    B, n, m = form.shape
+    x = np.empty(form.shape)
     ok = np.zeros(B, dtype=bool)
     lhs = np.empty((n, n))
     diagonal = lhs.reshape(-1)[:: n + 1]
@@ -226,10 +227,9 @@ def _factor_rows(fill, shape, lam: float, split: int | None = None):
     rhs = np.empty((n, m))
     xb = np.empty((n, m), order="F")
     res = np.empty((n, m))
-    groups = [slice(None, split), slice(split, None)] if split else [slice(None)]
     with np.errstate(invalid="ignore", over="ignore"):
         for b in range(B):
-            fill(b, lhs, rhs)
+            form.fill(b, lhs, rhs)
             diagonal += lam
             np.copyto(lu, lhs)
             lu, piv, info = sla.lapack.dgetrf(lu, overwrite_a=1)
@@ -242,68 +242,32 @@ def _factor_rows(fill, shape, lam: float, split: int | None = None):
                 continue
             np.matmul(lhs, xb, out=res)
             res -= rhs
-            ok[b] = all(_within_rtol(res[:, g], rhs[:, g]) for g in groups)
+            ok[b] = all(
+                _within_rtol(
+                    np.vdot(res[:, g], res[:, g]), np.vdot(rhs[:, g], rhs[:, g])
+                )
+                for g in groups
+            )
     return x, ok
 
 
-def _stacked(M: np.ndarray, rhs: np.ndarray):
-    """``solve_rows`` system of stacked (B, n, n) matrices and (B, n, m)
-    right-hand sides: the fill function and the shape."""
-
-    def fill(b, lhs, r):
-        lhs[...] = M[b]
-        r[...] = rhs[b]
-
-    return fill, rhs.shape
-
-
-def solve_rows(
-    fill,
-    shape: tuple,
-    lam: float,
-    *,
-    label: str,
-    events: list | None = None,
-    first_row: int = 0,
-    accept=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (M_b + lam I) X_b = R_b for every row b, one LU per row.
-
-    ``shape`` is (B, n, m) and ``fill(b, M, R)`` writes row b's system into
-    reused buffers (``_stacked`` adapts stacked arrays).  Each row is
-    checked as ``escalated_solve`` checks a solve: finite, with a residual
-    within ``RESIDUAL_RTOL`` on the system solved, and passing
-    ``accept(X[rows], lam_rows, rows)`` (if given; it returns one bool per
-    row).  Rows that fail, an exactly singular one included, are solved
-    again by ``escalated_solve``, which escalates and records
-    ``label[first_row + b]`` as a single-row solve would; the other rows
-    keep their plain solves.  Returns X and the regularizer each row was
-    solved with.
-    """
-    B, n, m = shape
-    x, ok = _factor_rows(fill, shape, lam)
-    used = np.full(B, float(lam))
-    if accept is not None:
-        rows = np.flatnonzero(ok)
-        ok[rows] = accept(x[rows], used[rows], rows)
+def _escalated_row(form, b: int, lam: float, *, label: str, events: list | None):
+    """Row b of ``form`` solved by ``escalated_solve``, with the form's test
+    as ``accept``: its steps, and the regularizer they were solved with."""
+    n, m = form.shape[1:]
+    M, R = np.empty((n, n)), np.empty((n, m))
+    form.fill(b, M, R)
     eye = np.eye(n)
-    for b in np.flatnonzero(~ok):
-        row = np.array([b])
-        M_b, rhs_b = np.empty((n, n)), np.empty((n, m))
-        fill(b, M_b, rhs_b)
-        row_events: list = []
-        x[b] = escalated_solve(
-            lambda l: M_b + l * eye, rhs_b, lam, sym=False,
-            label=f"{label}[{first_row + b}]", events=row_events,
-            accept=None if accept is None else (
-                lambda xb, l: bool(accept(xb[None], np.array([l]), row)[0])
-            ),
-        )
-        if row_events:
-            used[b] = row_events[0].used
-        if events is not None:
-            events.extend(row_events)
-    return x, used
+    row = slice(b, b + 1)
+    row_events: list = []
+    Y = escalated_solve(
+        lambda l: M + l * eye, R, lam, sym=False, label=label, events=row_events,
+        accept=lambda Y, l: form.steps(Y[None], l, row)[1][0],
+    )
+    used = row_events[0].used if row_events else float(lam)
+    if events is not None:
+        events.extend(row_events)
+    return form.steps(Y[None], used, row)[0][0], used
 
 
 def kbr_form(T: int, r: int, m: int) -> str:
@@ -318,19 +282,40 @@ def kbr_form(T: int, r: int, m: int) -> str:
     return "woodbury" if woodbury < dense else "dense"
 
 
+class _DenseRows:
+    """Row b's kernel Bayes step (diag(w_b) G + lam I) X_b = w_b * K_b in
+    ``_factor_rows``' fill form.  ``cols`` is (B or 1, T, m), ``extra``
+    (B, T) or None, one more column per row, written beside the shared
+    columns in the row buffer, never stacked with them.  The steps are
+    the solutions themselves, and pass as they are."""
+
+    def __init__(self, W, G, cols, extra):
+        self.W, self.G, self.cols, self.extra = W, G, cols, extra
+        self.m = cols.shape[2]
+        self.shape = (len(W), len(G), self.m + (extra is not None))
+
+    def fill(self, b, lhs, rhs):
+        wb = self.W[b, :, None]
+        np.multiply(wb, self.G, out=lhs)
+        np.multiply(wb, self.cols[b % len(self.cols)], out=rhs[:, : self.m])
+        if self.extra is not None:
+            np.multiply(self.W[b], self.extra[b], out=rhs[:, self.m])
+
+    def steps(self, Y, lam, rows=slice(None), groups=(slice(None),)):
+        return Y, np.ones(len(Y), dtype=bool)
+
+
 class _WoodburyRows:
     """Row b's kernel Bayes step (diag(w_b) V V^T + lam I)^-1 (w_b * K_b)
     in Woodbury form: the r x r systems
 
         (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * K_b)
 
-    in ``solve_rows``' fill form, and the steps X_b = (w_b * K_b -
-    w_b * (V Y_b)) / lam they give.  ``cols`` is (B or 1, T, m), ``extra``
-    (B, T) or None, one more column per row.  Kernel vectors are held as
-    the rows of (B, n, T) arrays, so that a single column is computed with
-    the same (B, T) by (T, r) products as a plain (B, T) batch.  ``steps``
-    keeps what ``accept`` computed, so that an accepted solution is
-    applied only once."""
+    in ``_factor_rows``' fill form, and the steps X_b = (w_b * K_b -
+    w_b * (V Y_b)) / lam they give.  ``cols`` and ``extra`` are as for
+    ``_DenseRows``.  Kernel vectors are held as the rows of (B, n, T)
+    arrays, so that a single column is computed with the same (B, T) by
+    (T, r) products as a plain (B, T) batch."""
 
     def __init__(self, W, cols, extra, V):
         B, T = W.shape
@@ -341,57 +326,47 @@ class _WoodburyRows:
         self.M = (W[:, None, :] * V.T[None, :, :]) @ V
         self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
         self.shape = (B, V.shape[1], WK.shape[1])
-        self.steps = np.empty((B, T, WK.shape[1]))
 
     def fill(self, b, lhs, rhs):
         lhs[...] = self.M[b]
         rhs[...] = self.R[b].T
 
-    def apply(self, Y, lam, rows=slice(None)) -> np.ndarray:
-        """The steps (len(Y), T, n) of the r x r solutions Y (len(Y), r, n)
-        of ``rows``, solved at the regularizers ``lam`` (one per row)."""
+    def steps(self, Y, lam, rows=slice(None), groups=(slice(None),)):
+        """The steps (len(Y), T, n) of the r x r solutions Y of ``rows``,
+        solved at ``lam``, and per row whether they are finite and solve
+        (diag(w) V V^T + lam I) X = w*K within ``RESIDUAL_RTOL`` for each
+        column group: the test ``escalated_solve`` applies to the dense
+        system, evaluated in factored form (the r x r system alone can
+        pass its own test while the step it stands for is singular)."""
         T, r = self.V.shape
-        X = Y.transpose(0, 2, 1).reshape(-1, r) @ self.V.T
-        X = X.reshape(len(Y), self.shape[2], T)
+        W, WK = self.W[rows, None, :], self.WK[rows]
         with np.errstate(invalid="ignore", over="ignore"):
-            X *= self.W[rows, None, :]
-            np.subtract(self.WK[rows], X, out=X)
-            X /= lam[:, None, None]
-        return X.transpose(0, 2, 1)
-
-    def accept(self, Y, lam, rows) -> np.ndarray:
-        """``solve_rows``' accept hook: ``rows_ok`` of the steps of Y, which
-        are kept in ``steps`` (a row's last call is its accepted one)."""
-        X = self.apply(Y, lam, rows)
-        self.steps[rows] = X
-        return self.rows_ok(X, lam, rows)
-
-    def rows_ok(self, X, lam, rows=slice(None), split=None) -> np.ndarray:
-        """Per row: X is finite and solves (diag(w) V V^T + lam I) X = w*K
-        within ``RESIDUAL_RTOL``, the test ``escalated_solve`` applies to
-        the dense system, evaluated in factored form (the r x r system
-        alone can pass its own test while the step it stands for is
-        singular).  With ``split``, the columns before and after it are
-        tested against their own right-hand side's norm."""
-        T = self.V.shape[0]
-        Xt = X.transpose(0, 2, 1)
-        WK = self.WK[rows]
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = ((Xt.reshape(-1, T) @ self.V) @ self.V.T).reshape(Xt.shape)
-            res *= self.W[rows, None, :]
-            res += lam[:, None, None] * Xt
+            X = (Y.transpose(0, 2, 1).reshape(-1, r) @ self.V.T).reshape(WK.shape)
+            X *= W
+            np.subtract(WK, X, out=X)
+            X /= lam
+            res = ((X.reshape(-1, T) @ self.V) @ self.V.T).reshape(X.shape)
+            res *= W
+            res += lam * X
             res -= WK
-        ok = np.isfinite(Xt).all(axis=(1, 2))
-        for g in [slice(None, split), slice(split, None)] if split else [slice(None)]:
-            ok &= _rows_within_rtol(res[:, g], WK[:, g])
-        return ok
+        ok = np.isfinite(X).all(axis=(1, 2))
+        for g in groups:
+            ok &= _within_rtol(_row_sq(res[:, g]), _row_sq(WK[:, g]))
+        return X.transpose(0, 2, 1), ok
 
 
-def _rows_within_rtol(res: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_within_rtol`` per row of (B, n, T) arrays."""
-    residual = np.linalg.norm(res, axis=(1, 2))
-    norm = np.linalg.norm(rhs, axis=(1, 2))
-    return (residual <= RESIDUAL_RTOL * norm) | (norm == 0.0)
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row of a (B, n, m) array."""
+    return np.einsum("ijk,ijk->i", a, a)
+
+
+def _kbr_rows(W, G, cols, extra, factor):
+    """The form of the kernel Bayes steps of ``kbr_step_batch``, by
+    ``kbr_form`` for the rank of ``factor`` (dense without one)."""
+    n = cols.shape[2] + (extra is not None)
+    if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
+        return _WoodburyRows(W, cols, extra, factor)
+    return _DenseRows(W, G, cols, extra)
 
 
 def kbr_step_batch(
@@ -417,10 +392,10 @@ def kbr_step_batch(
     columns (those of k and the extra one) and the rank r of ``factor`` V,
     if given, which must satisfy G = V V^T, so that both forms solve the
     same system and agree to rounding.  The dense form writes row b's
-    system A_b and its right-hand sides into ``solve_rows``' row buffers
+    system A_b and its right-hand sides into ``_factor_rows``' row buffers
     and factors them in place.  The Woodbury form solves the r x r systems
-    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) through ``solve_rows``
-    and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
+    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) the same way and
+    returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
     pass the dense system's residual test, evaluated in factored form, and
     a row that fails either test escalates its regularizer, which then
     enters both the r x r solve and the outer 1/lam.  Either way a failing
@@ -431,53 +406,27 @@ def kbr_step_batch(
     of k, the (B, T) extra solutions).  The columns of k and the extra
     column each pass the residual test against their own right-hand
     side's norm, so the many columns of k cannot mask a poor extra one.
-    A row that fails either test is solved again by the two separate
-    calls, all extra ones first, which escalate and record
-    ``extra_label[b]`` and ``label[b]`` as those calls would.
+    A row that fails either test has each column group escalated alone,
+    the extra column first, in the form ``kbr_form`` picks for that group,
+    recording ``extra_label[first_row + b]`` and ``label[first_row + b]``
+    as two separate calls would.
     """
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
     cols = k[:, :, None] if k.ndim == 2 else k
     m = cols.shape[2]
-    n = m + (extra is not None)
-    woodbury = None
-    if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
-        woodbury = _WoodburyRows(w, cols, extra, factor)
-        fill, shape = woodbury.fill, woodbury.shape
-    else:
-
-        def fill(b, lhs, rhs):
-            wb = w[b, :, None]
-            np.multiply(wb, G, out=lhs)
-            np.multiply(wb, cols[b % len(cols)], out=rhs[:, :m])
-            if extra is not None:
-                np.multiply(w[b], extra[b], out=rhs[:, m])
-
-        shape = (len(w), len(G), n)
-
-    if extra is None:
-        x, used = solve_rows(
-            fill, shape, lam, label=label, events=events, first_row=first_row,
-            accept=None if woodbury is None else woodbury.accept,
-        )
-        if woodbury is not None:
-            x = woodbury.steps
-    else:
-        x, ok = _factor_rows(fill, shape, lam, split=m)
-        if woodbury is not None:
-            lam_rows = np.full(len(w), float(lam))
-            x = woodbury.apply(x, lam_rows)
-            ok &= woodbury.rows_ok(x, lam_rows, split=m)
-        failed = np.flatnonzero(~ok)
-        for b in failed:
-            x[b, :, m] = kbr_step_batch(
-                w[b : b + 1], G, lam, extra[b : b + 1], factor=factor,
-                label=extra_label, events=events, first_row=first_row + b,
-            )[0]
-        for b in failed:
-            x[b, :, :m] = kbr_step_batch(
-                w[b : b + 1], G, lam, cols[b % len(cols)][None], factor=factor,
-                label=label, events=events, first_row=first_row + b,
+    parts = [(slice(None, m), cols, label)]
+    if extra is not None:
+        parts.insert(0, (slice(m, None), extra[:, :, None], extra_label))
+    groups = [g for g, _, _ in parts]
+    form = _kbr_rows(w, G, cols, extra, factor)
+    x, ok = _factor_rows(form, lam, groups)
+    x, steps_ok = form.steps(x, lam, groups=groups)
+    for b in np.flatnonzero(~(ok & steps_ok)):
+        for g, K, name in parts:
+            part = _kbr_rows(w[b : b + 1], G, K[b % len(K)][None], None, factor)
+            x[b, :, g] = _escalated_row(
+                part, 0, lam, label=f"{name}[{first_row + b}]", events=events
             )[0]
     out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
     # a copy, so that the extra solutions do not keep all of x alive
@@ -631,6 +580,24 @@ class ConditioningFactors:
     lam: np.ndarray
 
 
+class _Inverses:
+    """The inverses S_b = (lam I_r + V^T diag(w_b) V)^-1 of a
+    ``_WoodburyRows`` form's r x r systems, in the same fill form.  S_b
+    passes when the step of S_b V^T (w_b * K_b) passes the form's test."""
+
+    def __init__(self, form):
+        B, r, _ = form.shape
+        self.form, self.eye, self.shape = form, np.eye(r), (B, r, r)
+
+    def fill(self, b, lhs, rhs):
+        lhs[...] = self.form.M[b]
+        rhs[...] = self.eye
+
+    def steps(self, S, lam, rows=slice(None), groups=(slice(None),)):
+        Y = S @ self.form.R[rows].transpose(0, 2, 1)
+        return S, self.form.steps(Y, lam, rows, groups)[1]
+
+
 def conditioning_factors(
     weight_columns: np.ndarray,
     V: np.ndarray,
@@ -639,20 +606,20 @@ def conditioning_factors(
     label: str = "conditioning",
     events: list | None = None,
 ) -> ConditioningFactors:
-    """Low-rank counterpart of ``conditioning_tensor`` for G = V V^T; the
-    r x r inverses are solved and escalated by ``solve_rows``.  A factor is
-    accepted when the matrix it stands for, applied to the all-ones
-    vector, passes the dense system's residual test."""
+    """Low-rank counterpart of ``conditioning_tensor`` for G = V V^T.  The
+    r x r inverses are solved by ``kbr_step_batch``'s pass, and a failing
+    one is escalated alone, recording ``label[s]``.  A factor is accepted
+    when the matrix it stands for, applied to the all-ones vector, passes
+    the dense system's residual test."""
     W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
-    woodbury = _WoodburyRows(W, np.ones((1, W.shape[1], 1)), None, V)
-    eye = np.broadcast_to(np.eye(V.shape[1]), woodbury.M.shape)
-
-    S, used = solve_rows(
-        *_stacked(woodbury.M, eye), lam, label=label, events=events,
-        accept=lambda S, l, rows: woodbury.accept(
-            S @ woodbury.R[rows].transpose(0, 2, 1), l, rows
-        ),
-    )
+    form = _Inverses(_WoodburyRows(W, np.ones((1, W.shape[1], 1)), None, V))
+    S, ok = _factor_rows(form, lam)
+    S, steps_ok = form.steps(S, lam)
+    used = np.full(len(W), float(lam))
+    for s in np.flatnonzero(~(ok & steps_ok)):
+        S[s], used[s] = _escalated_row(
+            form, s, lam, label=f"{label}[{s}]", events=events
+        )
     return ConditioningFactors(V, S, used)
 
 

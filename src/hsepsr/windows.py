@@ -114,13 +114,6 @@ class Standardizer:
             np.zeros(obs_dim), np.ones(obs_dim),
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(
-            np.all(self.action_mean == 0) and np.all(self.action_scale == 1)
-            and np.all(self.obs_mean == 0) and np.all(self.obs_scale == 1)
-        )
-
     def transform_actions(self, a: np.ndarray) -> np.ndarray:
         return (np.asarray(a, dtype=float) - self.action_mean) / self.action_scale
 

@@ -235,6 +235,29 @@ class TestConditioning:
         assert x.shape == (B, T, m)
         assert peak - base - x.nbytes <= 4 * T * (T + m) * x.itemsize
 
+    def test_fused_batch_forms_no_stack_of_systems(self, rng):
+        """The fused call, 161 shared columns plus one extra column per row,
+        keeps the same bound with m counting the extra column: each row's
+        buffer takes the shared columns and its extra one, and the shared
+        columns are never broadcast into a (B, T, m + 1) copy (about
+        8 B T (m + 1) more, 11.6 T (T + m + 1) floats in all)."""
+        B, T, m = 16, 160, 162
+        G = random_psd(rng, T) / T
+        W = 1.0 / T + rng.normal(size=(B, T)) / T
+        cols = rng.normal(size=(1, T, m - 1))
+        E = rng.normal(size=(B, T))
+        kbr_step_batch(W, G, 0.16, cols, extra=E)  # warm one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            x, x_e = kbr_step_batch(W, G, 0.16, cols, extra=E)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (B, T, m - 1) and x_e.shape == (B, T)
+        result = x.nbytes + x_e.nbytes
+        assert peak - base - result <= 4 * T * (T + m) * x.itemsize
+
     def test_batch_matrix_right_hand_side_shared_across_rows(self, rng):
         G = random_psd(rng, 6)
         W = rng.normal(size=(3, 6))

@@ -111,7 +111,11 @@ class TestStandardize:
             discrete=True,
         )
         w = build_windows(traj, WindowConfig(1, 1))
-        assert w.standardizer.is_identity
+        std = w.standardizer
+        for mean in (std.action_mean, std.obs_mean):
+            assert np.array_equal(mean, np.zeros(1))
+        for scale in (std.action_scale, std.obs_scale):
+            assert np.array_equal(scale, np.ones(1))
         assert np.array_equal(w.cur_obs, traj.observations[1:-1])
 
     def test_zero_variance_coordinate_centered_only(self):
