@@ -13,7 +13,8 @@ action-observation pair runs three stages:
                 models (r_TA x r_TA Woodbury systems over W_TAs when the
                 rank is low, one T x T LU near full rank), and the other
                 factor enters by one product
-                (``gramops.factor_coordinates``);
+                (``gramops.factor_coordinates``, which solves the beliefs
+                in blocks of rows, as it does the training states);
                 against the training states' rows
                 ``HsePsrModel.state_factors`` they give the conditional's
                 inner products with every training state, which the
@@ -245,13 +246,13 @@ def propagate_many(
 
     Each row gets its own shift conditional (it is nonlinear in the
     weights), held only as its coordinates W_TOs^T C_w W_TAs
-    (``gramops.factor_coordinates``: C_w is symmetric, so one
-    ``kbr_step_batch`` per row solves it against the r_TO columns of the
-    shifted test-observation factor or the r_TA of the test-action one,
-    whichever are fewer, in the form ``gramops.kbr_form`` picks for the
-    test-action rank: an r_TA x r_TA Woodbury system per row at low rank,
-    one T x T LU per row near full rank).  For training state i with
-    coordinates S_i = W_TO^T C_i W_TA,
+    (``gramops.factor_coordinates``, in its blocks of rows: C_w is
+    symmetric, so ``kbr_step_batch`` solves each row against the r_TO
+    columns of the shifted test-observation factor or the r_TA of the
+    test-action one, whichever are fewer, in the form ``gramops.kbr_form``
+    picks for the test-action rank: an r_TA x r_TA Woodbury system per row
+    at low rank, one T x T LU per row near full rank).  For training state
+    i with coordinates S_i = W_TO^T C_i W_TA,
 
         q_b[i] = <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <S_i, W_TOs^T C_w W_TAs>_F,
 

@@ -31,20 +31,22 @@ conditioning solve takes the Woodbury form
     (diag(w) G + lam I)^-1 diag(w) k = (w*k - w * (V y)) / lam,
     (lam I_r + V^T diag(w) V) y = V^T (w*k),
 
-an r x r system.  ``kbr_step_batch`` is the one row-batched kernel Bayes
-solve of training and filtering, and picks the form per call from the
-rank of the factor it is given: by the rule ``kbr_form``, Woodbury costs
-about 2 T r^2 + 8 T r m flops for m columns and the dense per-row LU
-about (2/3) T^3 + 4 T^2 m, and the cheaper one runs.  It follows the
-rank the factor has, not a setting: the discrete models' test-action
-Grams (rank 2-6) and every single-step observation Gram seen so far
-solve in Woodbury form, the T = 160 ODE test-action Grams (rank 155) in
-the dense form.  Both forms apply the dense system's residual test and
-escalate a failing row alike.  The Gram G the dense form is given equals
-V V^T to rounding (the cache builds the test-action Grams from their
-truncated factors, and the single-step factors drop nothing above
-rounding), so the form is a choice of speed only: both solve the same
-system and agree to rounding.
+an r x r system.  Like a dense row's T x T system, it is written into
+the pass's reused row buffer when its row is solved, so neither form
+stacks the systems of its rows.  ``kbr_step_batch`` is the one
+row-batched kernel Bayes solve of training and filtering, and picks the
+form per call from the rank of the factor it is given: by the rule
+``kbr_form``, Woodbury costs about 2 T r^2 + 8 T r m flops for m
+columns and the dense per-row LU about (2/3) T^3 + 4 T^2 m, and the
+cheaper one runs.  It follows the rank the factor has, not a setting:
+the discrete models' test-action Grams (rank 2-6) and every single-step
+observation Gram seen so far solve in Woodbury form, the T = 160 ODE
+test-action Grams (rank 155) in the dense form.  Both forms apply the
+dense system's residual test and escalate a failing row alike.  The
+Gram G the dense form is given equals V V^T to rounding (the cache
+builds the test-action Grams from their truncated factors, and the
+single-step factors drop nothing above rounding), so the form is a
+choice of speed only: both solve the same system and agree to rounding.
 
 The test windows and their one-step shifts are factored jointly
 (``window_factors``): one factor of the Gram of both lists, split by rows
@@ -64,12 +66,14 @@ product of operators only as its factor coordinates W_obs^T C W_act:
 
     <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
 
-which ``factor_coordinates`` computes, for the training states
-(``state_factors``) and for the belief in the filter's propagation step.
-C is symmetric for a symmetric G (C = diag(w) (G diag(w) + lam I)^-1 by
-push-through), so W_obs^T C W_act = (C W_obs)^T W_act, and the solve runs
-against whichever factor has fewer columns: the observation side on the
-ODE and desk models, the action side on the discrete ones.
+which ``factor_coordinates`` computes, for the training states and for
+the beliefs in the filter's propagation step and the fused rollout level,
+in blocks of rows whose size its docstring gives, so that no temporary
+grows with the number of rows.  C is symmetric for a symmetric G
+(C = diag(w) (G diag(w) + lam I)^-1 by push-through), so
+W_obs^T C W_act = (C W_obs)^T W_act, and the solve runs against
+whichever factor has fewer columns: the observation side on the ODE and
+desk models, the action side on the discrete ones.
 """
 
 from __future__ import annotations
@@ -311,7 +315,8 @@ class _WoodburyRows:
 
         (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * K_b)
 
-    in ``_factor_rows``' fill form, and the steps X_b = (w_b * K_b -
+    in ``_factor_rows``' fill form, each written into the row buffer when
+    its row is solved (``system``), and the steps X_b = (w_b * K_b -
     w_b * (V Y_b)) / lam they give.  ``cols`` and ``extra`` are as for
     ``_DenseRows``.  Kernel vectors are held as the rows of (B, n, T)
     arrays, so that a single column is computed with the same (B, T) by
@@ -323,12 +328,15 @@ class _WoodburyRows:
         if extra is not None:
             WK = np.concatenate([WK, (W * extra)[:, None, :]], axis=1)
         self.W, self.V, self.WK = W, V, WK
-        self.M = (W[:, None, :] * V.T[None, :, :]) @ V
         self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
         self.shape = (B, V.shape[1], WK.shape[1])
 
+    def system(self, b, out):
+        """Row b's r x r matrix V^T diag(w_b) V, written into ``out``."""
+        np.matmul(self.V.T * self.W[b], self.V, out=out)
+
     def fill(self, b, lhs, rhs):
-        lhs[...] = self.M[b]
+        self.system(b, lhs)
         rhs[...] = self.R[b].T
 
     def steps(self, Y, lam, rows=slice(None), groups=(slice(None),)):
@@ -498,7 +506,6 @@ def factor_coordinates(
     *,
     label: str,
     events: list | None = None,
-    first_row: int = 0,
     extra: np.ndarray | None = None,
     extra_label: str = "extra",
 ):
@@ -508,58 +515,37 @@ def factor_coordinates(
 
     C_b is symmetric for a symmetric G (C_b = diag(w_b) (G diag(w_b) +
     lam I)^-1 by push-through), so the coordinates are (C_b W_obs)^T W_act
-    as well as W_obs^T (C_b W_act): one ``kbr_step_batch`` per row solves
-    the side with fewer factor columns, the observation side when
-    r_obs < r_act, in the form ``kbr_form`` picks for W_act's rank, and
-    the other factor enters by one product.  ``label``, ``events``,
-    ``first_row``, ``extra`` and ``extra_label`` go to ``kbr_step_batch``;
-    with ``extra`` the result is the pair (coordinates, extra solutions).
+    as well as W_obs^T (C_b W_act): ``kbr_step_batch`` solves the side
+    with fewer factor columns, the observation side when r_obs < r_act,
+    in the form ``kbr_form`` picks for W_act's rank, and the other factor
+    enters by one product.  The rows are solved in blocks of
+    max(1, T // r_act), and each block is contracted to its coordinates,
+    and its extra solutions copied out, before the next block is solved,
+    so that no temporary exceeds about T^2 floats whatever the number of
+    rows.  This is the one block rule of every kernel Bayes solve in
+    factor coordinates: the state build, the propagation and the fused
+    rollout level.  ``label``, ``events``, ``extra`` and ``extra_label``
+    go to ``kbr_step_batch``, which records a failing row b as
+    ``label[b]``; with ``extra`` the result is the pair (coordinates,
+    extra solutions).
     """
+    W = np.asarray(weights, dtype=float)
+    B, T = W.shape
     obs_side = W_obs.shape[1] < W_act.shape[1]
-    X = kbr_step_batch(
-        weights, G, lam, (W_obs if obs_side else W_act)[None], factor=W_act,
-        label=label, events=events, first_row=first_row,
-        extra=extra, extra_label=extra_label,
-    )
-    if extra is not None:
-        X, solved_extra = X
-    coords = X.transpose(0, 2, 1) @ W_act if obs_side else W_obs.T @ X
-    return coords if extra is None else (coords, solved_extra)
-
-
-def state_factors(
-    weight_columns: np.ndarray,
-    G: np.ndarray,
-    lam: float,
-    W_act: np.ndarray,
-    W_obs: np.ndarray,
-    *,
-    label: str = "state",
-    events: list | None = None,
-) -> np.ndarray:
-    """Factor coordinates of the conditioning matrices of ``weight_columns``.
-
-    Row s is W_obs^T C_s W_act, flattened, with C_s =
-    ``conditioning_matrix(a_s, G, lam)`` for weight column a_s and the Gram
-    G = W_act W_act^T: the ``factor_coordinates`` row of a_s, solved
-    against the smaller of the two factors (r x r Woodbury systems while
-    W_act's rank r is well below T, one T x T LU per sample near full
-    rank), escalated and recorded as ``label[s]``.  Samples are solved in
-    blocks of T // r_act (at least one), so no temporary exceeds about
-    T^2 floats.  The Gram of the matrices,
-    trace(C_i^T (W_obs W_obs^T) C_j G^T), is the Gram of the rows.
-    """
-    A = np.asarray(weight_columns, dtype=float)
-    T, S = A.shape
-    out = np.empty((S, W_obs.shape[1] * W_act.shape[1]))
+    coords = np.empty((B, W_obs.shape[1], W_act.shape[1]))
+    solved_extra = None if extra is None else np.empty((B, T))
     block = max(1, T // max(1, W_act.shape[1]))
-    for start in range(0, S, block):
-        coords = factor_coordinates(
-            A[:, start : start + block].T, G, lam, W_act, W_obs,
+    for start in range(0, B, block):
+        rows = slice(start, start + block)
+        X = kbr_step_batch(
+            W[rows], G, lam, (W_obs if obs_side else W_act)[None], factor=W_act,
             label=label, events=events, first_row=start,
+            extra=None if extra is None else extra[rows], extra_label=extra_label,
         )
-        out[start : start + len(coords)] = coords.reshape(len(coords), -1)
-    return out
+        if extra is not None:
+            X, solved_extra[rows] = X
+        coords[rows] = X.transpose(0, 2, 1) @ W_act if obs_side else W_obs.T @ X
+    return coords if extra is None else (coords, solved_extra)
 
 
 @dataclass(frozen=True)
@@ -590,7 +576,7 @@ class _Inverses:
         self.form, self.eye, self.shape = form, np.eye(r), (B, r, r)
 
     def fill(self, b, lhs, rhs):
-        lhs[...] = self.form.M[b]
+        self.form.system(b, lhs)
         rhs[...] = self.eye
 
     def steps(self, S, lam, rows=slice(None), groups=(slice(None),)):

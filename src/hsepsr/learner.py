@@ -17,11 +17,11 @@ model alike:
 3. each weight column's conditioning matrix against the test-action
    windows, the coefficient form of that sample's operator-valued state,
    kept only as its coordinates in the joint factors of the test windows
-   (``gramops.state_factors``: row i of ``state_factors`` is
+   (``gramops.factor_coordinates``: row i of ``state_factors`` is
    W_TO^T C_i W_TA, r_TO r_TA numbers, over the factors truncated at
    ``gramops.FACTOR_FLOOR`` times lam_T); it is solved against the fewer
-   factor columns (``gramops.factor_coordinates``: the r_TO of W_TO on the
-   ODE and desk models), in the form
+   factor columns (the r_TO of W_TO on the ODE and desk models), in the
+   blocks of samples that function's docstring gives, in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per sample near full rank,
 4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
@@ -51,10 +51,10 @@ from hsepsr.gramops import (
     build_gram_cache,
     conditioning_factors,
     conditioning_tensor,
+    factor_coordinates,
     history_weights,
     kbr_form,
     ridge_solve,
-    state_factors,
 )
 from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
 from hsepsr.windows import (
@@ -69,7 +69,7 @@ from hsepsr.windows import (
 DEFAULT_LAM = 1e-3
 
 #: Default cap on the number of training samples T.
-DEFAULT_MAX_SAMPLES = 500
+DEFAULT_MAX_SAMPLES = 1500
 
 #: Beliefs with L1 mass below this are treated as collapsed.
 DEGENERATE_TOL = 1e-12
@@ -169,13 +169,13 @@ class HsePsrModel:
     ``history_state_weights`` column t holds the prior sample weights for
     training history t; ``state_factors`` row t the coordinates of the
     operator-valued state that column defines in the joint test-window
-    factors (``gramops.state_factors``), so that the Gram of the training
-    states is S S^T for the rows S; and ``state_ridge`` the ridge inverse
-    (S S^T + lam_T I)^-1 of that Gram.  The filter's propagation step forms
-    the belief's shifted-window conditional in the same coordinates,
-    takes its inner products with the rows and multiplies them by
-    ``state_ridge``.  ``action_factors`` holds the per-sample action
-    conditioning matrices in Woodbury form.
+    factors (``gramops.factor_coordinates``), so that the Gram of the
+    training states is S S^T for the rows S; and ``state_ridge`` the ridge
+    inverse (S S^T + lam_T I)^-1 of that Gram.  The filter's propagation
+    step forms the belief's shifted-window conditional in the same
+    coordinates, takes its inner products with the rows and multiplies
+    them by ``state_ridge``.  ``action_factors`` holds the per-sample
+    action conditioning matrices in Woodbury form.
     """
 
     windowed: WindowedData
@@ -342,9 +342,10 @@ def build_model(
     )
     t0 = tick("action-factors", t0)
 
-    S = state_factors(
-        A, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO, events=events
-    )
+    S = factor_coordinates(
+        A.T, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO,
+        label="state", events=events,
+    ).reshape(A.shape[1], -1)
     t0 = tick("conditioning", t0)
 
     G_states = S @ S.T
@@ -418,9 +419,10 @@ def train(
     default), and rbf bandwidths come from ``resolve_kernels``' median
     heuristic over at most ``kernels.MEDIAN_CAP`` rows per stream.
     ``max_samples`` caps T by truncating the trajectory (the state factors
-    hold T r_TO r_TA floats: 49 MiB at the desk's T = 480, where the
-    factors keep 53 and 253 eigenvalues above ``gramops.FACTOR_FLOOR``
-    times lam_T, and at most T (T + 1)^2); pass None to disable the cap.
+    hold T r_TO r_TA floats: 213 MiB at the desk's T = 1480, where the
+    factors keep r_TO = 68 and r_TA = 277 eigenvalues above
+    ``gramops.FACTOR_FLOOR`` times lam_T, 68 * 277 floats per row, and at
+    most T (T + 1)^2); pass None to disable the cap.
     A cut is recorded in the report's ``truncated_from``.
     """
     if max_samples is not None and max_samples < 1:

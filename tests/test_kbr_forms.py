@@ -21,9 +21,9 @@ import pytest
 from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
     FACTOR_FLOOR,
+    factor_coordinates,
     kbr_form,
     kbr_step_batch,
-    state_factors,
 )
 from hsepsr.kernels import gram
 from hsepsr.learner import train
@@ -147,6 +147,26 @@ class TestEscalation:
         assert events == dense_events
         assert events[0].used > g.lam_T
         assert _rel(got, want) <= RTOL
+
+    @pytest.mark.parametrize("r", [6, 60])
+    def test_row_past_the_first_block_records_its_global_index(self, rng, r):
+        """``factor_coordinates`` solves rows in blocks of T // r (10 rows
+        in Woodbury form at rank 6, one row in the dense form at full
+        rank); a singular row in a later block is labelled by its index
+        among all rows, not within its block."""
+        T = 60
+        V = rng.normal(size=(T, r)) / np.sqrt(T)
+        G = V @ V.T
+        W_obs = rng.normal(size=(T, 3))
+        assert kbr_form(T, r, 4) == ("woodbury" if r < T else "dense")
+        b = T // r + 2
+        W = 1.0 / T + rng.normal(size=(b + 3, T)) / T
+        W[b] = _singular_row(G, 0.1)
+        events = []
+        got = factor_coordinates(W, G, 0.1, V, W_obs, label="state", events=events)
+        assert [e.label for e in events] == [f"state[{b}]"]
+        want = W_obs.T @ kbr_step(W[b], G, events[0].used, V)
+        assert _rel(got[b], want) <= 1e-8
 
     def test_extra_column_failing_alone_is_solved_again_alone(self, rng):
         """G = V V^T of rank 3 and w = -c 1 with lam - c s_0 = 1e-10: the
@@ -279,11 +299,13 @@ class TestStateFactorsMemory:
         A = 1.0 / T + rng.normal(size=(T, T)) / T
         W_obs = rng.normal(size=(T, 3))
         assert kbr_form(T, r, r) == "woodbury"
-        state_factors(A[:, :4], G, 0.1, V, W_obs)  # warm any one-time allocations
+        factor_coordinates(  # warm any one-time allocations
+            A[:, :4].T, G, 0.1, V, W_obs, label="state"
+        )
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            S = state_factors(A, G, 0.1, V, W_obs)
+            S = factor_coordinates(A.T, G, 0.1, V, W_obs, label="state").reshape(T, -1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -301,16 +323,68 @@ class TestStateFactorsMemory:
         A = 1.0 / T + rng.normal(size=(T, T)) / T
         W_obs = rng.normal(size=(T, r_obs))
         assert kbr_form(T, T, r_obs) == "dense"
-        state_factors(A[:, :4], G, 0.1, V, W_obs)  # warm any one-time allocations
+        factor_coordinates(  # warm any one-time allocations
+            A[:, :4].T, G, 0.1, V, W_obs, label="state"
+        )
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            S = state_factors(A, G, 0.1, V, W_obs)
+            S = factor_coordinates(A.T, G, 0.1, V, W_obs, label="state").reshape(T, -1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert S.shape == (T, r_obs * T)
         assert peak - base - S.nbytes <= 8 * T * T * S.itemsize
+
+
+class TestRowMemory:
+    def test_woodbury_rows_stay_within_a_few_t_squared(self, rng):
+        """B = T = 240 rows at rank 20, one column per row: each row's
+        r x r system is written into the pass's row buffer, so no (B, r, T)
+        broadcast of the rows' systems (20 T^2 floats) is formed."""
+        T, r = 240, 20
+        V = rng.normal(size=(T, r)) / np.sqrt(T)
+        G = V @ V.T
+        W = 1.0 / T + rng.normal(size=(T, T)) / T
+        K = rng.normal(size=(T, T))
+        assert kbr_form(T, r, 1) == "woodbury"
+        kbr_step_batch(W[:4], G, 0.1, K[:4], factor=V)  # warm one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            x = kbr_step_batch(W, G, 0.1, K, factor=V)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (T, T)
+        assert peak - base - x.nbytes <= 8 * T * T * x.itemsize
+
+    def test_fused_coordinates_stay_within_a_few_t_squared(self, rng):
+        """B = T rows plus one extra column per row, on a rank-20 factor:
+        the rows are solved and contracted in blocks of T // r, so the
+        rows' solutions are never held at once."""
+        T, r = 240, 20
+        V = rng.normal(size=(T, r)) / np.sqrt(T)
+        G = V @ V.T
+        W = 1.0 / T + rng.normal(size=(T, T)) / T
+        E = rng.normal(size=(T, T))
+        W_obs = rng.normal(size=(T, 3))
+        assert kbr_form(T, r, 4) == "woodbury"
+        factor_coordinates(  # warm any one-time allocations
+            W[:4], G, 0.1, V, W_obs, label="shift", extra=E[:4]
+        )
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            coords, x_e = factor_coordinates(
+                W, G, 0.1, V, W_obs, label="shift", extra=E
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (T, 3, r) and x_e.shape == (T, T)
+        result = coords.nbytes + x_e.nbytes
+        assert peak - base - result <= 8 * T * T * x_e.itemsize
 
 
 class TestReload:
