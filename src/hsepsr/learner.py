@@ -13,7 +13,10 @@ model alike:
 2. each weight column's kernel Bayes conditioning matrix against the
    single-step actions in Woodbury form (``gramops.ConditioningFactors``
    over the low-rank factor of the action Gram, T r^2 numbers), which the
-   filter's action step mixes,
+   filter's action step mixes; it is solved once per distinct weight
+   column (``gramops.distinct_rows``; exact-match kernels repeat columns,
+   6 are distinct of 240 on the discrete benchmark model) and spread back
+   to the T samples,
 3. each weight column's conditioning matrix against the test-action
    windows, the coefficient form of that sample's operator-valued state,
    kept only as its coordinates in the joint factors of the test windows
@@ -23,7 +26,9 @@ model alike:
    factor columns (the r_TO of W_TO on the ODE and desk models), in the
    blocks of samples that function's docstring gives, in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
-   Woodbury systems at low rank and one T x T LU per sample near full rank,
+   Woodbury systems at low rank and one T x T LU per column near full
+   rank; like item 2 it is solved once per distinct weight column and
+   spread back,
 4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
    states, S S^T for the ``state_factors`` rows S, solved once per model;
    the filter's propagation step multiplies by it to project each belief's
@@ -39,7 +44,7 @@ the desk benchmark.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from hsepsr.gramops import (
     build_gram_cache,
     conditioning_factors,
     conditioning_tensor,
+    distinct_rows,
     factor_coordinates,
     history_weights,
     kbr_form,
@@ -110,6 +116,9 @@ class TrainingReport:
     and ``obs`` for the single-step Grams, ``test_action`` and
     ``test_obs`` for the joint test-window factors, whose product
     r_test_obs * r_test_action is the length of one state-factor row.
+    ``distinct_states`` is the number of distinct history-weight columns,
+    the training states ``build_model`` solves for (the others repeat one
+    of them byte for byte, as exact-match kernels make them do).
     ``summary_lines`` also names the form (``gramops.kbr_form``) in which
     the state build solves: the test-action rank and T pick it, and the
     smaller of r_test_obs and r_test_action is the number of columns
@@ -121,6 +130,7 @@ class TrainingReport:
     lam: float
     lam_T: float
     bandwidths: dict
+    distinct_states: int
     solve_events: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
     truncated_from: int | None = None
@@ -132,6 +142,7 @@ class TrainingReport:
             samples += f" (truncated from {self.truncated_from} by max_samples)"
         lines = [
             samples,
+            f"distinct states: {self.distinct_states} of {self.n_samples}",
             f"regularizer: {self.lam:g} (scaled {self.lam_T:g})",
             f"factor floor: {FACTOR_FLOOR * self.lam_T:g} "
             f"({FACTOR_FLOOR:g} x lam_T)",
@@ -305,6 +316,21 @@ def resolve_kernels(
     return KernelSet(**specs)
 
 
+def _spread_events(events: list, spread: np.ndarray) -> list:
+    """The escalations of the distinct-column solves, each recorded as
+    ``label[j]`` for distinct column j, once per sample i whose column is
+    j and relabelled ``label[i]``: the events, and their order (the action
+    factors, then the states, each in sample order), that solving every
+    column would record."""
+    by_label = {e.label: e for e in events}
+    return [
+        replace(by_label[f"{stage}[{j}]"], label=f"{stage}[{i}]")
+        for stage in ("action", "state")
+        for i, j in enumerate(spread)
+        if f"{stage}[{j}]" in by_label
+    ]
+
+
 def build_model(
     windowed: WindowedData,
     kernels: KernelSet,
@@ -318,12 +344,17 @@ def build_model(
     and history weights define: Gram cache, action factors, state factors
     S and the ridge inverse P of the state Gram S S^T.  Training and
     ``model_io.load_model`` both build here, so a loaded model is the
-    trained one bit for bit.  P passes ``ridge_solve``'s residual test,
-    ||(S S^T + lam I) P - I||_F <= ``RESIDUAL_RTOL`` ||I||_F at the
-    regularizer lam it was solved with; escalated solves (P's as
-    ``state-ridge``) go to ``events`` and the stage times (``grams``,
-    ``action-factors``, ``conditioning``, ``state-gram``) to
-    ``stage_seconds``, when given."""
+    trained one bit for bit.  The action and state factors are solved
+    once per distinct column of the history weights and spread back to
+    all T rows; an escalated solve is recorded once per sample whose
+    column it solved, as ``action[i]`` or ``state[i]`` with the sample
+    index, in sample order within each stage.  When every column is
+    distinct the solves get the weights unchanged.  P passes
+    ``ridge_solve``'s residual test, ||(S S^T + lam I) P - I||_F <=
+    ``RESIDUAL_RTOL`` ||I||_F at the regularizer lam it was solved with;
+    escalated solves (P's as ``state-ridge``) go to ``events`` and the
+    stage times (``grams``, ``action-factors``, ``conditioning``,
+    ``state-gram``) to ``stage_seconds``, when given."""
     stages = {} if stage_seconds is None else stage_seconds
 
     def tick(stage, t0):
@@ -337,15 +368,30 @@ def build_model(
     cache = build_gram_cache(windowed, kernels, lam)
     t0 = tick("grams", t0)
 
+    # equal weight columns have equal solutions, so each distinct column is
+    # solved once; with none repeated the solves get A itself, so the ODE and
+    # desk models keep their BLAS memory layout and results bit for bit
+    distinct = distinct_rows(A.T)
+    A_solved = A if distinct is None else A[:, distinct[0]]
+    solved_events: list[SolveEvent] = []
     action_factors = conditioning_factors(
-        A, cache.V_A, cache.lam_T, label="action", events=events
+        A_solved, cache.V_A, cache.lam_T, label="action", events=solved_events
     )
     t0 = tick("action-factors", t0)
 
     S = factor_coordinates(
-        A.T, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO,
-        label="state", events=events,
-    ).reshape(A.shape[1], -1)
+        A_solved.T, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO,
+        label="state", events=solved_events,
+    ).reshape(A_solved.shape[1], -1)
+    if distinct is not None:
+        spread = distinct[1]
+        action_factors = ConditioningFactors(
+            action_factors.V, action_factors.S[spread], action_factors.lam[spread]
+        )
+        S = S[spread]
+        solved_events = _spread_events(solved_events, spread)
+    if events is not None:
+        events.extend(solved_events)
     t0 = tick("conditioning", t0)
 
     G_states = S @ S.T
@@ -387,11 +433,13 @@ def train_from_windows(
         for s in STREAMS
     }
     cache = model.grams
+    distinct = distinct_rows(A.T)
     model.report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
         bandwidths=bandwidths,
+        distinct_states=windows.n_samples if distinct is None else len(distinct[0]),
         solve_events=events,
         stage_seconds=stage_seconds,
         ranks={

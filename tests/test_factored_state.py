@@ -307,6 +307,50 @@ class TestEscalation:
         C_4 = conditioning_matrix(w_4, g.G_TA_TA, event.used)
         assert _rel(model.state_factors[4], (g.W_TO.T @ C_4 @ g.W_TA).ravel()) <= RTOL
 
+    def test_repeated_singular_state_columns_are_each_reported(self, monkeypatch):
+        """Two equal singular columns are solved once, and the escalation
+        is reported for each sample, in sample order, as solving every
+        column reports it."""
+        windows = build_windows(synthetic_trajectory(seed=2, n=50), WindowConfig(2, 3))
+        kernels = resolve_kernels(windows)
+        cache = build_gram_cache(windows, kernels, 1e-3)
+        real = learner_mod.history_weights
+
+        def history_weights(G_HH, lam_T, events=None):
+            A = real(G_HH, lam_T, events=events)
+            A[:, 4] = A[:, 9] = _singular_row(cache.G_TA_TA, lam_T)
+            return A
+
+        monkeypatch.setattr(learner_mod, "history_weights", history_weights)
+        model = train_from_windows(windows, kernels, lam=1e-3)
+        state = [e for e in model.report.solve_events if e.label.startswith("state[")]
+        assert [e.label for e in state] == ["state[4]", "state[9]"]
+        assert state[0].used == state[1].used > cache.lam_T
+        assert np.array_equal(model.state_factors[4], model.state_factors[9])
+
+
+class TestDistinctColumns:
+    def test_build_equals_the_solve_of_every_column(self):
+        """On a discrete trajectory, whose history-weight columns repeat,
+        the factors solved once per distinct column and spread back equal
+        those solved for all T columns."""
+        T = 240
+        model = train(
+            sample_trajectory(default_system(), T + 2, seed=0), WindowConfig(1, 1),
+            lam=1.0 / T,
+        )
+        A, g = model.history_state_weights, model.grams
+        n_distinct = len(np.unique(A, axis=1).T)
+        assert model.report.distinct_states == n_distinct < T
+        assert f"distinct states: {n_distinct} of {T}" in model.report.summary_lines()
+        S = gramops.factor_coordinates(
+            A.T, g.G_TA_TA, g.lam_T, g.W_TA, g.W_TO, label="state"
+        ).reshape(T, -1)
+        assert _rel(model.state_factors, S) <= 1e-12
+        action = gramops.conditioning_factors(A, g.V_A, g.lam_T, label="action")
+        assert _rel(model.action_factors.S, action.S) <= 1e-12
+        assert np.array_equal(model.action_factors.lam, action.lam)
+
 
 class TestReload:
     def test_loaded_factors_are_the_trained_ones(self, tmp_path):
@@ -445,3 +489,4 @@ class TestTrainingReport:
             assert f"rank[{stream}]: " in out
         assert "factor floor: " in out and "(0.01 x lam_T)" in out
         assert "solve[test_action]: " in out
+        assert "distinct states: 30 of 30" in out

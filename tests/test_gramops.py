@@ -12,12 +12,16 @@ from hsepsr.gramops import (
     build_gram_cache,
     conditioning_matrix,
     conditioning_tensor,
+    distinct_rows,
     escalated_solve,
     history_weights,
     kbr_step_batch,
+    low_rank_factor,
     ridge_solve,
 )
 from hsepsr.kernels import KernelSet, KernelSpec, gram
+from hsepsr.learner import resolve_kernels
+from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import Trajectory, WindowConfig, build_windows
 
 from densegrams import dense_grams, kbr_step, state_gram
@@ -380,6 +384,10 @@ class TestGramCache:
         assert np.all(np.diag(cache.G_O_O) == 1.0)
 
     def test_single_step_factors_have_the_numerical_rank(self, rng):
+        """On rbf data every row is distinct and the factors are those of
+        the full Grams; on a discrete trajectory (2 actions, 3
+        observations) they come from the distinct rows' Gram, spread back,
+        and still have the full Gram's numerical rank."""
         traj = Trajectory(rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
         w = build_windows(traj, WindowConfig(3, 2))
         ks = KernelSet(
@@ -389,11 +397,30 @@ class TestGramCache:
             action=KernelSpec("rbf", 1, bandwidth=1.0),
             obs=KernelSpec("rbf", 2, bandwidth=0.9),
         )
-        cache = build_gram_cache(w, ks, lam=1e-3)
-        G_A_A = dense_grams(w, ks).G_A_A
-        for G, V in ((G_A_A, cache.V_A), (cache.G_O_O, cache.V_O)):
-            assert V.shape == (G.shape[0], np.linalg.matrix_rank(G))
-            assert np.abs(V @ V.T - G).max() <= 1e-12 * np.abs(G).max()
+        w_discrete = build_windows(
+            sample_trajectory(default_system(), 242, seed=0), WindowConfig(1, 1)
+        )
+        assert distinct_rows(w.cur_actions) is None
+        assert distinct_rows(w_discrete.cur_actions) is not None
+        for w, ks in ((w, ks), (w_discrete, resolve_kernels(w_discrete))):
+            cache = build_gram_cache(w, ks, lam=1e-3)
+            G_A_A = dense_grams(w, ks).G_A_A
+            for G, V, X in (
+                (G_A_A, cache.V_A, w.cur_actions),
+                (cache.G_O_O, cache.V_O, w.cur_obs),
+            ):
+                assert V.shape == (G.shape[0], np.linalg.matrix_rank(G))
+                assert np.abs(V @ V.T - G).max() <= 1e-12 * np.abs(G).max()
+                if distinct_rows(X) is None:
+                    assert np.array_equal(V, low_rank_factor(G))
+
+    def test_distinct_rows_in_first_occurrence_order(self):
+        X = np.array([[2.0, 1.0], [0.0, 1.0], [2.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        first, spread = distinct_rows(X)
+        assert first.tolist() == [0, 1, 3]
+        assert spread.tolist() == [0, 1, 0, 2, 1]
+        assert np.array_equal(X[first][spread], X)
+        assert distinct_rows(X[[0, 1, 3]]) is None
 
     def test_rejects_bad_lam(self, rng):
         traj = Trajectory(rng.normal(size=(20, 1)), rng.normal(size=(20, 1)))
