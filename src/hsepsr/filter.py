@@ -258,8 +258,9 @@ def propagate_many(
 
     and the inner products q_b are mapped back onto the training states
     by the product with the model's ridge inverse ``state_ridge``
-    (S S^T + lam_T I)^-1, built and residual-checked once per model, so
-    this step solves nothing.
+    (S S^T + lam_T I)^-1, built and residual-checked once per model on
+    the span of the training states, where every q_b = S x lies, so this
+    step solves nothing.
 
     ``extra`` (B, T), if given, holds one more kernel vector per row, the
     rollout's planned window against the shifted test-action windows, that

@@ -15,7 +15,12 @@ when a factorization fails or the relative residual exceeds 1e-8, so a
 near-singular Gram degrades accuracy instead of aborting a run.  The ridge
 shape is solved only while a model is built (the history weights and the
 inverse of the training states' Gram, which the filter then multiplies
-by); every filter step solves the conditioning shape.
+by), and always on the k distinct rows of its Gram (``spread_ridge``):
+for a Gram E G_d E^T of T rows with k distinct ones, the k x k system
+(C^1/2 G_d C^1/2 + lam I) Y = B over the counts C = E^T E, spread back
+as F Y F^T with F = E C^-1/2 (6 of 240 rows on the discrete benchmark
+model; k = T and the plain T x T solve when no row repeats).  Every
+filter step solves the conditioning shape.
 Many such systems, one per row, are solved in one plain pass
 (``_factor_rows``): each row's system is written by its form into
 buffers reused from row to row and factored in place by LAPACK
@@ -61,12 +66,13 @@ solves read, G_TA_TA and G_TAs_TAs, are the products of the truncated
 factors, so every solve against them, dense or Woodbury, uses the same
 truncated Gram.  The single-step factors (``low_rank_factor`` at floor
 0) keep every eigenvalue above numpy's ``matrix_rank`` tolerance; they
-are factored on the Gram of the distinct rows (``distinct_rows``) and
-spread back to every sample, since a repeated row adds nothing to a
-Gram's range and exact-match kernels on finite sets repeat most rows
-(2 actions and 3 observations of 240 on the discrete benchmark).  A
-conditioning matrix C against the test windows then enters an inner
-product of operators only as its factor coordinates W_obs^T C W_act:
+are factored on the Gram of the distinct rows (``distinct_rows``), which
+is evaluated on those rows alone, and spread back to every sample, since
+a repeated row adds nothing to a Gram's range and exact-match kernels on
+finite sets repeat most rows (2 actions and 3 observations of 240 on the
+discrete benchmark).  A conditioning matrix C against the test windows
+then enters an inner product of operators only as its factor coordinates
+W_obs^T C W_act:
 
     <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
 
@@ -180,6 +186,40 @@ def ridge_solve(
         lambda l: G + l * eye, np.asarray(B, dtype=float), lam,
         sym=True, label=label, events=events,
     )
+
+
+def spread_ridge(
+    G: np.ndarray,
+    lam: float,
+    spread: np.ndarray | None,
+    *,
+    inverse: bool = False,
+    label: str = "ridge",
+    events: list | None = None,
+) -> np.ndarray:
+    """A ridge solve over T rows of which k are distinct, solved on the k.
+
+    ``G`` is the (k, k) Gram of the distinct rows and ``spread[i]`` the
+    distinct row of row i (None when all T rows are distinct), so that the
+    rows' Gram is E G E^T for the (T, k) indicator E of ``spread``.  With
+    the counts C = E^T E, H = C^1/2 G C^1/2 and F = E C^-1/2, this solves
+
+        (H + lam I_k) Y = H,   or = I_k with ``inverse``,
+
+    by ``ridge_solve`` and returns the (T, T) array F Y F^T.  Without
+    ``inverse`` it is (E G E^T + lam I)^-1 E G E^T, by push-through.  With
+    ``inverse`` it is the inverse of E G E^T + lam I on the range of E,
+    the span of the rows, and zero on its complement, never adding a
+    (I - F F^T) / lam term.  F has orthonormal columns, so the k x k
+    residual has the Frobenius norm of the T x T one on that span.  When
+    every row is distinct, C = I and this is ``ridge_solve`` of G against
+    G or I bit for bit."""
+    c = np.sqrt(np.ones(len(G)) if spread is None else np.bincount(spread))
+    H = c[:, None] * G * c
+    rhs = np.eye(len(H)) if inverse else H
+    Y = ridge_solve(H, lam, rhs, label=label, events=events)
+    Y /= c[:, None] * c
+    return Y if spread is None else Y[np.ix_(spread, spread)]
 
 
 def conditioning_matrix(
@@ -501,15 +541,13 @@ def distinct_rows(X: np.ndarray):
     return None if len(first) == len(X) else (np.array(first), spread)
 
 
-def _distinct_factor(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``low_rank_factor(G)`` for the Gram G of the rows of X, factored on
-    the Gram of the distinct rows of X and spread back to every row.  When
-    every row is distinct it is ``low_rank_factor(G)`` itself."""
-    distinct = distinct_rows(X)
-    if distinct is None:
-        return low_rank_factor(G)
-    first, spread = distinct
-    return low_rank_factor(G[np.ix_(first, first)])[spread]
+def _distinct_factor(kernel, X: np.ndarray) -> np.ndarray:
+    """``low_rank_factor`` of the Gram of the rows of X under ``kernel``,
+    factored on the Gram of the distinct rows of X only and spread back to
+    every row.  When every row is distinct it is ``low_rank_factor`` of
+    the full Gram itself."""
+    first, spread = distinct_rows(X) or (slice(None), slice(None))
+    return low_rank_factor(gram(kernel, X[first], X[first]))[spread]
 
 
 def window_factors(kernel, now: np.ndarray, shifted: np.ndarray, floor: float = 0.0):
@@ -642,7 +680,7 @@ def conditioning_factors(
 
 
 def history_weights(
-    G_HH: np.ndarray,
+    G_HH,
     lam: float,
     *,
     events: list | None = None,
@@ -651,9 +689,14 @@ def history_weights(
     samples whose histories resemble history t.
 
     This is the kernel ridge regression of each history's indicator onto
-    all histories: (G_HH + lam I)^-1 G_HH.
+    all histories: (G_HH + lam I)^-1 G_HH for the (T, T) history Gram
+    G_HH.  ``G_HH`` is that Gram, or the pair (G_d, spread) of the Gram of
+    the k distinct histories and ``distinct_rows``' spread of the
+    histories (None when all are distinct), which ``spread_ridge`` solves
+    as a k x k system.
     """
-    return ridge_solve(G_HH, lam, G_HH, label="history-weights", events=events)
+    G_d, spread = G_HH if isinstance(G_HH, tuple) else (G_HH, None)
+    return spread_ridge(G_d, lam, spread, label="history-weights", events=events)
 
 
 @dataclass
@@ -692,8 +735,9 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
     the products of their factors, so that a dense solve against them and
     a Woodbury solve over the factor solve the same system.  The
     single-step factors are taken on the Gram of the distinct actions or
-    observations and spread back to every sample; when every row is
-    distinct they are the factors of the full Grams.
+    observations, evaluated on those rows alone, and spread back to every
+    sample; when every row is distinct they are the factors of the full
+    Grams.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -711,11 +755,8 @@ def build_gram_cache(windows, kernels, lam: float) -> GramCache:
         G_TA_TA=W_TA @ W_TA.T,
         G_TAs_TAs=W_TAs @ W_TAs.T,
         G_O_O=G_O_O,
-        V_A=_distinct_factor(
-            gram(kernels.action, windows.cur_actions, windows.cur_actions),
-            windows.cur_actions,
-        ),
-        V_O=_distinct_factor(G_O_O, windows.cur_obs),
+        V_A=_distinct_factor(kernels.action, windows.cur_actions),
+        V_O=_distinct_factor(kernels.obs, windows.cur_obs),
         W_TA=W_TA,
         W_TAs=W_TAs,
         W_TO=W_TO,

@@ -133,7 +133,11 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             K = np.tril(K) + np.tril(K, -1).T
         return K
     if spec.family == "delta":
-        return (X[:, None, :] == Y[None, :, :]).all(axis=2).astype(float)
+        # one (n, m) comparison per input column, never an (n, m, d) broadcast
+        eq = X[:, None, 0] == Y[None, :, 0]
+        for j in range(1, X.shape[1]):
+            eq &= X[:, None, j] == Y[None, :, j]
+        return eq.astype(float)
     if spec.bandwidth is None:
         raise ValueError("rbf bandwidth not resolved")
     d2 = cdist(X, Y, metric="sqeuclidean")

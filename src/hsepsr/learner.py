@@ -4,8 +4,12 @@ The model represents the belief state over a partially observable controlled
 process as a weight vector across T training samples.  Training windows the
 trajectory, resolves one kernel per data stream and ridge-regresses each
 history onto all histories through the history Gram, giving per-history
-prior sample weights (one column per training sample).  These and the
-windows are all that training learns, and all that ``model_io`` stores.
+prior sample weights (one column per training sample).  That regression
+is solved on the k distinct histories (``gramops.distinct_rows``,
+``gramops.spread_ridge``), a k x k system on the Gram of those alone
+(k = 6 of T = 240 on the discrete benchmark model, k = T without
+repeats).  These and the windows are all that training learns, and all
+that ``model_io`` stores.
 ``build_model`` derives the rest from them, for a trained and a loaded
 model alike:
 
@@ -30,9 +34,12 @@ model alike:
    rank; like item 2 it is solved once per distinct weight column and
    spread back,
 4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
-   states, S S^T for the ``state_factors`` rows S, solved once per model;
-   the filter's propagation step multiplies by it to project each belief's
-   one-step-extended window conditional back onto the training states.
+   states, S S^T for the ``state_factors`` rows S, solved once per model
+   on the distinct rows of S (a k x k system, ``gramops.spread_ridge``),
+   and so the inverse on the span of the training states, where every
+   vector it multiplies lies; the filter's propagation step multiplies by
+   it to project each belief's one-step-extended window conditional back
+   onto the training states.
 
 No dense (T x T^2) tensor is built outside the oracles
 ``action_conditioning_flat`` and ``state_conditioning_flat``.
@@ -60,7 +67,7 @@ from hsepsr.gramops import (
     factor_coordinates,
     history_weights,
     kbr_form,
-    ridge_solve,
+    spread_ridge,
 )
 from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
 from hsepsr.windows import (
@@ -182,11 +189,16 @@ class HsePsrModel:
     operator-valued state that column defines in the joint test-window
     factors (``gramops.factor_coordinates``), so that the Gram of the
     training states is S S^T for the rows S; and ``state_ridge`` the ridge
-    inverse (S S^T + lam_T I)^-1 of that Gram.  The filter's propagation
-    step forms the belief's shifted-window conditional in the same
-    coordinates, takes its inner products with the rows and multiplies
-    them by ``state_ridge``.  ``action_factors`` holds the per-sample
-    action conditioning matrices in Woodbury form.
+    inverse (S S^T + lam_T I)^-1 of that Gram on the span of the rows'
+    Gram, the range of the indicator E of the distinct rows, and zero on
+    its complement (``gramops.spread_ridge``; with every row distinct it
+    is the full inverse).  The filter's propagation step forms the
+    belief's shifted-window conditional in the same coordinates and takes
+    its inner products with the rows, a vector q = S x in that span, so
+    the product of q with ``state_ridge`` is that of the full inverse.
+    ``action_factors`` holds the per-sample action conditioning matrices
+    in Woodbury form, and ``distinct_states`` the number k of distinct
+    history-weight columns the build solved for.
     """
 
     windowed: WindowedData
@@ -197,6 +209,7 @@ class HsePsrModel:
     action_factors: ConditioningFactors
     state_factors: np.ndarray
     state_ridge: np.ndarray
+    distinct_states: int
     report: TrainingReport | None = None
 
     @property
@@ -349,10 +362,13 @@ def build_model(
     all T rows; an escalated solve is recorded once per sample whose
     column it solved, as ``action[i]`` or ``state[i]`` with the sample
     index, in sample order within each stage.  When every column is
-    distinct the solves get the weights unchanged.  P passes
-    ``ridge_solve``'s residual test, ||(S S^T + lam I) P - I||_F <=
-    ``RESIDUAL_RTOL`` ||I||_F at the regularizer lam it was solved with;
-    escalated solves (P's as ``state-ridge``) go to ``events`` and the
+    distinct the solves get the weights unchanged.  P is solved on the
+    distinct rows too (``spread_ridge``), as P = F Y F^T for the counts C
+    of the distinct rows, F = E C^-1/2 and the k x k solution Y of
+    (C^1/2 S_d S_d^T C^1/2 + lam I) Y = I over the distinct rows S_d; it
+    passes ``ridge_solve``'s residual test, ||(S S^T + lam I) P - F F^T||_F
+    <= ``RESIDUAL_RTOL`` ||F F^T||_F, at the regularizer lam it was solved
+    with; escalated solves (P's as ``state-ridge``) go to ``events`` and the
     stage times (``grams``, ``action-factors``, ``conditioning``,
     ``state-gram``) to ``stage_seconds``, when given."""
     stages = {} if stage_seconds is None else stage_seconds
@@ -371,33 +387,33 @@ def build_model(
     # equal weight columns have equal solutions, so each distinct column is
     # solved once; with none repeated the solves get A itself, so the ODE and
     # desk models keep their BLAS memory layout and results bit for bit
-    distinct = distinct_rows(A.T)
-    A_solved = A if distinct is None else A[:, distinct[0]]
+    first, spread = distinct_rows(A.T) or (slice(None), None)
+    A_solved = A[:, first]
     solved_events: list[SolveEvent] = []
     action_factors = conditioning_factors(
         A_solved, cache.V_A, cache.lam_T, label="action", events=solved_events
     )
     t0 = tick("action-factors", t0)
 
-    S = factor_coordinates(
+    S = S_d = factor_coordinates(
         A_solved.T, cache.G_TA_TA, cache.lam_T, cache.W_TA, cache.W_TO,
         label="state", events=solved_events,
     ).reshape(A_solved.shape[1], -1)
-    if distinct is not None:
-        spread = distinct[1]
+    if spread is not None:
         action_factors = ConditioningFactors(
             action_factors.V, action_factors.S[spread], action_factors.lam[spread]
         )
-        S = S[spread]
+        S = S_d[spread]
         solved_events = _spread_events(solved_events, spread)
     if events is not None:
         events.extend(solved_events)
     t0 = tick("conditioning", t0)
 
-    G_states = S @ S.T
+    G_states = S_d @ S_d.T
     G_states = (G_states + G_states.T) / 2.0
-    state_ridge = ridge_solve(
-        G_states, cache.lam_T, np.eye(len(S)), label="state-ridge", events=events
+    state_ridge = spread_ridge(
+        G_states, cache.lam_T, spread, inverse=True, label="state-ridge",
+        events=events,
     )
     tick("state-gram", t0)
     return HsePsrModel(
@@ -409,6 +425,7 @@ def build_model(
         action_factors=action_factors,
         state_factors=S,
         state_ridge=state_ridge,
+        distinct_states=A_solved.shape[1],
     )
 
 
@@ -418,11 +435,16 @@ def train_from_windows(
     lam: float = DEFAULT_LAM,
 ) -> HsePsrModel:
     """Train a model from already-windowed data with resolved kernels: solve
-    the history weights from the history Gram, then ``build_model``."""
+    the history weights from the Gram of the distinct histories, then
+    ``build_model``."""
     events: list[SolveEvent] = []
     t0 = time.perf_counter()
-    G_HH = gram(kernels.history, windows.histories, windows.histories)
-    A = history_weights(G_HH, lam * windows.n_samples, events=events)
+    first, spread = distinct_rows(windows.histories) or (slice(None), None)
+    H = windows.histories[first]
+    A = history_weights(
+        (gram(kernels.history, H, H), spread), lam * windows.n_samples,
+        events=events,
+    )
     stage_seconds = {"history-weights": time.perf_counter() - t0}
     model = build_model(
         windows, kernels, lam, A, events=events, stage_seconds=stage_seconds
@@ -433,13 +455,12 @@ def train_from_windows(
         for s in STREAMS
     }
     cache = model.grams
-    distinct = distinct_rows(A.T)
     model.report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
         bandwidths=bandwidths,
-        distinct_states=windows.n_samples if distinct is None else len(distinct[0]),
+        distinct_states=model.distinct_states,
         solve_events=events,
         stage_seconds=stage_seconds,
         ranks={

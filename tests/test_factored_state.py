@@ -133,10 +133,22 @@ class TestStateFactors:
 
     @pytest.mark.parametrize("which", ["rbf", "delta"])
     def test_state_ridge_is_the_inverse(self, model_factory, which):
+        """The ridge inverse of the training states' Gram on the span of
+        the training states: the range of F = E C^-1/2, for the indicator E
+        of the distinct history-weight columns and their counts C, which
+        is all of R^T on the rbf model, whose columns are all distinct."""
         model = model_factory()[0] if which == "rbf" else _delta_model()
         T = model.n_samples
         A = factor_state_gram(model) + model.grams.lam_T * np.eye(T)
-        assert np.linalg.norm(A @ model.state_ridge - np.eye(T)) <= RESIDUAL_RTOL
+        P = model.state_ridge
+        if which == "rbf":
+            assert np.linalg.norm(A @ P - np.eye(T)) <= RESIDUAL_RTOL
+            return
+        _, spread = gramops.distinct_rows(model.history_state_weights.T)
+        F = np.eye(spread.max() + 1)[spread] / np.sqrt(np.bincount(spread))
+        Pi = F @ F.T
+        assert np.linalg.norm(A @ P - Pi) <= RESIDUAL_RTOL
+        assert np.linalg.norm(P @ (np.eye(T) - Pi)) <= RESIDUAL_RTOL
 
     def test_window_factor_blocks_reproduce_the_test_window_grams(
         self, model_factory
@@ -350,6 +362,92 @@ class TestDistinctColumns:
         action = gramops.conditioning_factors(A, g.V_A, g.lam_T, label="action")
         assert _rel(model.action_factors.S, action.S) <= 1e-12
         assert np.array_equal(model.action_factors.lam, action.lam)
+
+    def test_ridge_solves_factor_the_distinct_rows_only(self, monkeypatch):
+        """The history weights and the states' ridge inverse factor systems
+        no larger than the distinct count, and equal the dense T x T
+        solves: A itself, and the inverse on the training states."""
+        calls = []
+        real = gramops.escalated_solve
+
+        def recorder(build_lhs, rhs, lam, **kwargs):
+            calls.append((kwargs["label"], len(build_lhs(lam))))
+            return real(build_lhs, rhs, lam, **kwargs)
+
+        monkeypatch.setattr(gramops, "escalated_solve", recorder)
+        T = 240
+        model = train(
+            sample_trajectory(default_system(), T + 2, seed=0), WindowConfig(1, 1),
+            lam=1.0 / T,
+        )
+        monkeypatch.undo()
+        k = model.report.distinct_states
+        ridge = [(label, n) for label, n in calls if "[" not in label]
+        assert [label for label, _ in ridge] == ["history-weights", "state-ridge"]
+        assert max(n for _, n in ridge) <= k < T
+        lam_T = model.grams.lam_T
+        G_HH = dense_grams(model.windowed, model.kernels).G_HH
+        assert _rel(model.history_state_weights, ridge_solve(G_HH, lam_T, G_HH)) <= 1e-12
+        S = model.state_factors
+        dense = ridge_solve(factor_state_gram(model), lam_T, S)
+        assert _rel(model.state_ridge @ S, dense) <= 1e-12
+
+    def test_all_distinct_ridge_solves_are_the_dense_ones(self, model_factory):
+        """With no repeated row the ridge solves are the T x T ones, bit
+        for bit."""
+        model = model_factory()[0]
+        T, lam_T = model.n_samples, model.grams.lam_T
+        assert model.report.distinct_states == T
+        G_HH = dense_grams(model.windowed, model.kernels).G_HH
+        assert np.array_equal(
+            model.history_state_weights, ridge_solve(G_HH, lam_T, G_HH)
+        )
+        dense = ridge_solve(factor_state_gram(model), lam_T, np.eye(T))
+        assert np.array_equal(model.state_ridge, dense)
+
+    def test_reduced_ridge_escalations_are_in_the_training_report(
+        self, monkeypatch, rng
+    ):
+        """Spoil the first reduced history-weights solve and the first
+        reduced state-ridge solve of a discrete build: each escalates once,
+        and ``propagate_many`` applies the escalated inverse."""
+        T = 240
+        traj = sample_trajectory(default_system(), T + 2, seed=0)
+        real = gramops._factor_solve
+        spoiled = {}
+
+        def spoil_first(lhs, rhs, sym):
+            out = real(lhs, rhs, sym)
+            kind = "inverse" if np.array_equal(rhs, np.eye(len(rhs))) else "weights"
+            if sym and kind not in spoiled:
+                spoiled[kind] = len(lhs)
+                return out + 1.0
+            return out
+
+        monkeypatch.setattr(gramops, "_factor_solve", spoil_first)
+        model = train(traj, WindowConfig(1, 1), lam=1.0 / T)
+        monkeypatch.undo()
+        g = model.grams
+        k = model.report.distinct_states
+        assert spoiled == {"weights": k, "inverse": k}
+        used = {}
+        for label in ("history-weights", "state-ridge"):
+            events = [e for e in model.report.solve_events if e.label == label]
+            assert len(events) == 1
+            assert events[0].attempts == 2
+            assert events[0].used == pytest.approx(10.0 * g.lam_T)
+            used[label] = events[0].used
+        G_HH = dense_grams(model.windowed, model.kernels).G_HH
+        A = ridge_solve(G_HH, used["history-weights"], G_HH)
+        assert _rel(model.history_state_weights, A) <= 1e-12
+
+        W = np.vstack([model.feasible_weights, 1.0 / T + rng.normal(size=(2, T)) / T])
+        X = np.stack([kbr_step(w, g.G_TAs_TAs, g.lam_T, g.W_TAs) for w in W])
+        q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
+        G = factor_state_gram(model)
+        got = propagate_many(model, W)
+        assert _rel(got, ridge_solve(G, used["state-ridge"], q.T).T) <= RTOL
+        assert _rel(got, ridge_solve(G, g.lam_T, q.T).T) > 1e-6
 
 
 class TestReload:

@@ -106,6 +106,17 @@ class TestGram:
                         kernel_eval(spec, X[i], Y[j]), abs=1e-15
                     )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_delta_is_the_broadcast_match(self, rng, d):
+        """Column-at-a-time matching equals the (n, m, d) broadcast, on
+        square and rectangular inputs with repeated symbol rows."""
+        spec = KernelSpec("delta", dimension=d)
+        X = rng.integers(0, 2, size=(30, d)).astype(float)
+        Y = rng.integers(0, 2, size=(7, d)).astype(float)
+        for A, B in ((X, X), (X, Y), (Y, X)):
+            want = (A[:, None, :] == B[None, :, :]).all(axis=2).astype(float)
+            assert np.array_equal(gram(spec, A, B), want)
+
     def test_rbf_diagonal_exactly_one(self, rng):
         spec = KernelSpec("rbf", dimension=3, bandwidth=0.9)
         X = rng.normal(size=(50, 3))
