@@ -222,30 +222,6 @@ def spread_ridge(
     return Y if spread is None else Y[np.ix_(spread, spread)]
 
 
-def conditioning_matrix(
-    weights: np.ndarray,
-    G: np.ndarray,
-    lam: float,
-    *,
-    label: str = "conditioning",
-    events: list | None = None,
-) -> np.ndarray:
-    """Kernel Bayes conditioning matrix (diag(w) G + lam I)^-1 diag(w).
-
-    Applied to a kernel vector of a conditioning point it yields posterior
-    sample weights; ``weights`` are the prior sample weights and may carry
-    negative entries, so the system is solved as a general (nonsymmetric)
-    one.
-    """
-    w = np.asarray(weights, dtype=float)
-    G = np.asarray(G, dtype=float)
-    eye = np.eye(w.shape[0])
-    return escalated_solve(
-        lambda l: w[:, None] * G + l * eye, np.diag(w), lam,
-        sym=False, label=label, events=events,
-    )
-
-
 def _within_rtol(res_sq, rhs_sq):
     """The one residual test of every solve here, on squared Frobenius
     norms (scalars or one per row): the residual's norm is within
@@ -485,29 +461,6 @@ def kbr_step_batch(
     return out if extra is None else (out, x[:, :, m].copy())
 
 
-def conditioning_tensor(
-    weight_columns: np.ndarray,
-    G: np.ndarray,
-    lam: float,
-    *,
-    label: str = "conditioning",
-    events: list | None = None,
-) -> np.ndarray:
-    """Stack of conditioning matrices, one per column of ``weight_columns``.
-
-    ``weight_columns`` is (T, S); slot s of the returned (S, T, T) array is
-    ``conditioning_matrix(weight_columns[:, s], G, lam)``.
-    """
-    W = np.asarray(weight_columns, dtype=float)
-    T, S = W.shape
-    out = np.empty((S, T, T))
-    for s in range(S):
-        out[s] = conditioning_matrix(
-            W[:, s], G, lam, label=f"{label}[{s}]", events=events
-        )
-    return out
-
-
 def low_rank_factor(G: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """(T, r) factor V with G = V V^T up to the dropped eigenvalues, for
     symmetric PSD G.
@@ -580,7 +533,7 @@ def factor_coordinates(
     extra_label: str = "extra",
 ):
     """Row b: the factor coordinates W_obs^T C_b W_act, shape (r_obs, r_act),
-    of the conditioning matrix C_b = ``conditioning_matrix(w_b, G, lam)``
+    of the conditioning matrix C_b = (diag(w_b) G + lam I)^-1 diag(w_b)
     for the Gram G = W_act W_act^T.
 
     C_b is symmetric for a symmetric G (C_b = diag(w_b) (G diag(w_b) +
@@ -662,11 +615,12 @@ def conditioning_factors(
     label: str = "conditioning",
     events: list | None = None,
 ) -> ConditioningFactors:
-    """Low-rank counterpart of ``conditioning_tensor`` for G = V V^T.  The
-    r x r inverses are solved by ``kbr_step_batch``'s pass, and a failing
-    one is escalated alone, recording ``label[s]``.  A factor is accepted
-    when the matrix it stands for, applied to the all-ones vector, passes
-    the dense system's residual test."""
+    """The ``ConditioningFactors`` of the columns of ``weight_columns``
+    for G = V V^T, solved at ``lam``.  The r x r inverses are solved by
+    ``kbr_step_batch``'s pass, and a failing one is escalated alone,
+    recording ``label[s]``.  A factor is accepted when the matrix it
+    stands for, applied to the all-ones vector, passes the dense system's
+    residual test."""
     W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
     form = _Inverses(_WoodburyRows(W, np.ones((1, W.shape[1], 1)), None, V))
     S, ok = _factor_rows(form, lam)

@@ -2,26 +2,27 @@
 
 The model represents the belief state over a partially observable controlled
 process as a weight vector across T training samples.  Training windows the
-trajectory, resolves one kernel per data stream and ridge-regresses each
-history onto all histories through the history Gram, giving per-history
-prior sample weights (one column per training sample).  That regression
-is solved on the k distinct histories (``gramops.distinct_rows``,
-``gramops.spread_ridge``), a k x k system on the Gram of those alone
-(k = 6 of T = 240 on the discrete benchmark model, k = T without
-repeats).  These and the windows are all that training learns, and all
-that ``model_io`` stores.
-``build_model`` derives the rest from them, for a trained and a loaded
-model alike:
+trajectory and resolves one kernel per data stream.  The windows, the
+kernels and the regularizer are all that training learns, and all that
+``model_io`` stores: every parameter is a moment of the windows under
+those kernels, and ``train_from_windows`` derives them all, for a trained
+and a loaded model alike:
 
-1. the training Grams and factors the filter reads (``gramops.GramCache``),
-2. each weight column's kernel Bayes conditioning matrix against the
+1. per-history prior sample weights (one column per training sample),
+   the ridge regression of each history onto all histories through the
+   history Gram, solved on the k distinct histories
+   (``gramops.distinct_rows``, ``gramops.spread_ridge``), a k x k system
+   on the Gram of those alone (k = 6 of T = 240 on the discrete benchmark
+   model, k = T without repeats),
+2. the training Grams and factors the filter reads (``gramops.GramCache``),
+3. each weight column's kernel Bayes conditioning matrix against the
    single-step actions in Woodbury form (``gramops.ConditioningFactors``
    over the low-rank factor of the action Gram, T r^2 numbers), which the
    filter's action step mixes; it is solved once per distinct weight
    column (``gramops.distinct_rows``; exact-match kernels repeat columns,
    6 are distinct of 240 on the discrete benchmark model) and spread back
    to the T samples,
-3. each weight column's conditioning matrix against the test-action
+4. each weight column's conditioning matrix against the test-action
    windows, the coefficient form of that sample's operator-valued state,
    kept only as its coordinates in the joint factors of the test windows
    (``gramops.factor_coordinates``: row i of ``state_factors`` is
@@ -31,9 +32,9 @@ model alike:
    blocks of samples that function's docstring gives, in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per column near full
-   rank; like item 2 it is solved once per distinct weight column and
+   rank; like item 3 it is solved once per distinct weight column and
    spread back,
-4. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
+5. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
    states, S S^T for the ``state_factors`` rows S, solved once per model
    on the distinct rows of S (a k x k system, ``gramops.spread_ridge``),
    and so the inverse on the span of the training states, where every
@@ -62,11 +63,11 @@ from hsepsr.gramops import (
     SolveEvent,
     build_gram_cache,
     conditioning_factors,
-    conditioning_tensor,
     distinct_rows,
     factor_coordinates,
     history_weights,
     kbr_form,
+    kbr_step_batch,
     spread_ridge,
 )
 from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
@@ -124,8 +125,9 @@ class TrainingReport:
     ``test_obs`` for the joint test-window factors, whose product
     r_test_obs * r_test_action is the length of one state-factor row.
     ``distinct_states`` is the number of distinct history-weight columns,
-    the training states ``build_model`` solves for (the others repeat one
-    of them byte for byte, as exact-match kernels make them do).
+    the training states ``train_from_windows`` solves for (the others
+    repeat one of them byte for byte, as exact-match kernels make them
+    do).
     ``summary_lines`` also names the form (``gramops.kbr_form``) in which
     the state build solves: the test-action rank and T pick it, and the
     smaller of r_test_obs and r_test_action is the number of columns
@@ -197,8 +199,8 @@ class HsePsrModel:
     its inner products with the rows, a vector q = S x in that span, so
     the product of q with ``state_ridge`` is that of the full inverse.
     ``action_factors`` holds the per-sample action conditioning matrices
-    in Woodbury form, and ``distinct_states`` the number k of distinct
-    history-weight columns the build solved for.
+    in Woodbury form, and ``report`` the ``TrainingReport`` of the build
+    (``train_from_windows``), which a loaded model carries too.
     """
 
     windowed: WindowedData
@@ -209,8 +211,7 @@ class HsePsrModel:
     action_factors: ConditioningFactors
     state_factors: np.ndarray
     state_ridge: np.ndarray
-    distinct_states: int
-    report: TrainingReport | None = None
+    report: TrainingReport
 
     @property
     def config(self) -> WindowConfig:
@@ -262,24 +263,28 @@ class HsePsrModel:
         """Uniform weights: the average of the training states."""
         return BeliefState(self.feasible_weights)
 
+    def _conditioning_flat(self, G: np.ndarray, label: str) -> np.ndarray:
+        """Row i: the flattened conditioning matrix of weight column i
+        against G, the dense kernel Bayes solve against the identity."""
+        T = self.n_samples
+        return kbr_step_batch(
+            self.history_state_weights.T, G, self.grams.lam_T, np.eye(T)[None],
+            label=label,
+        ).reshape(T, -1)
+
     def action_conditioning_flat(self) -> np.ndarray:
         """Dense (T, T*T) oracle, built on every call: row i is the
         flattened conditioning matrix of weight column i against the
         single-action Gram.  The filter uses ``action_factors`` instead."""
         G_A_A = gram(self.kernels.action, self.cur_actions, self.cur_actions)
-        return conditioning_tensor(
-            self.history_state_weights, G_A_A, self.grams.lam_T, label="action"
-        ).reshape(self.n_samples, -1)
+        return self._conditioning_flat(G_A_A, "action")
 
     def state_conditioning_flat(self) -> np.ndarray:
         """Dense (T, T*T) oracle, built on every call: row i is the
         flattened conditioning matrix of weight column i against the
         test-action window Gram, i.e. the coefficient form of training
         state i.  The filter uses ``state_factors`` instead."""
-        return conditioning_tensor(
-            self.history_state_weights, self.grams.G_TA_TA, self.grams.lam_T,
-            label="state",
-        ).reshape(self.n_samples, -1)
+        return self._conditioning_flat(self.grams.G_TA_TA, "state")
 
 
 def resolve_kernels(
@@ -344,44 +349,49 @@ def _spread_events(events: list, spread: np.ndarray) -> list:
     ]
 
 
-def build_model(
-    windowed: WindowedData,
+def train_from_windows(
+    windows: WindowedData,
     kernels: KernelSet,
-    lam: float,
-    history_state_weights: np.ndarray,
-    *,
-    events: list | None = None,
-    stage_seconds: dict | None = None,
+    lam: float = DEFAULT_LAM,
 ) -> HsePsrModel:
-    """The model, without a report, that the windows, kernels, regularizer
-    and history weights define: Gram cache, action factors, state factors
-    S and the ridge inverse P of the state Gram S S^T.  Training and
-    ``model_io.load_model`` both build here, so a loaded model is the
-    trained one bit for bit.  The action and state factors are solved
-    once per distinct column of the history weights and spread back to
-    all T rows; an escalated solve is recorded once per sample whose
-    column it solved, as ``action[i]`` or ``state[i]`` with the sample
-    index, in sample order within each stage.  When every column is
-    distinct the solves get the weights unchanged.  P is solved on the
-    distinct rows too (``spread_ridge``), as P = F Y F^T for the counts C
-    of the distinct rows, F = E C^-1/2 and the k x k solution Y of
+    """The model, with its report, that windowed data, resolved kernels and
+    a regularizer define: the history weights A, solved from the Gram of
+    the distinct histories, then the Gram cache, the action factors, the
+    state factors S and the ridge inverse P of the state Gram S S^T.
+    Training and ``model_io.load_model`` both build here, so a loaded
+    model is the trained one bit for bit, report included except for its
+    stage times and ``truncated_from``.  The action and state factors are
+    solved once per distinct column of A and spread back to all T rows;
+    an escalated solve is recorded once per sample whose column it solved,
+    as ``action[i]`` or ``state[i]`` with the sample index, in sample
+    order within each stage.  When every column is distinct the solves
+    get A unchanged.  P is solved on the distinct rows too
+    (``spread_ridge``), as P = F Y F^T for the counts C of the distinct
+    rows, F = E C^-1/2 and the k x k solution Y of
     (C^1/2 S_d S_d^T C^1/2 + lam I) Y = I over the distinct rows S_d; it
     passes ``ridge_solve``'s residual test, ||(S S^T + lam I) P - F F^T||_F
     <= ``RESIDUAL_RTOL`` ||F F^T||_F, at the regularizer lam it was solved
-    with; escalated solves (P's as ``state-ridge``) go to ``events`` and the
-    stage times (``grams``, ``action-factors``, ``conditioning``,
-    ``state-gram``) to ``stage_seconds``, when given."""
-    stages = {} if stage_seconds is None else stage_seconds
+    with.  The report holds the escalated solves (A's as
+    ``history-weights``, P's as ``state-ridge``) and the stage times
+    (``history-weights``, ``grams``, ``action-factors``, ``conditioning``,
+    ``state-gram``)."""
+    events: list[SolveEvent] = []
+    stages: dict = {}
 
     def tick(stage, t0):
         stages[stage] = time.perf_counter() - t0
         return time.perf_counter()
 
-    # fix the memory layout so a save/load round trip keeps the exact
-    # floating-point behavior of the in-memory model
-    A = np.ascontiguousarray(history_state_weights)
     t0 = time.perf_counter()
-    cache = build_gram_cache(windowed, kernels, lam)
+    first, spread = distinct_rows(windows.histories) or (slice(None), None)
+    H = windows.histories[first]
+    # a fixed memory layout keeps the BLAS behavior of the solves below
+    A = np.ascontiguousarray(history_weights(
+        (gram(kernels.history, H, H), spread), lam * windows.n_samples,
+        events=events,
+    ))
+    t0 = tick("history-weights", t0)
+    cache = build_gram_cache(windows, kernels, lam)
     t0 = tick("grams", t0)
 
     # equal weight columns have equal solutions, so each distinct column is
@@ -405,8 +415,7 @@ def build_model(
         )
         S = S_d[spread]
         solved_events = _spread_events(solved_events, spread)
-    if events is not None:
-        events.extend(solved_events)
+    events.extend(solved_events)
     t0 = tick("conditioning", t0)
 
     G_states = S_d @ S_d.T
@@ -416,53 +425,18 @@ def build_model(
         events=events,
     )
     tick("state-gram", t0)
-    return HsePsrModel(
-        windowed=windowed,
-        kernels=kernels,
-        lam=lam,
-        grams=cache,
-        history_state_weights=A,
-        action_factors=action_factors,
-        state_factors=S,
-        state_ridge=state_ridge,
-        distinct_states=A_solved.shape[1],
-    )
-
-
-def train_from_windows(
-    windows: WindowedData,
-    kernels: KernelSet,
-    lam: float = DEFAULT_LAM,
-) -> HsePsrModel:
-    """Train a model from already-windowed data with resolved kernels: solve
-    the history weights from the Gram of the distinct histories, then
-    ``build_model``."""
-    events: list[SolveEvent] = []
-    t0 = time.perf_counter()
-    first, spread = distinct_rows(windows.histories) or (slice(None), None)
-    H = windows.histories[first]
-    A = history_weights(
-        (gram(kernels.history, H, H), spread), lam * windows.n_samples,
-        events=events,
-    )
-    stage_seconds = {"history-weights": time.perf_counter() - t0}
-    model = build_model(
-        windows, kernels, lam, A, events=events, stage_seconds=stage_seconds
-    )
-
     bandwidths = {
         s: getattr(kernels, s).bandwidth if getattr(kernels, s).family == "rbf" else None
         for s in STREAMS
     }
-    cache = model.grams
-    model.report = TrainingReport(
+    report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
         bandwidths=bandwidths,
-        distinct_states=model.distinct_states,
+        distinct_states=A_solved.shape[1],
         solve_events=events,
-        stage_seconds=stage_seconds,
+        stage_seconds=stages,
         ranks={
             "action": cache.V_A.shape[1],
             "obs": cache.V_O.shape[1],
@@ -470,7 +444,17 @@ def train_from_windows(
             "test_obs": cache.W_TO.shape[1],
         },
     )
-    return model
+    return HsePsrModel(
+        windowed=windows,
+        kernels=kernels,
+        lam=lam,
+        grams=cache,
+        history_state_weights=A,
+        action_factors=action_factors,
+        state_factors=S,
+        state_ridge=state_ridge,
+        report=report,
+    )
 
 
 def train(
@@ -484,8 +468,8 @@ def train(
 ) -> HsePsrModel:
     """Window a trajectory, resolve kernels, and train a model.
 
-    Continuous streams are always standardized (``build_windows``'s
-    default), and rbf bandwidths come from ``resolve_kernels``' median
+    Continuous streams are always standardized (``build_windows``), and
+    rbf bandwidths come from ``resolve_kernels``' median
     heuristic over at most ``kernels.MEDIAN_CAP`` rows per stream.
     ``max_samples`` caps T by truncating the trajectory (the state factors
     hold T r_TO r_TA floats: 213 MiB at the desk's T = 1480, where the

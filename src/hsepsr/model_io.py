@@ -6,16 +6,18 @@ array named in the header, little-endian float64 in C order.  The header
 carries the window configuration, regularizer, kernel families and
 bandwidths, the standardization transform, and the array manifest.
 
-Only what training learned is stored: the windowed training data and the
-per-history weight matrix (format v3).  Loading checks the header's
-fields and JSON types and the manifest's size against the file's, then
-every array and the standardization transform against the header (row
-count, widths, finite values, kernel dimensions, positive scales), each
-failure a ValueError naming the field, and rebuilds the rest with
-``learner.build_model``, as training builds it.  Version 2 files also
-stored the state Gram, and version 1 files the state Gram, the eight
-training Grams and the start belief; they still load, and those arrays
-are read and ignored.
+Only what training learned is stored: the seven window arrays of the
+training data, under the kernels, regularizer and standardization the
+header gives (format v4); every model parameter is derived from them.
+Loading checks the header's fields and JSON types and the manifest's size
+against the file's, then every window array and the standardization
+transform against the header (row count, widths, finite values, kernel
+dimensions, positive scales), each failure a ValueError naming the field,
+and builds the model, report included, with
+``learner.train_from_windows``, as training builds it.  Version 3 files
+also stored the history weights, version 2 files the history weights and
+the state Gram, and version 1 files those, the eight training Grams and
+the start belief; they still load, and those arrays are read and ignored.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import sys
 
 import numpy as np
 
+from hsepsr import learner
 from hsepsr.kernels import KernelSet, KernelSpec
-from hsepsr.learner import STREAMS, HsePsrModel, build_model
+from hsepsr.learner import STREAMS, HsePsrModel
 from hsepsr.windows import Standardizer, WindowConfig, WindowedData
 
 MAGIC = b"HSEPSR"
-FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
 
 _STANDARDIZER_FIELDS = ("action_mean", "action_scale", "obs_mean", "obs_scale")
 _NUMBER = (int, float)
@@ -78,7 +81,6 @@ _WINDOW_ARRAYS = (
 def save_model(model: HsePsrModel, path) -> None:
     """Write a trained model to ``path`` in the binary container format."""
     arrays = {name: getattr(model.windowed, name) for name in _WINDOW_ARRAYS}
-    arrays["history_state_weights"] = model.history_state_weights
     std = model.standardizer
     header = {
         "n_samples": model.n_samples,
@@ -147,12 +149,12 @@ def _check(value, schema, name: str = "header") -> None:
 
 
 def _validate(header: dict, arrays: dict) -> None:
-    """Check the arrays a model is rebuilt from against the header: T rows
-    each, the widths the window lengths and stream dimensions imply, (T, T)
-    history weights, finite values, and kernel dimensions that match their
-    streams; and the standardization vectors: stream-dimension lengths,
-    finite values and positive scales.  Raises ValueError naming the
-    offending array or field."""
+    """Check the arrays a model is built from against the header: T rows
+    each, the widths the window lengths and stream dimensions imply, finite
+    values, and kernel dimensions that match their streams; and the
+    standardization vectors: stream-dimension lengths, finite values and
+    positive scales.  Raises ValueError naming the offending array or
+    field."""
     T = int(header["n_samples"])
     L, N = int(header["history_length"]), int(header["test_length"])
     da, do = int(header["action_dim"]), int(header["obs_dim"])
@@ -164,7 +166,6 @@ def _validate(header: dict, arrays: dict) -> None:
         "shifted_test_obs": (T, N * do),
         "cur_actions": (T, da),
         "cur_obs": (T, do),
-        "history_state_weights": (T, T),
     }
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
@@ -202,9 +203,9 @@ def _validate(header: dict, arrays: dict) -> None:
 def load_model(path) -> HsePsrModel:
     """Read a model container back into a usable model.
 
-    The training report is not part of the container; the arrays are
-    validated against the header and the model is rebuilt from them by
-    ``build_model``.
+    The window arrays are validated against the header and the model is
+    built from them by ``learner.train_from_windows``, so its report is
+    the trained model's except for the stage times and ``truncated_from``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -224,7 +225,7 @@ def load_model(path) -> HsePsrModel:
             raw = _read_exact(fh, 8 * math.prod(shape), f"array {name}")
             arrays[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
 
-    missing = [n for n in _WINDOW_ARRAYS + ("history_state_weights",) if n not in arrays]
+    missing = [n for n in _WINDOW_ARRAYS if n not in arrays]
     if missing:
         raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
     _validate(header, arrays)
@@ -248,6 +249,6 @@ def load_model(path) -> HsePsrModel:
         discrete=bool(header["discrete"]),
         **{name: arrays[name] for name in _WINDOW_ARRAYS},
     )
-    return build_model(
-        windowed, kernels, float(header["lam"]), arrays["history_state_weights"]
-    )
+    # looked up on the module, so that a wrapper installed there (perfbench's
+    # tracer) times a load's build as it times training's
+    return learner.train_from_windows(windowed, kernels, float(header["lam"]))

@@ -162,16 +162,12 @@ def _time_major_windows(x: np.ndarray, width: int) -> np.ndarray:
     return v.transpose(0, 2, 1).reshape(x.shape[0] - width + 1, width * x.shape[1])
 
 
-def build_windows(
-    traj: Trajectory,
-    config: WindowConfig,
-    standardize: bool = True,
-) -> WindowedData:
+def build_windows(traj: Trajectory, config: WindowConfig) -> WindowedData:
     """Extract every window list the learner needs from one trajectory.
 
-    Standardization (on by default, always skipped for discrete streams)
-    is fit on the raw trajectory and applied before windowing, and the
-    fitted transform travels with the result so downstream predictions
+    Continuous streams are standardized (discrete ones are left as they
+    are): the transform is fit on the raw trajectory and applied before
+    windowing, and it travels with the result so downstream predictions
     can be mapped back to raw units.
     """
     L, N = config.history_length, config.test_length
@@ -180,10 +176,10 @@ def build_windows(
             f"trajectory of {traj.n} steps is too short for history length {L} "
             f"and test length {N}; need at least {config.min_steps()}"
         )
-    if standardize and not traj.discrete:
-        std = Standardizer.fit(traj)
-    else:
+    if traj.discrete:
         std = Standardizer.identity(traj.action_dim, traj.obs_dim)
+    else:
+        std = Standardizer.fit(traj)
     work = std.transform(traj)
 
     T = traj.n - L - N

@@ -23,8 +23,6 @@ from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
     RESIDUAL_RTOL,
     build_gram_cache,
-    conditioning_matrix,
-    conditioning_tensor,
     ridge_solve,
     window_factors,
 )
@@ -47,7 +45,10 @@ def _rel(got, want):
 def _dense_states(model):
     """The dense (T, T, T) state tensor and the Gram of its slices."""
     g = model.grams
-    C = conditioning_tensor(model.history_state_weights, g.G_TA_TA, g.lam_T)
+    eye = np.eye(model.n_samples)
+    C = np.stack(
+        [kbr_step(w, g.G_TA_TA, g.lam_T, eye) for w in model.history_state_weights.T]
+    )
     d = dense_grams(model.windowed, model.kernels)
     G = state_gram(C, C, d.G_TO_TO, g.G_TA_TA)
     return C, (G + G.T) / 2.0
@@ -62,7 +63,7 @@ def _assert_propagate_matches_dense(model, rng):
     W = np.vstack([model.feasible_weights, 1.0 / T + rng.normal(size=(2, T)) / T])
     got = propagate_many(model, W)
     for b in range(len(W)):
-        C_w = conditioning_matrix(W[b], g.G_TAs_TAs, g.lam_T)
+        C_w = kbr_step(W[b], g.G_TAs_TAs, g.lam_T, np.eye(T))
         inner = d.G_TO_TOs @ C_w @ d.G_TA_TAs.T
         q = (C * inner).sum(axis=(1, 2))
         assert _rel(got[b], ridge_solve(G_states, g.lam_T, q)) <= RTOL
@@ -316,7 +317,7 @@ class TestEscalation:
         # row 4 holds the escalated matrix's coordinates
         g = model.grams
         w_4 = model.history_state_weights[:, 4]
-        C_4 = conditioning_matrix(w_4, g.G_TA_TA, event.used)
+        C_4 = kbr_step(w_4, g.G_TA_TA, event.used, np.eye(len(w_4)))
         assert _rel(model.state_factors[4], (g.W_TO.T @ C_4 @ g.W_TA).ravel()) <= RTOL
 
     def test_repeated_singular_state_columns_are_each_reported(self, monkeypatch):
@@ -542,10 +543,10 @@ class TestLoadValidation:
 
     def test_non_finite_values(self, saved, tmp_path):
         def poison(arrays):
-            arrays["history_state_weights"][3, 2] = np.nan
+            arrays["histories"][3, 2] = np.nan
 
         bad = _rewrite(saved, tmp_path / "nan.hsepsr", edit_arrays=poison)
-        with pytest.raises(ValueError, match="history_state_weights"):
+        with pytest.raises(ValueError, match="histories"):
             load_model(bad)
 
     def test_kernel_dimension_must_match_its_stream(self, saved, tmp_path):

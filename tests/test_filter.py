@@ -15,12 +15,12 @@ from hsepsr.filter import (
     update_standardized,
     update_standardized_many,
 )
-from hsepsr.gramops import conditioning_matrix, ridge_solve
+from hsepsr.gramops import ridge_solve
 from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
-from densegrams import dense_grams, factor_state_gram
+from densegrams import dense_grams, factor_state_gram, kbr_step
 from synthdata import synthetic_trajectory
 
 
@@ -33,12 +33,12 @@ class TestStages:
         g, d = model.grams, dense_grams(model.windowed, model.kernels)
         T = model.n_samples
         w = rng.normal(size=T)
-        C_w = conditioning_matrix(w, g.G_TAs_TAs, g.lam_T)
+        C_w = kbr_step(w, g.G_TAs_TAs, g.lam_T, np.eye(T))
         inner = d.G_TO_TOs @ C_w @ d.G_TA_TAs.T
         q = np.empty(T)
         for i in range(T):
-            C_i = conditioning_matrix(
-                model.history_state_weights[:, i], g.G_TA_TA, g.lam_T
+            C_i = kbr_step(
+                model.history_state_weights[:, i], g.G_TA_TA, g.lam_T, np.eye(T)
             )
             q[i] = float((C_i * inner).sum())
         expect = ridge_solve(factor_state_gram(model), g.lam_T, q)
@@ -65,7 +65,9 @@ class TestStages:
         )
         expect = np.zeros(T)
         for i in range(T):
-            C_i = conditioning_matrix(model.history_state_weights[:, i], d.G_A_A, g.lam_T)
+            C_i = kbr_step(
+                model.history_state_weights[:, i], d.G_A_A, g.lam_T, np.eye(T)
+            )
             expect += w[i] * (C_i @ k)
         assert np.allclose(condition_action(model, w, a), expect, atol=1e-10)
 
@@ -79,7 +81,7 @@ class TestStages:
             model.cur_obs,
             model.standardizer.transform_obs(o.ravel()),
         )
-        expect = conditioning_matrix(w, g.G_O_O, g.lam_T) @ k
+        expect = kbr_step(w, g.G_O_O, g.lam_T, np.eye(model.n_samples)) @ k
         got = condition_observation(model, w, o)
         assert isinstance(got, BeliefState)
         assert np.allclose(got.weights, expect, atol=1e-10)

@@ -10,8 +10,6 @@ from hsepsr.gramops import (
     FACTOR_FLOOR,
     GramCache,
     build_gram_cache,
-    conditioning_matrix,
-    conditioning_tensor,
     distinct_rows,
     escalated_solve,
     history_weights,
@@ -111,14 +109,14 @@ class TestConditioning:
         w = rng.normal(size=9)  # negative entries included
         lam = 0.8
         expect = np.linalg.inv(np.diag(w) @ G + lam * np.eye(9)) @ np.diag(w)
-        got = conditioning_matrix(w, G, lam)
+        got = kbr_step_batch(w[None], G, lam, np.eye(9)[None])[0]
         assert np.allclose(got, expect, atol=1e-10)
 
     def test_kbr_step_matches_matrix_action(self, rng):
         G = random_psd(rng, 7)
         w = rng.normal(size=7)
         k = rng.normal(size=7)
-        C = conditioning_matrix(w, G, 0.5)
+        C = kbr_step_batch(w[None], G, 0.5, np.eye(7)[None])[0]
         assert np.allclose(kbr_step(w, G, 0.5, k), C @ k, atol=1e-10)
         K = rng.normal(size=(7, 3))
         assert np.allclose(kbr_step(w, G, 0.5, K), C @ K, atol=1e-10)
@@ -271,21 +269,11 @@ class TestConditioning:
         for b in range(3):
             assert np.allclose(got[b], kbr_step(W[b], G, 0.3, M), atol=1e-10)
 
-    def test_tensor_stacks_columns(self, rng):
-        G = random_psd(rng, 5)
-        W = rng.normal(size=(5, 3))
-        tensor = conditioning_tensor(W, G, 0.4)
-        assert tensor.shape == (3, 5, 5)
-        for s in range(3):
-            assert np.allclose(
-                tensor[s], conditioning_matrix(W[:, s], G, 0.4), atol=1e-12
-            )
-
     def test_uniform_weights_reduce_to_ridge(self, rng):
         """With w = 1/T the conditioning matrix is (G/T + lam I)^-1 / T."""
         G = random_psd(rng, 6)
         T, lam = 6, 0.2
-        got = conditioning_matrix(np.full(T, 1.0 / T), G, lam)
+        got = kbr_step_batch(np.full((1, T), 1.0 / T), G, lam, np.eye(T)[None])[0]
         expect = np.linalg.inv(G / T + lam * np.eye(T)) / T
         assert np.allclose(got, expect, atol=1e-10)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hsepsr.filter import filter_trajectory
-from hsepsr.gramops import conditioning_matrix
 from hsepsr.kernels import resolve_bandwidth
 from hsepsr.learner import (
     BeliefState,
@@ -14,7 +13,7 @@ from hsepsr.learner import (
 from hsepsr.predict import rollout_predict
 from hsepsr.windows import Trajectory, WindowConfig, WindowedData, build_windows
 
-from densegrams import dense_grams, factor_state_gram
+from densegrams import dense_grams, factor_state_gram, kbr_step
 from synthdata import synthetic_trajectory
 
 
@@ -100,12 +99,12 @@ class TestTrain:
             w_i = model.history_state_weights[:, i]
             assert np.allclose(
                 act_flat[i].reshape(T, T),
-                conditioning_matrix(w_i, d.G_A_A, g.lam_T),
+                kbr_step(w_i, d.G_A_A, g.lam_T, np.eye(T)),
                 atol=1e-12,
             )
             assert np.allclose(
                 state_flat[i].reshape(T, T),
-                conditioning_matrix(w_i, g.G_TA_TA, g.lam_T),
+                kbr_step(w_i, g.G_TA_TA, g.lam_T, np.eye(T)),
                 atol=1e-12,
             )
 

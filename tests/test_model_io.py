@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from hsepsr.filter import filter_trajectory
 from hsepsr.gramops import GramCache
-from hsepsr.learner import train
+from hsepsr.learner import TrainingReport, train
 from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.predict import rollout_predict
+from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData
 
 from densegrams import dense_grams, factor_state_gram
@@ -53,8 +54,9 @@ def _header_paths(value, path=()):
 
 def _write_old(model, saved_path, path, version):
     """Write ``model`` in an older layout, reusing the header of a saved
-    file: version 2 also stored the state Gram, version 1 the state Gram,
-    the eight training Grams and the start belief."""
+    file: version 3 also stored the history weights, version 2 those and
+    the state Gram, version 1 those, the eight training Grams and the
+    start belief."""
     header, _ = _split(saved_path.read_bytes())
     windows = (
         "histories", "test_actions", "test_obs", "shifted_test_actions",
@@ -64,7 +66,8 @@ def _write_old(model, saved_path, path, version):
     if version == 1:
         arrays.update(vars(dense_grams(model.windowed, model.kernels)))
     arrays["history_state_weights"] = model.history_state_weights
-    arrays["gram_states"] = factor_state_gram(model)
+    if version <= 2:
+        arrays["gram_states"] = factor_state_gram(model)
     if version == 1:
         arrays["feasible_weights"] = model.feasible_weights
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
@@ -95,6 +98,16 @@ def _assert_same_arrays(model, loaded):
             assert np.array_equal(a, b), f.name
 
 
+def _assert_same_report(model, loaded):
+    """The loaded report is the trained one but for the load's own stage
+    times and the truncation, which only training sees."""
+    for f in dataclasses.fields(TrainingReport):
+        if f.name not in ("stage_seconds", "truncated_from"):
+            assert getattr(loaded.report, f.name) == getattr(model.report, f.name), f.name
+    assert loaded.report.stage_seconds.keys() == model.report.stage_seconds.keys()
+    assert loaded.report.truncated_from is None
+
+
 def _assert_old_file_loads_to_the_same_model(model, path, old, version):
     _write_old(model, path, old, version)
     loaded = load_model(old)
@@ -120,7 +133,18 @@ class TestRoundTrip:
                 getattr(loaded.standardizer, field),
                 getattr(model.standardizer, field),
             )
-        assert loaded.report is None
+        _assert_same_report(model, loaded)
+
+    def test_discrete_report_survives_a_load(self, tmp_path):
+        """Repeated states, and a cut that only the trained report shows."""
+        traj = sample_trajectory(default_system(), 100, seed=0)
+        model = train(traj, WindowConfig(1, 1), lam=1e-2, max_samples=60)
+        assert model.report.truncated_from == 98
+        assert model.report.distinct_states < model.n_samples
+        save_model(model, tmp_path / "d.hsepsr")
+        loaded = load_model(tmp_path / "d.hsepsr")
+        _assert_same_arrays(model, loaded)
+        _assert_same_report(model, loaded)
 
     def test_rebuilt_tensors_match(self, saved):
         """Conditioning tensors are not persisted; the lazy rebuild must
@@ -156,15 +180,18 @@ class TestRoundTrip:
     def test_version_2_file_loads_to_the_same_model(self, saved, tmp_path):
         _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v2.hsepsr", 2)
 
+    def test_version_3_file_loads_to_the_same_model(self, saved, tmp_path):
+        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v3.hsepsr", 3)
+
     def test_file_stores_only_what_training_learned(self, saved):
         _, path = saved
         raw = path.read_bytes()
         version, hlen = struct.unpack("<II", raw[len(MAGIC) : len(MAGIC) + 8])
         header = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + hlen])
-        assert version == FORMAT_VERSION == 3
+        assert version == FORMAT_VERSION == 4
         assert [name for name, _ in header["arrays"]] == [
             "histories", "test_actions", "test_obs", "shifted_test_actions",
-            "shifted_test_obs", "cur_actions", "cur_obs", "history_state_weights",
+            "shifted_test_obs", "cur_actions", "cur_obs",
         ]
 
     def test_save_is_deterministic(self, saved, tmp_path):

@@ -6,7 +6,6 @@ from hsepsr.filter import (
     update_standardized,
     update_standardized_many,
 )
-from hsepsr.gramops import conditioning_matrix
 from hsepsr.kernels import kernel_vector
 from hsepsr.learner import BeliefState, train
 from hsepsr.predict import (
@@ -17,6 +16,7 @@ from hsepsr.predict import (
 )
 from hsepsr.windows import WindowConfig
 
+from densegrams import kbr_step
 from synthdata import synthetic_trajectory
 
 
@@ -49,8 +49,9 @@ class TestConditionTestActions:
             model.kernels.test_action, model.shifted_test_actions, window_std
         )
         expect = (
-            conditioning_matrix(
-                state.weights, model.grams.G_TAs_TAs, model.grams.lam_T
+            kbr_step(
+                state.weights, model.grams.G_TAs_TAs, model.grams.lam_T,
+                np.eye(model.n_samples),
             )
             @ k
         )

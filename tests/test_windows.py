@@ -13,11 +13,11 @@ from hsepsr.windows import (
 )
 
 
-def ramp_trajectory(n, da=1, do=1):
+def ramp_trajectory(n, da=1, do=1, discrete=False):
     """Actions 100 + t per coordinate, observations 200 + t: windows readable by eye."""
     a = 100.0 + np.arange(n)[:, None] + np.arange(da)[None, :] * 0.1
     o = 200.0 + np.arange(n)[:, None] + np.arange(do)[None, :] * 0.1
-    return Trajectory(a, o)
+    return Trajectory(a, o, discrete=discrete)
 
 
 class TestTrajectory:
@@ -46,9 +46,10 @@ class TestBuildWindows:
             build_windows(ramp_trajectory(cfg.min_steps() - 1), cfg)
 
     def test_window_contents_by_hand(self):
-        # L=2, N=2, n=6 gives T=2; check every field of sample 1 unstandardized
-        traj = ramp_trajectory(6, da=1, do=2)
-        w = build_windows(traj, WindowConfig(2, 2), standardize=False)
+        # L=2, N=2, n=6 gives T=2; check every field of sample 1, which a
+        # discrete trajectory leaves unstandardized
+        traj = ramp_trajectory(6, da=1, do=2, discrete=True)
+        w = build_windows(traj, WindowConfig(2, 2))
         i = 1
         # history: (a_1, o_1, a_2, o_2) interleaved
         expect_hist = np.concatenate(
