@@ -23,12 +23,14 @@ model; k = T and the plain T x T solve when no row repeats).  Every
 filter step solves the conditioning shape.
 Many such systems, one per row, are solved in one plain pass
 (``_factor_rows``): each row's system is written by its form into
-buffers reused from row to row and factored in place by LAPACK
-``getrf``.  The form then turns the solutions into steps and applies its
-own test (``steps``), and only the rows that fail either test, an
-exactly singular one included, are solved again by ``escalated_solve``,
-one row at a time (``_escalated_row``), with the form's test as its
-``accept``.  Every escalation goes through ``escalated_solve``.
+buffers reused from row to row and solved by ``numpy.linalg.solve``
+(LAPACK ``gesv``, an LU factorization with partial pivoting).  The form
+then turns the solutions into steps and applies its own test
+(``steps``), and only the rows that fail either test, an exactly
+singular one included, are solved again by ``escalated_solve``, one row
+at a time (``_escalated_row``), with the form's test as its ``accept``.
+Every escalation goes through ``escalated_solve``.  Every solve here is
+numpy's, so a process loads one BLAS.
 
 When a Gram has low rank, G = V V^T with V of shape (T, r), the
 conditioning solve takes the Woodbury form
@@ -88,11 +90,9 @@ desk models, the action side on the discrete ones.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from hsepsr.kernels import gram
 
@@ -119,9 +119,8 @@ class SolveEvent:
 
 def _factor_solve(lhs: np.ndarray, rhs: np.ndarray, sym: bool) -> np.ndarray:
     if sym:
-        c, low = sla.cho_factor(lhs, lower=True, check_finite=False)
-        return sla.cho_solve((c, low), rhs, check_finite=False)
-    return sla.solve(lhs, rhs, check_finite=False)
+        np.linalg.cholesky(lhs)  # raises unless lhs is positive definite
+    return np.linalg.solve(lhs, rhs)
 
 
 def escalated_solve(
@@ -136,11 +135,13 @@ def escalated_solve(
 ) -> np.ndarray:
     """Solve build_lhs(lam) @ X = rhs, raising lam tenfold on failure.
 
-    A solve fails when the factorization raises or when the residual
-    exceeds ``RESIDUAL_RTOL`` times the Frobenius norm of ``rhs``, or when
-    ``accept(X, lam)`` (if given) is false.  Each escalation that ends in
-    success is appended to ``events`` (if given); exhausting the retries
-    raises ``numpy.linalg.LinAlgError``.
+    Each attempt is one ``numpy.linalg.solve`` (an LU factorization);
+    with ``sym`` the matrix must also pass ``numpy.linalg.cholesky``, the
+    test that it is positive definite.  A solve fails when either raises,
+    when the residual exceeds ``RESIDUAL_RTOL`` times the Frobenius norm
+    of ``rhs``, or when ``accept(X, lam)`` (if given) is false.  Each
+    escalation that ends in success is appended to ``events`` (if given);
+    exhausting the retries raises ``numpy.linalg.LinAlgError``.
     """
     if not lam > 0:
         raise ValueError("regularizer must be positive")
@@ -148,11 +149,7 @@ def escalated_solve(
     for attempt in range(1 + MAX_JITTER_RETRIES):
         lhs = build_lhs(lam_eff)
         try:
-            # the residual test below judges the attempt; scipy's condition
-            # warning would only repeat it
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                x = _factor_solve(lhs, rhs, sym)
+            x = _factor_solve(lhs, rhs, sym)
         except np.linalg.LinAlgError:
             x = None
         if x is not None and np.isfinite(x).all():
@@ -236,43 +233,46 @@ def _factor_rows(form, lam: float, groups=(slice(None),)):
     ``form.shape`` is (B, n, m); ``form.fill(b, M, R)`` writes row b's
     (n, n) matrix and (n, m) right-hand side into the buffers it is given,
     which are reused from row to row, so no stack of systems is ever
-    formed.  Each row is factored by LAPACK ``getrf`` and solved by
-    ``getrs``.  Returns X and, per row, whether it passed
-    ``escalated_solve``'s test: the factorization succeeded, X_b is finite
-    and each column group in ``groups`` has a residual on the system
-    solved within ``RESIDUAL_RTOL`` of the norm of its own right-hand side.
+    formed.  Each row is solved by ``numpy.linalg.solve`` (LAPACK
+    ``gesv``, which raises on an exactly singular row).  Returns X and,
+    per row, whether it passed ``escalated_solve``'s test: the
+    factorization succeeded, X_b is finite and each column group in
+    ``groups`` has a residual on the system solved within
+    ``RESIDUAL_RTOL`` of the norm of its own right-hand side.  The
+    right-hand side and the residual are held in Fortran order, where a
+    group, a slice of columns, is contiguous, so its norms are read
+    without a copy.
     """
     B, n, m = form.shape
     x = np.empty(form.shape)
     ok = np.zeros(B, dtype=bool)
     lhs = np.empty((n, n))
     diagonal = lhs.reshape(-1)[:: n + 1]
-    lu = np.empty((n, n), order="F")
-    rhs = np.empty((n, m))
-    xb = np.empty((n, m), order="F")
-    res = np.empty((n, m))
+    rhs = np.empty((n, m), order="F")
+    res = np.empty((n, m), order="F")
     with np.errstate(invalid="ignore", over="ignore"):
         for b in range(B):
             form.fill(b, lhs, rhs)
             diagonal += lam
-            np.copyto(lu, lhs)
-            lu, piv, info = sla.lapack.dgetrf(lu, overwrite_a=1)
-            if info != 0:
+            try:
+                xb = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError:
                 continue
-            np.copyto(xb, rhs)
-            xb, info = sla.lapack.dgetrs(lu, piv, xb, overwrite_b=1)
             x[b] = xb
-            if info != 0 or not np.isfinite(xb).all():
+            if not np.isfinite(xb).all():
                 continue
             np.matmul(lhs, xb, out=res)
             res -= rhs
             ok[b] = all(
-                _within_rtol(
-                    np.vdot(res[:, g], res[:, g]), np.vdot(rhs[:, g], rhs[:, g])
-                )
-                for g in groups
+                _within_rtol(_sq(res[:, g]), _sq(rhs[:, g])) for g in groups
             )
     return x, ok
+
+
+def _sq(a: np.ndarray) -> float:
+    """Squared Frobenius norm of a Fortran-contiguous array, read in place."""
+    v = a.ravel(order="F")
+    return np.vdot(v, v)
 
 
 def _escalated_row(form, b: int, lam: float, *, label: str, events: list | None):
@@ -421,13 +421,14 @@ def kbr_step_batch(
     if given, which must satisfy G = V V^T, so that both forms solve the
     same system and agree to rounding.  The dense form writes row b's
     system A_b and its right-hand sides into ``_factor_rows``' row buffers
-    and factors them in place.  The Woodbury form solves the r x r systems
-    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) the same way and
-    returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
-    pass the dense system's residual test, evaluated in factored form, and
-    a row that fails either test escalates its regularizer, which then
-    enters both the r x r solve and the outer 1/lam.  Either way a failing
-    row records ``label[first_row + b]`` as a single-row solve would.
+    and solves them by ``numpy.linalg.solve``.  The Woodbury form solves
+    the r x r systems (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b)
+    the same way and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam;
+    each row must also pass the dense system's residual test, evaluated
+    in factored form, and a row that fails either test escalates its
+    regularizer, which then enters both the r x r solve and the outer
+    1/lam.  Either way a failing row records ``label[first_row + b]`` as
+    a single-row solve would.
 
     ``extra`` (B, T), if given, holds one more kernel vector per row,
     solved in the same factorization; the result is then the pair (that

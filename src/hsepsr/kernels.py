@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 FAMILIES = ("rbf", "linear", "delta")
 
@@ -86,8 +85,25 @@ def resolve_bandwidth(points: np.ndarray, cap: int = MEDIAN_CAP) -> float:
     if n > cap:
         stride = -(-n // cap)  # ceil division
         points = points[::stride]
-    med = float(np.median(pdist(points)))
+    # each pair once: the strict upper triangle, row by row
+    dist = _sq_distances(points, points)[~np.tri(len(points), dtype=bool)]
+    med = float(np.median(np.sqrt(dist, out=dist)))
     return med if med > 0.0 else ZERO_MEDIAN_FALLBACK
+
+
+def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of X and Y,
+    accumulated one input column at a time, so that no (n, m, d) broadcast
+    is formed and each entry is the sum of its d squared differences taken
+    in column order, as a per-pair loop takes it."""
+    d2 = np.subtract.outer(X[:, 0], Y[:, 0])
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for j in range(1, X.shape[1]):
+        np.subtract.outer(X[:, j], Y[:, j], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -140,8 +156,9 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return eq.astype(float)
     if spec.bandwidth is None:
         raise ValueError("rbf bandwidth not resolved")
-    d2 = cdist(X, Y, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    K = _sq_distances(X, Y)
+    K /= -2.0 * spec.bandwidth**2
+    return np.exp(K, out=K)
 
 
 def kernel_vector(spec: KernelSpec, X: np.ndarray, query: np.ndarray) -> np.ndarray:

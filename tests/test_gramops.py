@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import hsepsr.gramops as gramops
 from hsepsr.gramops import (
@@ -164,15 +163,16 @@ class TestConditioning:
         assert [e.label for e in events] == ["kbr[7]"]
 
     def test_exactly_singular_row_fails_getrf_and_escalates_alone(self, rng):
-        """getrf reports the singular row (info > 0); that row alone is
+        """The singular row fails its LU factorization (``getrf`` reports
+        info > 0, and ``np.linalg.solve`` raises); that row alone is
         escalated, and the others are the plain LU solves at lam."""
         G = np.diag(np.arange(1.0, 7.0))
         lam = 0.5
         W = rng.uniform(0.5, 1.0, (4, 6))
         W[1] = -lam
         K = rng.normal(size=(4, 6))
-        _, _, info = sla.lapack.dgetrf(W[1][:, None] * G + lam * np.eye(6))
-        assert info > 0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(W[1][:, None] * G + lam * np.eye(6), K[1])
         events = []
         got = kbr_step_batch(W, G, lam, K, events=events)
         assert [e.label for e in events] == ["kbr[1]"]
@@ -239,10 +239,12 @@ class TestConditioning:
 
     def test_fused_batch_forms_no_stack_of_systems(self, rng):
         """The fused call, 161 shared columns plus one extra column per row,
-        keeps the same bound with m counting the extra column: each row's
-        buffer takes the shared columns and its extra one, and the shared
+        keeps a tighter bound with m counting the extra column: each row's
+        buffer takes the shared columns and its extra one, the shared
         columns are never broadcast into a (B, T, m + 1) copy (about
-        8 B T (m + 1) more, 11.6 T (T + m + 1) floats in all)."""
+        8 B T (m + 1) more, 11.6 T (T + m + 1) floats in all), and the
+        residual test reads each column group in place (a copy of the
+        shared group took 3.5 T (T + m) floats)."""
         B, T, m = 16, 160, 162
         G = random_psd(rng, T) / T
         W = 1.0 / T + rng.normal(size=(B, T)) / T
@@ -258,7 +260,7 @@ class TestConditioning:
             tracemalloc.stop()
         assert x.shape == (B, T, m - 1) and x_e.shape == (B, T)
         result = x.nbytes + x_e.nbytes
-        assert peak - base - result <= 4 * T * (T + m) * x.itemsize
+        assert peak - base - result <= 3 * T * (T + m) * x.itemsize
 
     def test_batch_matrix_right_hand_side_shared_across_rows(self, rng):
         G = random_psd(rng, 6)

@@ -1,3 +1,6 @@
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from hsepsr.kernels import (
     MEDIAN_CAP,
     KernelSet,
     KernelSpec,
+    _sq_distances,
     gram,
     kernel_eval,
     kernel_vector,
@@ -141,6 +145,68 @@ class TestGram:
         v = kernel_vector(spec, X, q)
         K = gram(spec, X, q.reshape(1, 2))
         assert np.array_equal(v, K[:, 0])
+
+
+def pair_sq(x, y):
+    """Squared distance of one pair, summed coordinate by coordinate."""
+    total = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        total += (a - b) ** 2
+    return total
+
+
+class TestDistances:
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_squared_distances_equal_the_per_pair_sum(self, rng, d):
+        X = rng.normal(size=(13, d))
+        Y = rng.normal(size=(9, d))
+        want = np.array([[pair_sq(x, y) for y in Y] for x in X])
+        assert np.array_equal(_sq_distances(X, Y), want)
+        bw = 1.7
+        assert np.array_equal(
+            gram(KernelSpec("rbf", d, bw), X, Y), np.exp(want / (-2.0 * bw**2))
+        )
+
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_bandwidth_is_the_median_per_pair_distance(self, rng, d):
+        X = rng.normal(size=(12, d))
+        dists = [
+            pair_sq(X[i], X[j]) ** 0.5 for i in range(12) for j in range(i + 1, 12)
+        ]
+        assert resolve_bandwidth(X) == statistics.median(dists)
+
+    def test_rbf_gram_forms_no_broadcast(self, rng):
+        """The distances are summed one input column at a time: beyond the
+        (n, m) result, one (n, m) difference buffer and numpy's fixed
+        iteration buffers, where an (n, m, d) broadcast would take d of
+        them."""
+        n, m, d = 400, 300, 20
+        spec = KernelSpec("rbf", d, bandwidth=2.0)
+        X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        gram(spec, X, Y)  # warm any one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            K = gram(spec, X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base - K.nbytes <= 1.25 * n * m * K.itemsize
+
+    def test_median_heuristic_at_the_cap_holds_two_distance_matrices(self, rng):
+        """At the cap the median heuristic holds at most the (n, n) squared
+        distances and one (n, n) difference buffer, about 2 n^2 floats."""
+        n = MEDIAN_CAP
+        X = rng.normal(size=(n, 3))
+        resolve_bandwidth(X[:10])  # warm any one-time allocations
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            resolve_bandwidth(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.05 * n * n * X.itemsize
 
 
 class TestGramProperties:
