@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsepsr.filter import filter_trajectory
+from hsepsr.kernels import FAMILIES
 from hsepsr.learner import DEFAULT_LAM, DEFAULT_MAX_SAMPLES, train
 from hsepsr.model_io import load_model, save_model
-from hsepsr.predict import predict_observation_at, rollout_predict
+from hsepsr.predict import predict_observation_at, rollout_predict_many
 from hsepsr.simbench.benchmark import (
     DESK_EXTENT,
     DESK_EXTENT_STEP,
@@ -42,7 +43,7 @@ from hsepsr.windows import (
     write_trajectory_csv,
 )
 
-KERNEL_CHOICES = ("auto", "rbf", "delta")
+KERNEL_CHOICES = ("auto", *FAMILIES)
 
 
 @dataclass
@@ -126,15 +127,16 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_filter(cfg: RunConfig) -> int:
     model = load_model(cfg.model)
     traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
+    events: list = []
     result = filter_trajectory(
-        model, None, traj.actions, traj.observations, renormalize=cfg.renormalize
+        model, None, traj.actions, traj.observations, cfg.renormalize, events
     )
     if cfg.out:
         np.save(cfg.out, result.weights_matrix())
         print(f"belief weights ({traj.n} x {model.n_samples}) -> {cfg.out}")
     print(
         f"filtered {traj.n} steps, {len(result.resets)} resets, "
-        f"final mass {result.final.mass:.4f}"
+        f"solve escalations: {len(events)}, final mass {result.final.mass:.4f}"
     )
     return 0
 
@@ -147,12 +149,10 @@ def cmd_predict(cfg: RunConfig) -> int:
             f"--extent {cfg.extent} leaves no future steps in the "
             f"{traj.n}-step trajectory"
         )
+    events: list = []
     result = filter_trajectory(
-        model,
-        None,
-        traj.actions[: cfg.extent],
-        traj.observations[: cfg.extent],
-        renormalize=cfg.renormalize,
+        model, None, traj.actions[: cfg.extent], traj.observations[: cfg.extent],
+        cfg.renormalize, events,
     )
     horizons = sorted(set(cfg.horizons))
     if cfg.direct_prediction:
@@ -164,10 +164,10 @@ def cmd_predict(cfg: RunConfig) -> int:
         )
     else:
         future = traj.actions[cfg.extent :]
-        preds = rollout_predict(
-            model, result.final, future, horizons=horizons,
-            renormalize=cfg.renormalize,
-        ).predictions
+        preds = rollout_predict_many(
+            model, result.final.weights[None], future[None], horizons,
+            cfg.renormalize, events=events,
+        )[0]
     rows = []
     for h, p in zip(horizons, preds):
         t = cfg.extent + h - 1
@@ -179,6 +179,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         line = f"h={h} pred " + " ".join(f"{v:.6g}" for v in p) + truth
         rows.append(line)
         print(line)
+    print(f"solve escalations: {len(events)}")
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write("\n".join(rows) + "\n")

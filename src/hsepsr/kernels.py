@@ -1,10 +1,11 @@
 """Kernel definitions, median-heuristic bandwidths, and Gram matrix evaluation.
 
-Three kernel families are supported on fixed-length vectors:
+Two kernel families are supported on fixed-length vectors, both
+characteristic, so that a kernel mean embeds a whole distribution and not
+only its mean:
 
-* ``rbf``:    k(x, y) = exp(-||x - y||^2 / (2 sigma^2))
-* ``linear``: k(x, y) = <x, y>
-* ``delta``:  k(x, y) = 1 if x == y elementwise else 0 (integer-coded symbols)
+* ``rbf``:   k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) (continuous streams)
+* ``delta``: k(x, y) = 1 if x == y elementwise else 0 (integer-coded symbols)
 
 A model uses one kernel per data stream (histories, test-action windows,
 test-observation windows, single actions, single observations); shifted
@@ -13,13 +14,14 @@ windows share the kernel of their unshifted stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = ("rbf", "linear", "delta")
+FAMILIES = ("rbf", "delta")
 
-#: Default subsample cap for the median heuristic.
+#: Subsample cap for the median heuristic.
 MEDIAN_CAP = 1000
 
 #: Bandwidth used when the median pairwise distance degenerates to zero.
@@ -28,10 +30,12 @@ ZERO_MEDIAN_FALLBACK = 1.0
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One kernel: family, bandwidth (rbf only), and expected input length.
+    """One kernel: family, expected input length, and bandwidth sigma.
 
-    ``bandwidth=None`` on an rbf spec means "resolve by median heuristic
-    before use"; the other families ignore the bandwidth.
+    Every rbf spec carries a finite, positive bandwidth from the moment it
+    is built; a delta spec needs none and ignores one, which must still be
+    finite and positive when given.  A spec that breaks either rule raises
+    ValueError, so every spec that exists can be evaluated.
     """
 
     family: str
@@ -43,17 +47,16 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.dimension < 1:
             raise ValueError("kernel dimension must be positive")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-
-    @property
-    def resolved(self) -> bool:
-        return self.family != "rbf" or self.bandwidth is not None
+        bw = self.bandwidth
+        if (bw is not None or self.family == "rbf") and not 0 < (bw or 0) < math.inf:
+            raise ValueError(
+                f"{self.family} bandwidth must be finite and positive, got {bw}"
+            )
 
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Resolved kernels for the five data streams of one model."""
+    """The kernels of the five data streams of one model."""
 
     history: KernelSpec
     test_action: KernelSpec
@@ -61,29 +64,21 @@ class KernelSet:
     action: KernelSpec
     obs: KernelSpec
 
-    def __post_init__(self):
-        for name in ("history", "test_action", "test_obs", "action", "obs"):
-            spec = getattr(self, name)
-            if not spec.resolved:
-                raise ValueError(f"kernel for stream {name!r} has unresolved bandwidth")
 
-
-def resolve_bandwidth(points: np.ndarray, cap: int = MEDIAN_CAP) -> float:
+def resolve_bandwidth(points: np.ndarray) -> float:
     """Median pairwise Euclidean distance of ``points`` (the median heuristic).
 
-    ``points`` is (n, d).  If n exceeds ``cap``, a deterministic strided
-    subsample of at most ``cap`` points is used to keep the O(n^2) distance
-    enumeration bounded.  A zero median (all points identical) falls back
-    to ``ZERO_MEDIAN_FALLBACK``.
+    ``points`` is (n, d).  If n exceeds ``MEDIAN_CAP``, a deterministic
+    strided subsample of at most ``MEDIAN_CAP`` points is used to keep the
+    O(n^2) distance enumeration bounded.  A zero median (all points
+    identical) falls back to ``ZERO_MEDIAN_FALLBACK``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if n < 2:
         raise ValueError("insufficient points for bandwidth")
-    if cap < 2:
-        raise ValueError("median-heuristic cap must be at least 2")
-    if n > cap:
-        stride = -(-n // cap)  # ceil division
+    if n > MEDIAN_CAP:
+        stride = -(-n // MEDIAN_CAP)  # ceil division
         points = points[::stride]
     # each pair once: the strict upper triangle, row by row
     dist = _sq_distances(points, points)[~np.tri(len(points), dtype=bool)]
@@ -115,12 +110,8 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
             f"kernel input length mismatch: expected {spec.dimension}, "
             f"got {x.shape[0]} and {y.shape[0]}"
         )
-    if spec.family == "linear":
-        return float(np.dot(x, y))
     if spec.family == "delta":
         return 1.0 if np.array_equal(x, y) else 0.0
-    if spec.bandwidth is None:
-        raise ValueError("rbf bandwidth not resolved")
     d2 = float(np.sum((x - y) ** 2))
     return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
 
@@ -142,33 +133,12 @@ def gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             f"gram input width mismatch: expected {spec.dimension}, "
             f"got {X.shape[1]} and {Y.shape[1]}"
         )
-    if spec.family == "linear":
-        K = X @ Y.T
-        if X.shape == Y.shape and (X is Y or np.array_equal(X, Y)):
-            # BLAS matmul is not bit-symmetric; mirror the lower triangle.
-            K = np.tril(K) + np.tril(K, -1).T
-        return K
     if spec.family == "delta":
         # one (n, m) comparison per input column, never an (n, m, d) broadcast
         eq = X[:, None, 0] == Y[None, :, 0]
         for j in range(1, X.shape[1]):
             eq &= X[:, None, j] == Y[None, :, j]
         return eq.astype(float)
-    if spec.bandwidth is None:
-        raise ValueError("rbf bandwidth not resolved")
     K = _sq_distances(X, Y)
     K /= -2.0 * spec.bandwidth**2
     return np.exp(K, out=K)
-
-
-def kernel_vector(spec: KernelSpec, X: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Vector of kernel evaluations k(X[s], query) for a single query point."""
-    q = np.asarray(query, dtype=float).reshape(1, -1)
-    return gram(spec, X, q)[:, 0]
-
-
-def resolve_spec(spec: KernelSpec, points: np.ndarray, cap: int = MEDIAN_CAP) -> KernelSpec:
-    """Return ``spec`` with its bandwidth resolved from ``points`` if pending."""
-    if spec.resolved:
-        return spec
-    return replace(spec, bandwidth=resolve_bandwidth(points, cap=cap))

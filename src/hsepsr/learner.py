@@ -70,7 +70,9 @@ from hsepsr.gramops import (
     kbr_step_batch,
     spread_ridge,
 )
-from hsepsr.kernels import ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_spec
+from hsepsr.kernels import (
+    ZERO_MEDIAN_FALLBACK, KernelSet, KernelSpec, gram, resolve_bandwidth,
+)
 from hsepsr.windows import (
     Standardizer,
     Trajectory,
@@ -88,7 +90,12 @@ DEFAULT_MAX_SAMPLES = 1500
 #: Beliefs with L1 mass below this are treated as collapsed.
 DEGENERATE_TOL = 1e-12
 
-STREAMS = ("history", "test_action", "test_obs", "action", "obs")
+#: The five kernel streams, each with the ``WindowedData`` array its kernel
+#: is built on; the shifted windows share their unshifted stream's kernel.
+STREAMS = dict(
+    history="histories", test_action="test_actions", test_obs="test_obs",
+    action="cur_actions", obs="cur_obs",
+)
 
 
 @dataclass(frozen=True)
@@ -295,12 +302,16 @@ def resolve_kernels(
 ) -> KernelSet:
     """Pick one kernel per data stream from the windowed training data.
 
-    ``family`` is a single name for all streams, a per-stream dict, or None
-    for the default (exact-match kernels on discrete data, rbf otherwise).
-    rbf bandwidths come from the median pairwise distance of the stream's
-    unshifted window list (over at most ``kernels.MEDIAN_CAP`` strided
-    rows) unless pinned through ``bandwidths``; resolved medians are
-    multiplied by ``bandwidth_scale``.
+    ``family`` is a single name from ``kernels.FAMILIES`` for all streams,
+    a per-stream dict (mixed discrete and continuous streams need one), or
+    None for the default (exact-match kernels on discrete data, rbf
+    otherwise).  Each stream's kernel is built on its ``STREAMS`` array.
+    An rbf bandwidth is pinned through ``bandwidths``, or else is the
+    median pairwise distance of that array (``kernels.resolve_bandwidth``,
+    over at most ``kernels.MEDIAN_CAP`` strided rows) times
+    ``bandwidth_scale``.  Every spec is built with its bandwidth, so
+    ``KernelSpec`` validates it: a pin that is not finite and positive
+    raises ValueError.
     """
     if not bandwidth_scale > 0:
         raise ValueError("bandwidth_scale must be positive")
@@ -310,27 +321,20 @@ def resolve_kernels(
     else:
         fam = {s: family.get(s, default) for s in STREAMS}
     pinned = bandwidths or {}
-    data = {
-        "history": windows.histories,
-        "test_action": windows.test_actions,
-        "test_obs": windows.test_obs,
-        "action": windows.cur_actions,
-        "obs": windows.cur_obs,
-    }
     specs = {}
-    for stream in STREAMS:
-        dim = data[stream].shape[1]
+    for stream, name in STREAMS.items():
+        X = getattr(windows, name)
         if fam[stream] != "rbf":
-            specs[stream] = KernelSpec(fam[stream], dim)
+            specs[stream] = KernelSpec(fam[stream], X.shape[1])
         elif stream in pinned:
-            specs[stream] = KernelSpec("rbf", dim, float(pinned[stream]))
-        elif data[stream].shape[0] < 2:
+            specs[stream] = KernelSpec("rbf", X.shape[1], float(pinned[stream]))
+        elif len(X) < 2:
             # a lone sample has no pairwise distances; use the same fallback
             # as a degenerate median
-            specs[stream] = KernelSpec("rbf", dim, ZERO_MEDIAN_FALLBACK)
+            specs[stream] = KernelSpec("rbf", X.shape[1], ZERO_MEDIAN_FALLBACK)
         else:
-            spec = resolve_spec(KernelSpec("rbf", dim), data[stream])
-            specs[stream] = KernelSpec("rbf", dim, spec.bandwidth * bandwidth_scale)
+            bandwidth = resolve_bandwidth(X) * bandwidth_scale
+            specs[stream] = KernelSpec("rbf", X.shape[1], bandwidth)
     return KernelSet(**specs)
 
 
@@ -374,7 +378,10 @@ def train_from_windows(
     with.  The report holds the escalated solves (A's as
     ``history-weights``, P's as ``state-ridge``) and the stage times
     (``history-weights``, ``grams``, ``action-factors``, ``conditioning``,
-    ``state-gram``)."""
+    ``state-gram``).  A ``lam`` that is not finite and positive raises
+    ValueError before any solve."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     events: list[SolveEvent] = []
     stages: dict = {}
 
@@ -425,15 +432,13 @@ def train_from_windows(
         events=events,
     )
     tick("state-gram", t0)
-    bandwidths = {
-        s: getattr(kernels, s).bandwidth if getattr(kernels, s).family == "rbf" else None
-        for s in STREAMS
-    }
     report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
         lam_T=cache.lam_T,
-        bandwidths=bandwidths,
+        bandwidths={
+            s: k.bandwidth if k.family == "rbf" else None for s, k in vars(kernels).items()
+        },
         distinct_states=A_solved.shape[1],
         solve_events=events,
         stage_seconds=stages,

@@ -9,8 +9,9 @@ bandwidths, the standardization transform, and the array manifest.
 Only what training learned is stored: the seven window arrays of the
 training data, under the kernels, regularizer and standardization the
 header gives (format v4); every model parameter is derived from them.
-Loading checks the header's fields and JSON types and the manifest's size
-against the file's, then every window array and the standardization
+Loading checks the header's fields and JSON types (numbers must be
+finite) and the manifest's size against the file's, the kernels through
+``KernelSpec``, then every window array and the standardization
 transform against the header (row count, widths, finite values, kernel
 dimensions, positive scales), each failure a ValueError naming the field,
 and builds the model, report included, with
@@ -61,8 +62,8 @@ _HEADER = {
 }
 _TYPE_NAMES = {
     int: "a non-negative integer",
-    _NUMBER: "a number",
-    _NUMBER_OR_NULL: "a number or null",
+    _NUMBER: "a finite number",
+    _NUMBER_OR_NULL: "a finite number or null",
     bool: "a boolean",
     str: "a string",
 }
@@ -117,13 +118,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def _is(value, kind) -> bool:
     """isinstance, except that JSON booleans are not numbers, integers
-    must not be negative, and an integer where a float may stand must fit
+    must not be negative, and a number where a float may stand must be a
+    finite float: JSON's ``Infinity`` and ``NaN``, which Python's ``json``
+    reads as floats, are not numbers here, nor is an integer too large for
     a float."""
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         return False
     if kind is int:
         return value >= 0
-    return type(value) is not int or abs(value) <= sys.float_info.max
+    return not isinstance(value, _NUMBER) or abs(value) <= sys.float_info.max
 
 
 def _check(value, schema, name: str = "header") -> None:
@@ -175,14 +178,7 @@ def _validate(header: dict, arrays: dict) -> None:
             )
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"model file array {name} has non-finite values")
-    streams = {
-        "history": "histories",
-        "test_action": "test_actions",
-        "test_obs": "test_obs",
-        "action": "cur_actions",
-        "obs": "cur_obs",
-    }
-    for stream, name in streams.items():
+    for stream, name in STREAMS.items():
         dim = int(header["kernels"][stream]["dimension"])
         if dim != shapes[name][1]:
             raise ValueError(
@@ -230,13 +226,13 @@ def load_model(path) -> HsePsrModel:
         raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
     _validate(header, arrays)
 
-    specs = header["kernels"]
-    kernels = KernelSet(
-        **{
-            s: KernelSpec(specs[s]["family"], specs[s]["dimension"], specs[s]["bandwidth"])
-            for s in STREAMS
-        }
-    )
+    kernels = {}
+    for s in STREAMS:
+        spec = header["kernels"][s]
+        try:
+            kernels[s] = KernelSpec(spec["family"], spec["dimension"], spec["bandwidth"])
+        except ValueError as exc:
+            raise ValueError(f"model file kernel {s}: {exc}") from None
     std = header["standardizer"]
     standardizer = Standardizer(
         **{k: np.asarray(std[k], dtype=float) for k in _STANDARDIZER_FIELDS}
@@ -251,4 +247,6 @@ def load_model(path) -> HsePsrModel:
     )
     # looked up on the module, so that a wrapper installed there (perfbench's
     # tracer) times a load's build as it times training's
-    return learner.train_from_windows(windowed, kernels, float(header["lam"]))
+    return learner.train_from_windows(
+        windowed, KernelSet(**kernels), float(header["lam"])
+    )

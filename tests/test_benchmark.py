@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hsepsr.filter as filter_mod
+import hsepsr.simbench.benchmark as benchmark_mod
 from hsepsr.filter import filter_trajectory
 from hsepsr.learner import train
 from hsepsr.predict import rollout_predict, rollout_predict_many
@@ -33,10 +34,16 @@ def _split(n_steps=240, split=110, seed=6):
 
 
 class PerfectPredictor:
+    """Predicts ``observations[e + h - 1]``: after the first e pairs, the
+    observation h steps ahead is that of pair e + h - 1 (0-based)."""
+
     name = "perfect"
+    shift = 0
 
     def predict_all(self, actions, observations, extents, horizons):
-        return observations[np.add.outer(list(extents), list(horizons)) - 1]
+        return observations[
+            np.add.outer(list(extents), list(horizons)) - 1 + self.shift
+        ]
 
 
 class TestMseTable:
@@ -92,10 +99,42 @@ class TestBaselines:
 
 class TestRunProtocol:
     def test_perfect_predictor_scores_zero(self):
+        """The protocol scores ``observations[e + h - 1]`` exactly, and a
+        predictor one step off either way scores above zero."""
         _, test = _split()
         tbl = run_protocol(PerfectPredictor(), test, [10, 20, 30], [1, 2, 5])
-        assert np.allclose(tbl.mse, 0.0)
+        assert np.array_equal(tbl.mse, np.zeros(3))
         assert tbl.model == "perfect"
+        for shift in (-1, 1):
+            off = PerfectPredictor()
+            off.shift = shift
+            assert (run_protocol(off, test, [10, 20, 30], [1, 2, 5]).mse > 0).all()
+
+    def test_model_predictor_rolls_the_belief_after_pair_e_minus_1(
+        self, monkeypatch
+    ):
+        """What ``ModelPredictor`` hands the rollout for extent e: the belief
+        after filtering the first e pairs (0..e-1), bit for bit, and the
+        plan ``actions[e : e + plan_len]`` that starts at the next pair."""
+        train_traj, test = _split()
+        model = train(train_traj, WindowConfig(3, 4), lam=2e-3)
+        extents, horizons = [10, 17, 23], [1, 6]
+        seen = []
+
+        def wrapped(model, W, plans, *args, **kwargs):
+            seen.append((W.copy(), plans.copy()))
+            return rollout_predict_many(model, W, plans, *args, **kwargs)
+
+        monkeypatch.setattr(benchmark_mod, "rollout_predict_many", wrapped)
+        run_protocol(model, test, extents, horizons)
+        (W, plans), = seen
+        plan_len = max(model.config.test_length, max(horizons))
+        for row, e in enumerate(extents):
+            after = filter_trajectory(
+                model, None, test.actions[:e], test.observations[:e], True
+            ).final
+            assert np.array_equal(W[row], after.weights)
+            assert np.array_equal(plans[row], test.actions[e : e + plan_len])
 
     def test_accounting_matches_grid(self):
         _, test = _split()

@@ -10,6 +10,8 @@ from hsepsr.cli import RunConfig, build_parser, config_from_args, main
 from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
 from hsepsr.simbench.benchmark import evaluate
 
+from test_benchmark import _force_obs_escalations
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -162,6 +164,42 @@ class TestCommands:
         assert text.startswith("model,horizon,mse,n_extents,seed")
         for name in ("hse-psr", "mean", "previous"):
             assert name in text
+
+    def test_non_finite_lam_is_named(self, tmp_path, capsys):
+        """``--lam inf`` passes the parser's sign check and is rejected by
+        the build before any solve, as a one-line error naming lam."""
+        data = tmp_path / "traj.csv"
+        _run(["simulate", str(data), "--steps", "60", "--seed", "3"], capsys)
+        code, _, err = _run(
+            ["train", str(data), str(tmp_path / "m.bin"), "--lam", "inf"], capsys
+        )
+        assert code == 1
+        assert err == "error: lam must be finite and positive, got inf\n"
+
+    def test_filter_and_predict_print_their_escalations(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An escalation forced in the first step of the filter reaches the
+        printed count of both commands, as evaluate prints its own; so does
+        one forced in predict's first rollout feedback update, the call
+        after the 30 prefix steps."""
+        data = tmp_path / "traj.csv"
+        model = tmp_path / "model.bin"
+        _run(["simulate", str(data), "--steps", "240", "--seed", "6"], capsys)
+        _run(["train", str(data), str(model), "-L", "3", "-N", "4", "--lam", "2e-3"],
+             capsys)
+        filter_argv = ["filter", str(model), str(data)]
+        predict_argv = ["predict", str(model), str(data), "--extent", "30"]
+        for argv, end in ((filter_argv, ","), (predict_argv, "\n")):
+            code, out, _ = _run(argv, capsys)
+            assert code == 0 and f"solve escalations: 0{end}" in out
+        for argv, call, end in (
+            (filter_argv, 0, ","), (predict_argv, 0, "\n"), (predict_argv, 30, "\n")
+        ):
+            with monkeypatch.context() as patch:
+                _force_obs_escalations(patch, {1: call})
+                code, out, _ = _run(argv, capsys)
+            assert code == 0 and f"solve escalations: 1{end}" in out
 
     def test_direct_prediction_mode(self, tmp_path, capsys):
         data = tmp_path / "traj.csv"

@@ -16,7 +16,7 @@ from hsepsr.filter import (
     update_standardized_many,
 )
 from hsepsr.gramops import ridge_solve
-from hsepsr.kernels import kernel_vector
+from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
@@ -58,11 +58,8 @@ class TestStages:
         g, d = model.grams, dense_grams(model.windowed, model.kernels)
         w = rng.normal(size=T)
         a = traj.actions[0]
-        k = kernel_vector(
-            model.kernels.action,
-            model.cur_actions,
-            model.standardizer.transform_actions(a.ravel()),
-        )
+        q = model.standardizer.transform_actions(a.ravel())
+        k = gram(model.kernels.action, model.cur_actions, q[None])[:, 0]
         expect = np.zeros(T)
         for i in range(T):
             C_i = kbr_step(
@@ -76,11 +73,8 @@ class TestStages:
         g = model.grams
         w = rng.normal(size=model.n_samples)
         o = traj.observations[0]
-        k = kernel_vector(
-            model.kernels.obs,
-            model.cur_obs,
-            model.standardizer.transform_obs(o.ravel()),
-        )
+        q = model.standardizer.transform_obs(o.ravel())
+        k = gram(model.kernels.obs, model.cur_obs, q[None])[:, 0]
         expect = kbr_step(w, g.G_O_O, g.lam_T, np.eye(model.n_samples)) @ k
         got = condition_observation(model, w, o)
         assert isinstance(got, BeliefState)

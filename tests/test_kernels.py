@@ -9,14 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from hsepsr.kernels import (
     MEDIAN_CAP,
-    KernelSet,
     KernelSpec,
     _sq_distances,
     gram,
     kernel_eval,
-    kernel_vector,
     resolve_bandwidth,
-    resolve_spec,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -76,10 +73,6 @@ class TestKernelEval:
         spec = KernelSpec("rbf", dimension=2, bandwidth=0.7)
         assert kernel_eval(spec, np.array([1.0, -2.0]), np.array([1.0, -2.0])) == 1.0
 
-    def test_linear_is_dot(self):
-        spec = KernelSpec("linear", dimension=2)
-        assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
     def test_delta_exact_match_only(self):
         spec = KernelSpec("delta", dimension=2)
         a = np.array([1.0, 2.0])
@@ -92,14 +85,16 @@ class TestKernelEval:
             kernel_eval(spec, np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_unresolved_rbf_raises(self):
-        spec = KernelSpec("rbf", dimension=1)
-        with pytest.raises(ValueError):
-            kernel_eval(spec, np.array([0.0]), np.array([1.0]))
+        """An rbf spec without a bandwidth raises when it is built, so none
+        reaches evaluation; a delta spec needs none."""
+        with pytest.raises(ValueError, match="rbf bandwidth"):
+            KernelSpec("rbf", dimension=1)
+        assert KernelSpec("delta", dimension=1).bandwidth is None
 
 
 class TestGram:
     def test_matches_pairwise_eval(self, rng):
-        for family, bw in [("rbf", 1.3), ("linear", None), ("delta", None)]:
+        for family, bw in [("rbf", 1.3), ("delta", None)]:
             spec = KernelSpec(family, dimension=2, bandwidth=bw)
             X = rng.normal(size=(4, 2)).round(1)
             Y = rng.normal(size=(3, 2)).round(1)
@@ -129,22 +124,13 @@ class TestGram:
 
     def test_same_rows_exactly_symmetric(self, rng):
         X = rng.normal(size=(40, 3))
-        for family, bw in [("rbf", 1.1), ("linear", None)]:
-            K = gram(KernelSpec(family, 3, bw), X, X)
-            assert np.array_equal(K, K.T)
+        K = gram(KernelSpec("rbf", 3, 1.1), X, X)
+        assert np.array_equal(K, K.T)
 
     def test_empty_input_raises(self):
-        spec = KernelSpec("linear", dimension=2)
+        spec = KernelSpec("delta", dimension=2)
         with pytest.raises(ValueError):
             gram(spec, np.empty((0, 2)), np.ones((2, 2)))
-
-    def test_kernel_vector_is_gram_column(self, rng):
-        spec = KernelSpec("rbf", dimension=2, bandwidth=1.0)
-        X = rng.normal(size=(6, 2))
-        q = rng.normal(size=2)
-        v = kernel_vector(spec, X, q)
-        K = gram(spec, X, q.reshape(1, 2))
-        assert np.array_equal(v, K[:, 0])
 
 
 def pair_sq(x, y):
@@ -216,12 +202,6 @@ class TestGramProperties:
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-9
 
-    @given(point_sets())
-    def test_linear_psd(self, X):
-        K = gram(KernelSpec("linear", 3), X, X)
-        w = np.linalg.eigvalsh(K)
-        assert w.min() > -1e-8 * max(1.0, w.max())
-
     @given(point_sets(), st.floats(min_value=0.1, max_value=10))
     def test_rbf_scale_equivariance(self, X, c):
         """Scaling points and bandwidth together leaves the Gram unchanged."""
@@ -239,27 +219,20 @@ class TestGramProperties:
 
 class TestSpecValidation:
     def test_bad_family(self):
-        with pytest.raises(ValueError):
-            KernelSpec("poly", dimension=1)
+        """Only the two characteristic families exist; linear is gone."""
+        for family in ("poly", "linear"):
+            with pytest.raises(ValueError, match="unknown kernel family"):
+                KernelSpec(family, dimension=1)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             KernelSpec("rbf", dimension=0, bandwidth=1.0)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            KernelSpec("rbf", dimension=1, bandwidth=0.0)
-
-    def test_kernel_set_rejects_unresolved(self):
-        pending = KernelSpec("rbf", dimension=4)
-        ok = KernelSpec("rbf", dimension=4, bandwidth=1.0)
-        with pytest.raises(ValueError):
-            KernelSet(pending, ok, ok, ok, ok)
-
-    def test_resolve_spec_fills_bandwidth(self):
-        pending = KernelSpec("rbf", dimension=1)
-        got = resolve_spec(pending, np.array([[0.0], [1.0], [3.0]]))
-        assert got.bandwidth == 2.0
-        # already-resolved specs pass through untouched
-        fixed = KernelSpec("rbf", dimension=1, bandwidth=9.0)
-        assert resolve_spec(fixed, np.array([[0.0], [1.0]])) is fixed
+        """A bandwidth that is not finite and positive is rejected for
+        both families, though delta ignores a valid one."""
+        for family in ("rbf", "delta"):
+            for bandwidth in (0.0, -1.0, np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    KernelSpec(family, dimension=1, bandwidth=bandwidth)
+        assert KernelSpec("delta", dimension=1, bandwidth=2.0).bandwidth == 2.0

@@ -4,6 +4,7 @@ import pytest
 from hsepsr.filter import filter_trajectory
 from hsepsr.kernels import resolve_bandwidth
 from hsepsr.learner import (
+    STREAMS,
     BeliefState,
     HsePsrModel,
     resolve_kernels,
@@ -54,9 +55,29 @@ class TestResolveKernels:
     def test_family_dict(self):
         traj = synthetic_trajectory(n=40)
         w = build_windows(traj, WindowConfig(2, 3))
-        ks = resolve_kernels(w, family={"action": "linear"})
-        assert ks.action.family == "linear"
+        ks = resolve_kernels(w, family={"action": "delta"})
+        assert ks.action.family == "delta" and ks.action.bandwidth is None
         assert ks.history.family == "rbf"
+
+    def test_each_stream_reads_its_window_array(self):
+        """``STREAMS`` names the array each kernel is built on: its width
+        is the kernel's dimension and its median distance the bandwidth."""
+        w = build_windows(synthetic_trajectory(n=40), WindowConfig(2, 3))
+        ks = resolve_kernels(w, bandwidth_scale=1.5)
+        for stream, name in STREAMS.items():
+            X = getattr(w, name)
+            assert getattr(ks, stream).dimension == X.shape[1]
+            assert getattr(ks, stream).bandwidth == resolve_bandwidth(X) * 1.5
+
+    def test_rejects_linear_and_bad_pins(self):
+        """Only the two characteristic families exist, and a pinned
+        bandwidth is validated like any other."""
+        w = build_windows(synthetic_trajectory(n=40), WindowConfig(2, 3))
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            resolve_kernels(w, family="linear")
+        for pin in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                resolve_kernels(w, bandwidths={"obs": pin})
 
 
 class TestTrain:
@@ -124,6 +145,14 @@ class TestTrain:
         assert model.n_samples == 20
         full = train(traj, WindowConfig(2, 3), max_samples=None)
         assert full.n_samples == 75
+
+    def test_rejects_a_lam_that_is_not_finite_and_positive(self):
+        """A bad regularizer is named before any solve runs (an infinite one
+        used to reach the history-weights solve and fail there)."""
+        traj = synthetic_trajectory(n=60)
+        for lam in (np.inf, np.nan, 0.0, -1e-3):
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                train(traj, WindowConfig(2, 3), lam=lam)
 
     def test_rejects_nonpositive_max_samples(self):
         """A negative cap would slice from the end of the trajectory."""

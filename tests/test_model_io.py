@@ -18,6 +18,8 @@ from hsepsr.windows import WindowConfig, WindowedData
 from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
+inf, nan = float("inf"), float("nan")
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
@@ -254,11 +256,31 @@ class TestRejections:
             (lambda h: h["standardizer"]["obs_mean"].append("0"), "obs_mean"),
             (lambda h: h.update(discrete=1), "discrete must be a boolean"),
             (lambda h: ["not", "an", "object"], "JSON object"),
+            (lambda h: h.update(lam=inf), r"header\.lam must be a finite number, got Inf"),
+            (lambda h: h.update(lam=nan), r"header\.lam must be a finite number, got NaN"),
+            (
+                lambda h: h["kernels"]["obs"].update(bandwidth=inf),
+                r"header\.kernels\.obs\.bandwidth must be a finite .*Inf",
+            ),
+            (
+                lambda h: h["kernels"]["obs"].update(bandwidth=nan),
+                r"header\.kernels\.obs\.bandwidth must be a finite .*NaN",
+            ),
+            (lambda h: h.update(lam=0.0), "lam must be finite and positive, got 0.0"),
+            (lambda h: h.update(lam=-1e-3), "lam must be finite and positive, got -0.001"),
+            (lambda h: h["kernels"]["obs"].update(bandwidth=None), "kernel obs: rbf.*None"),
+            (lambda h: h["kernels"]["obs"].update(bandwidth=-2.0), "kernel obs: rbf.*-2.0"),
+            (lambda h: h["kernels"]["obs"].update(family="linear"), "kernel obs: unknown"),
         ],
     )
     def test_malformed_header(self, saved, tmp_path, edit, message):
         """Each header field is checked for presence and JSON type, and the
-        manifest against the file's size before any array is read."""
+        manifest against the file's size before any array is read.  A
+        number must be finite: Python's json reads ``Infinity`` and ``NaN``
+        (an infinite rbf bandwidth used to load into a model whose rbf
+        Grams were all ones).  A well-typed header still builds its kernels
+        through ``KernelSpec`` and its model through ``train_from_windows``,
+        whose checks name the stream or the field."""
         _, path = saved
         raw = path.read_bytes()
         header, _ = _split(raw)

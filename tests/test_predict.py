@@ -6,7 +6,7 @@ from hsepsr.filter import (
     update_standardized,
     update_standardized_many,
 )
-from hsepsr.kernels import kernel_vector
+from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, train
 from hsepsr.predict import (
     condition_test_actions_many,
@@ -45,9 +45,9 @@ class TestConditionTestActions:
         model, state = filtered
         window = plan(model.config.test_length)
         window_std = model.standardizer.transform_actions(window).ravel()
-        k = kernel_vector(
-            model.kernels.test_action, model.shifted_test_actions, window_std
-        )
+        k = gram(
+            model.kernels.test_action, model.shifted_test_actions, window_std[None]
+        )[:, 0]
         expect = (
             kbr_step(
                 state.weights, model.grams.G_TAs_TAs, model.grams.lam_T,
