@@ -150,6 +150,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             f"{traj.n}-step trajectory"
         )
     events: list = []
+    resets: list = []
     result = filter_trajectory(
         model, None, traj.actions[: cfg.extent], traj.observations[: cfg.extent],
         cfg.renormalize, events,
@@ -166,7 +167,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         future = traj.actions[cfg.extent :]
         preds = rollout_predict_many(
             model, result.final.weights[None], future[None], horizons,
-            cfg.renormalize, events=events,
+            cfg.renormalize, resets, events,
         )[0]
     rows = []
     for h, p in zip(horizons, preds):
@@ -179,7 +180,10 @@ def cmd_predict(cfg: RunConfig) -> int:
         line = f"h={h} pred " + " ".join(f"{v:.6g}" for v in p) + truth
         rows.append(line)
         print(line)
-    print(f"solve escalations: {len(events)}")
+    print(
+        f"belief resets: {len(result.resets)} in the prefix filter, "
+        f"{len(resets)} in rollouts; solve escalations: {len(events)}"
+    )
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write("\n".join(rows) + "\n")

@@ -237,11 +237,8 @@ def filter_trajectory(
 
 
 def propagate_many(
-    model: HsePsrModel,
-    W: np.ndarray,
-    events: list | None = None,
-    extra: np.ndarray | None = None,
-):
+    model: HsePsrModel, W: np.ndarray, events: list | None = None
+) -> np.ndarray:
     """Propagate B beliefs held as rows of W.
 
     Each row gets its own shift conditional (it is nonlinear in the
@@ -260,28 +257,17 @@ def propagate_many(
     by the product with the model's ridge inverse ``state_ridge``
     (S S^T + lam_T I)^-1, built and residual-checked once per model on
     the span of the training states, where every q_b = S x lies, so this
-    step solves nothing.
-
-    ``extra`` (B, T), if given, holds one more kernel vector per row, the
-    rollout's planned window against the shifted test-action windows, that
-    rides on the same factorization as one more column; the result is
-    then the pair (propagated rows, C_w applied to each extra vector), and
-    a row whose solve fails has the window column and then the shift
-    columns escalated alone, recording ``window-conditioning[b]`` and
-    ``shift-conditional[b]`` as the two separate solves would.
+    step solves nothing.  A row whose shift conditional fails its residual
+    test is escalated alone and recorded as ``shift-conditional[b]``.
     """
     g = model.grams
     W = np.asarray(W, dtype=float)
     coords = factor_coordinates(  # W_TOs^T C_w W_TAs per row
         W, g.G_TAs_TAs, g.lam_T, g.W_TAs, g.W_TOs,
         label="shift-conditional", events=events,
-        extra=extra, extra_label="window-conditioning",
     )
-    if extra is not None:
-        coords, solved_extra = coords
     q = coords.reshape(len(W), -1) @ model.state_factors.T
-    out = q @ model.state_ridge.T
-    return out if extra is None else (out, solved_extra)
+    return q @ model.state_ridge.T
 
 
 def condition_action_many(
@@ -335,13 +321,9 @@ def _normalize_rows(W: np.ndarray, renormalize: bool):
     return W, np.abs(W).sum(axis=1) < DEGENERATE_TOL
 
 
-def _update_rows(
-    model, W, actions_std, obs_std, events=None, propagated=False
-) -> np.ndarray:
-    """The three stages for each row, before the collapse rule; rows that
-    are ``propagated`` already go through the last two only."""
-    if not propagated:
-        W = propagate_many(model, W, events=events)
+def _update_rows(model, W, actions_std, obs_std, events=None) -> np.ndarray:
+    """The three stages for each row, before the collapse rule."""
+    W = propagate_many(model, W, events=events)
     K_a = gram(model.kernels.action, actions_std, model.cur_actions)
     K_o = gram(model.kernels.obs, obs_std, model.cur_obs)
     W = condition_action_many(model, W, K_a)
@@ -356,21 +338,17 @@ def update_standardized_many(
     renormalize: bool = False,
     resets: list | None = None,
     events: list | None = None,
-    propagated: bool = False,
 ) -> np.ndarray:
-    """One filter step for B beliefs at once.
+    """One filter step for B beliefs at once: the three stages on every
+    row, then the collapse rule.
 
     Rows that collapse are restarted from the feasible state, and their
     indices are appended to ``resets`` (if given).  Escalated solves of
     every stage are appended to ``events`` (if given) as ``SolveEvent``s
-    labelled with their row.  With ``propagated``, W holds rows that
-    ``propagate_many`` has already advanced (for instance with a rollout
-    window's kernel vector riding on its solve), and the step runs only
-    the action and observation stages and the collapse rule.
+    labelled with their row.  The rollout's feedback update is this step.
     """
     W, collapsed = _normalize_rows(
-        _update_rows(model, W, actions_std, obs_std, events, propagated),
-        renormalize,
+        _update_rows(model, W, actions_std, obs_std, events), renormalize
     )
     W[collapsed] = model.feasible_weights
     if resets is not None:

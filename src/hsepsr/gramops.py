@@ -13,9 +13,10 @@ The two solve shapes are
 and both escalate the regularizer by factors of 10 (up to three retries)
 when a factorization fails or the relative residual exceeds 1e-8, so a
 near-singular Gram degrades accuracy instead of aborting a run.  The ridge
-shape is solved only while a model is built (the history weights and the
+shape is solved only while a model is built (the history weights, the
 inverse of the training states' Gram, which the filter then multiplies
-by), and always on the k distinct rows of its Gram (``spread_ridge``):
+by, and the readout inverse, which prediction multiplies by), and always
+on the k distinct rows of its Gram (``spread_ridge``):
 for a Gram E G_d E^T of T rows with k distinct ones, the k x k system
 (C^1/2 G_d C^1/2 + lam I) Y = B over the counts C = E^T E, spread back
 as F Y F^T with F = E C^-1/2 (6 of 240 rows on the discrete benchmark
@@ -79,8 +80,8 @@ W_obs^T C W_act:
     <C_i, G_TO_TOs C_w G_TA_TAs^T>_F = <W_TO^T C_i W_TA, W_TOs^T C_w W_TAs>_F,
 
 which ``factor_coordinates`` computes, for the training states and for
-the beliefs in the filter's propagation step and the fused rollout level,
-in blocks of rows whose size its docstring gives, so that no temporary
+the beliefs in the filter's propagation step, in blocks of rows whose
+size its docstring gives, so that no temporary
 grows with the number of rows.  C is symmetric for a symmetric G
 (C = diag(w) (G diag(w) + lam I)^-1 by push-through), so
 W_obs^T C W_act = (C W_obs)^T W_act, and the solve runs against
@@ -216,7 +217,7 @@ def spread_ridge(
     rhs = np.eye(len(H)) if inverse else H
     Y = ridge_solve(H, lam, rhs, label=label, events=events)
     Y /= c[:, None] * c
-    return Y if spread is None else Y[np.ix_(spread, spread)]
+    return Y if spread is None else Y.take(spread, 0).take(spread, 1)
 
 
 def _within_rtol(res_sq, rhs_sq):
@@ -227,7 +228,7 @@ def _within_rtol(res_sq, rhs_sq):
     return (res_sq <= RESIDUAL_RTOL**2 * rhs_sq) | (rhs_sq == 0.0)
 
 
-def _factor_rows(form, lam: float, groups=(slice(None),)):
+def _factor_rows(form, lam: float):
     """Plain per-row solves of (M_b + lam I) X_b = R_b, without escalation.
 
     ``form.shape`` is (B, n, m); ``form.fill(b, M, R)`` writes row b's
@@ -236,12 +237,10 @@ def _factor_rows(form, lam: float, groups=(slice(None),)):
     formed.  Each row is solved by ``numpy.linalg.solve`` (LAPACK
     ``gesv``, which raises on an exactly singular row).  Returns X and,
     per row, whether it passed ``escalated_solve``'s test: the
-    factorization succeeded, X_b is finite and each column group in
-    ``groups`` has a residual on the system solved within
-    ``RESIDUAL_RTOL`` of the norm of its own right-hand side.  The
-    right-hand side and the residual are held in Fortran order, where a
-    group, a slice of columns, is contiguous, so its norms are read
-    without a copy.
+    factorization succeeded, X_b is finite and its residual on the system
+    solved is within ``RESIDUAL_RTOL`` of the norm of its right-hand side.
+    The right-hand side and the residual are held in Fortran order, whose
+    norms ``_sq`` reads without a copy.
     """
     B, n, m = form.shape
     x = np.empty(form.shape)
@@ -263,9 +262,7 @@ def _factor_rows(form, lam: float, groups=(slice(None),)):
                 continue
             np.matmul(lhs, xb, out=res)
             res -= rhs
-            ok[b] = all(
-                _within_rtol(_sq(res[:, g]), _sq(rhs[:, g])) for g in groups
-            )
+            ok[b] = _within_rtol(_sq(res), _sq(rhs))
     return x, ok
 
 
@@ -308,24 +305,19 @@ def kbr_form(T: int, r: int, m: int) -> str:
 
 class _DenseRows:
     """Row b's kernel Bayes step (diag(w_b) G + lam I) X_b = w_b * K_b in
-    ``_factor_rows``' fill form.  ``cols`` is (B or 1, T, m), ``extra``
-    (B, T) or None, one more column per row, written beside the shared
-    columns in the row buffer, never stacked with them.  The steps are
-    the solutions themselves, and pass as they are."""
+    ``_factor_rows``' fill form, for ``cols`` (B or 1, T, m).  The steps
+    are the solutions themselves, and pass as they are."""
 
-    def __init__(self, W, G, cols, extra):
-        self.W, self.G, self.cols, self.extra = W, G, cols, extra
-        self.m = cols.shape[2]
-        self.shape = (len(W), len(G), self.m + (extra is not None))
+    def __init__(self, W, G, cols):
+        self.W, self.G, self.cols = W, G, cols
+        self.shape = (len(W), len(G), cols.shape[2])
 
     def fill(self, b, lhs, rhs):
         wb = self.W[b, :, None]
         np.multiply(wb, self.G, out=lhs)
-        np.multiply(wb, self.cols[b % len(self.cols)], out=rhs[:, : self.m])
-        if self.extra is not None:
-            np.multiply(self.W[b], self.extra[b], out=rhs[:, self.m])
+        np.multiply(wb, self.cols[b % len(self.cols)], out=rhs)
 
-    def steps(self, Y, lam, rows=slice(None), groups=(slice(None),)):
+    def steps(self, Y, lam, rows=slice(None)):
         return Y, np.ones(len(Y), dtype=bool)
 
 
@@ -337,16 +329,14 @@ class _WoodburyRows:
 
     in ``_factor_rows``' fill form, each written into the row buffer when
     its row is solved (``system``), and the steps X_b = (w_b * K_b -
-    w_b * (V Y_b)) / lam they give.  ``cols`` and ``extra`` are as for
-    ``_DenseRows``.  Kernel vectors are held as the rows of (B, n, T)
-    arrays, so that a single column is computed with the same (B, T) by
-    (T, r) products as a plain (B, T) batch."""
+    w_b * (V Y_b)) / lam they give.  ``cols`` is as for ``_DenseRows``.
+    Kernel vectors are held as the rows of (B, n, T) arrays, so that a
+    single column is computed with the same (B, T) by (T, r) products as
+    a plain (B, T) batch."""
 
-    def __init__(self, W, cols, extra, V):
+    def __init__(self, W, cols, V):
         B, T = W.shape
         WK = W[:, None, :] * cols.transpose(0, 2, 1)
-        if extra is not None:
-            WK = np.concatenate([WK, (W * extra)[:, None, :]], axis=1)
         self.W, self.V, self.WK = W, V, WK
         self.R = (WK.reshape(-1, T) @ V).reshape(B, WK.shape[1], -1)
         self.shape = (B, V.shape[1], WK.shape[1])
@@ -359,13 +349,13 @@ class _WoodburyRows:
         self.system(b, lhs)
         rhs[...] = self.R[b].T
 
-    def steps(self, Y, lam, rows=slice(None), groups=(slice(None),)):
+    def steps(self, Y, lam, rows=slice(None)):
         """The steps (len(Y), T, n) of the r x r solutions Y of ``rows``,
         solved at ``lam``, and per row whether they are finite and solve
-        (diag(w) V V^T + lam I) X = w*K within ``RESIDUAL_RTOL`` for each
-        column group: the test ``escalated_solve`` applies to the dense
-        system, evaluated in factored form (the r x r system alone can
-        pass its own test while the step it stands for is singular)."""
+        (diag(w) V V^T + lam I) X = w*K within ``RESIDUAL_RTOL``: the test
+        ``escalated_solve`` applies to the dense system, evaluated in
+        factored form (the r x r system alone can pass its own test while
+        the step it stands for is singular)."""
         T, r = self.V.shape
         W, WK = self.W[rows, None, :], self.WK[rows]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -378,8 +368,7 @@ class _WoodburyRows:
             res += lam * X
             res -= WK
         ok = np.isfinite(X).all(axis=(1, 2))
-        for g in groups:
-            ok &= _within_rtol(_row_sq(res[:, g]), _row_sq(WK[:, g]))
+        ok &= _within_rtol(_row_sq(res), _row_sq(WK))
         return X.transpose(0, 2, 1), ok
 
 
@@ -388,13 +377,13 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->i", a, a)
 
 
-def _kbr_rows(W, G, cols, extra, factor):
+def _kbr_rows(W, G, cols, factor):
     """The form of the kernel Bayes steps of ``kbr_step_batch``, by
     ``kbr_form`` for the rank of ``factor`` (dense without one)."""
-    n = cols.shape[2] + (extra is not None)
-    if factor is not None and kbr_form(len(G), factor.shape[1], n) == "woodbury":
-        return _WoodburyRows(W, cols, extra, factor)
-    return _DenseRows(W, G, cols, extra)
+    m = cols.shape[2]
+    if factor is not None and kbr_form(len(G), factor.shape[1], m) == "woodbury":
+        return _WoodburyRows(W, cols, factor)
+    return _DenseRows(W, G, cols)
 
 
 def kbr_step_batch(
@@ -407,9 +396,7 @@ def kbr_step_batch(
     label: str = "kbr",
     events: list | None = None,
     first_row: int = 0,
-    extra: np.ndarray | None = None,
-    extra_label: str = "extra",
-):
+) -> np.ndarray:
     """The one kernel Bayes solve of training and filtering, row-batched:
     weights are (B, T); k is (B, T), giving a (B, T) result, or
     (B, T, m), giving (B, T, m) (leading dimension 1 shares it across
@@ -417,49 +404,28 @@ def kbr_step_batch(
     giving C_b k_b for the conditioning matrix C_b = A_b^-1 diag(w_b).
 
     The form is chosen per call by ``kbr_form`` from T, the number of
-    columns (those of k and the extra one) and the rank r of ``factor`` V,
-    if given, which must satisfy G = V V^T, so that both forms solve the
-    same system and agree to rounding.  The dense form writes row b's
-    system A_b and its right-hand sides into ``_factor_rows``' row buffers
-    and solves them by ``numpy.linalg.solve``.  The Woodbury form solves
-    the r x r systems (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b)
-    the same way and returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam;
-    each row must also pass the dense system's residual test, evaluated
-    in factored form, and a row that fails either test escalates its
-    regularizer, which then enters both the r x r solve and the outer
-    1/lam.  Either way a failing row records ``label[first_row + b]`` as
-    a single-row solve would.
-
-    ``extra`` (B, T), if given, holds one more kernel vector per row,
-    solved in the same factorization; the result is then the pair (that
-    of k, the (B, T) extra solutions).  The columns of k and the extra
-    column each pass the residual test against their own right-hand
-    side's norm, so the many columns of k cannot mask a poor extra one.
-    A row that fails either test has each column group escalated alone,
-    the extra column first, in the form ``kbr_form`` picks for that group,
-    recording ``extra_label[first_row + b]`` and ``label[first_row + b]``
-    as two separate calls would.
+    columns of k and the rank r of ``factor`` V, if given, which must
+    satisfy G = V V^T, so that both forms solve the same system and agree
+    to rounding.  The dense form writes row b's system A_b and its
+    right-hand sides into ``_factor_rows``' row buffers and solves them by
+    ``numpy.linalg.solve``.  The Woodbury form solves the r x r systems
+    (lam I_r + V^T diag(w_b) V) Y_b = V^T (w_b * k_b) the same way and
+    returns X_b = (w_b * k_b - w_b * (V Y_b)) / lam; each row must also
+    pass the dense system's residual test, evaluated in factored form, and
+    a row that fails either test escalates its regularizer, which then
+    enters both the r x r solve and the outer 1/lam.  Either way a failing
+    row records ``label[first_row + b]`` as a single-row solve would.
     """
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
-    cols = k[:, :, None] if k.ndim == 2 else k
-    m = cols.shape[2]
-    parts = [(slice(None, m), cols, label)]
-    if extra is not None:
-        parts.insert(0, (slice(m, None), extra[:, :, None], extra_label))
-    groups = [g for g, _, _ in parts]
-    form = _kbr_rows(w, G, cols, extra, factor)
-    x, ok = _factor_rows(form, lam, groups)
-    x, steps_ok = form.steps(x, lam, groups=groups)
+    form = _kbr_rows(w, G, k[:, :, None] if k.ndim == 2 else k, factor)
+    x, ok = _factor_rows(form, lam)
+    x, steps_ok = form.steps(x, lam)
     for b in np.flatnonzero(~(ok & steps_ok)):
-        for g, K, name in parts:
-            part = _kbr_rows(w[b : b + 1], G, K[b % len(K)][None], None, factor)
-            x[b, :, g] = _escalated_row(
-                part, 0, lam, label=f"{name}[{first_row + b}]", events=events
-            )[0]
-    out = x[:, :, 0] if k.ndim == 2 else x[:, :, :m]
-    # a copy, so that the extra solutions do not keep all of x alive
-    return out if extra is None else (out, x[:, :, m].copy())
+        x[b] = _escalated_row(
+            form, b, lam, label=f"{label}[{first_row + b}]", events=events
+        )[0]
+    return x[:, :, 0] if k.ndim == 2 else x
 
 
 def low_rank_factor(G: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -530,9 +496,7 @@ def factor_coordinates(
     *,
     label: str,
     events: list | None = None,
-    extra: np.ndarray | None = None,
-    extra_label: str = "extra",
-):
+) -> np.ndarray:
     """Row b: the factor coordinates W_obs^T C_b W_act, shape (r_obs, r_act),
     of the conditioning matrix C_b = (diag(w_b) G + lam I)^-1 diag(w_b)
     for the Gram G = W_act W_act^T.
@@ -543,33 +507,26 @@ def factor_coordinates(
     with fewer factor columns, the observation side when r_obs < r_act,
     in the form ``kbr_form`` picks for W_act's rank, and the other factor
     enters by one product.  The rows are solved in blocks of
-    max(1, T // r_act), and each block is contracted to its coordinates,
-    and its extra solutions copied out, before the next block is solved,
-    so that no temporary exceeds about T^2 floats whatever the number of
-    rows.  This is the one block rule of every kernel Bayes solve in
-    factor coordinates: the state build, the propagation and the fused
-    rollout level.  ``label``, ``events``, ``extra`` and ``extra_label``
-    go to ``kbr_step_batch``, which records a failing row b as
-    ``label[b]``; with ``extra`` the result is the pair (coordinates,
-    extra solutions).
+    max(1, T // r_act), and each block is contracted to its coordinates
+    before the next block is solved, so that no temporary exceeds about
+    T^2 floats whatever the number of rows.  This is the one block rule of
+    every kernel Bayes solve in factor coordinates: the state build and
+    the propagation.  ``label`` and ``events`` go to ``kbr_step_batch``,
+    which records a failing row b as ``label[b]``.
     """
     W = np.asarray(weights, dtype=float)
     B, T = W.shape
     obs_side = W_obs.shape[1] < W_act.shape[1]
     coords = np.empty((B, W_obs.shape[1], W_act.shape[1]))
-    solved_extra = None if extra is None else np.empty((B, T))
     block = max(1, T // max(1, W_act.shape[1]))
     for start in range(0, B, block):
         rows = slice(start, start + block)
         X = kbr_step_batch(
             W[rows], G, lam, (W_obs if obs_side else W_act)[None], factor=W_act,
             label=label, events=events, first_row=start,
-            extra=None if extra is None else extra[rows], extra_label=extra_label,
         )
-        if extra is not None:
-            X, solved_extra[rows] = X
         coords[rows] = X.transpose(0, 2, 1) @ W_act if obs_side else W_obs.T @ X
-    return coords if extra is None else (coords, solved_extra)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -603,9 +560,9 @@ class _Inverses:
         self.form.system(b, lhs)
         rhs[...] = self.eye
 
-    def steps(self, S, lam, rows=slice(None), groups=(slice(None),)):
+    def steps(self, S, lam, rows=slice(None)):
         Y = S @ self.form.R[rows].transpose(0, 2, 1)
-        return S, self.form.steps(Y, lam, rows, groups)[1]
+        return S, self.form.steps(Y, lam, rows)[1]
 
 
 def conditioning_factors(
@@ -623,7 +580,7 @@ def conditioning_factors(
     stands for, applied to the all-ones vector, passes the dense system's
     residual test."""
     W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
-    form = _Inverses(_WoodburyRows(W, np.ones((1, W.shape[1], 1)), None, V))
+    form = _Inverses(_WoodburyRows(W, np.ones((1, W.shape[1], 1)), V))
     S, ok = _factor_rows(form, lam)
     S, steps_ok = form.steps(S, lam)
     used = np.full(len(W), float(lam))
@@ -658,10 +615,10 @@ def history_weights(
 class GramCache:
     """The training Grams and factors that runtime code reads: the
     test-action Gram ``G_TA_TA`` (the state build) and its shifted twin
-    ``G_TAs_TAs`` (the filter's shift and window conditioning), formed as
-    W_TA W_TA^T and W_TAs W_TAs^T from the truncated factors, and the
-    observation Gram ``G_O_O``, all read by the dense form of
-    ``kbr_step_batch``;
+    ``G_TAs_TAs`` (the filter's shift conditional and the readout
+    build), formed as W_TA W_TA^T and W_TAs W_TAs^T from the truncated
+    factors, and the observation Gram ``G_O_O``, all read by the dense
+    form of ``kbr_step_batch``;
     low-rank factors ``V_A``/``V_O`` of the single-step action and
     observation Grams (``low_rank_factor`` of the distinct rows' Gram,
     spread back to every sample); joint factors ``W_TA``/``W_TAs``

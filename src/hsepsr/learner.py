@@ -40,7 +40,17 @@ and a loaded model alike:
    and so the inverse on the span of the training states, where every
    vector it multiplies lies; the filter's propagation step multiplies by
    it to project each belief's one-step-extended window conditional back
-   onto the training states.
+   onto the training states,
+6. the readout: the Gram G_HsHs of the histories one step on (sample i's
+   row is the history window ending at its current pair, the history of
+   sample i + 1) and the inverse M = (G_HsHs o G_TAsTAs + lam_T I)^-1 of
+   the product kernel's Gram over those histories and the shifted
+   test-action windows, solved once per model on their distinct rows
+   (``gramops.spread_ridge``; 12 of 240 on the discrete benchmark model).
+   Prediction reads a belief w under a planned window's kernel vector k
+   as gamma = M ((G_HsHs w) o k), the conditional mean embedding of the
+   shifted test observations given the state and the test actions
+   (``predict.condition_test_actions_many``), and solves nothing.
 
 No dense (T x T^2) tensor is built outside the oracles
 ``action_conditioning_flat`` and ``state_conditioning_flat``.
@@ -208,6 +218,10 @@ class HsePsrModel:
     ``action_factors`` holds the per-sample action conditioning matrices
     in Woodbury form, and ``report`` the ``TrainingReport`` of the build
     (``train_from_windows``), which a loaded model carries too.
+    ``shifted_history_gram`` is the Gram G_HsHs of the histories one step
+    on and ``readout`` the inverse M = (G_HsHs o G_TAsTAs + lam_T I)^-1 on
+    the span of their product Gram's distinct rows, the fixed operator
+    through which prediction reads every belief.
     """
 
     windowed: WindowedData
@@ -218,6 +232,8 @@ class HsePsrModel:
     action_factors: ConditioningFactors
     state_factors: np.ndarray
     state_ridge: np.ndarray
+    shifted_history_gram: np.ndarray
+    readout: np.ndarray
     report: TrainingReport
 
     @property
@@ -375,10 +391,14 @@ def train_from_windows(
     (C^1/2 S_d S_d^T C^1/2 + lam I) Y = I over the distinct rows S_d; it
     passes ``ridge_solve``'s residual test, ||(S S^T + lam I) P - F F^T||_F
     <= ``RESIDUAL_RTOL`` ||F F^T||_F, at the regularizer lam it was solved
-    with.  The report holds the escalated solves (A's as
-    ``history-weights``, P's as ``state-ridge``) and the stage times
-    (``history-weights``, ``grams``, ``action-factors``, ``conditioning``,
-    ``state-gram``).  A ``lam`` that is not finite and positive raises
+    with.  Last comes the readout: the Gram G_HsHs of the histories one
+    step on, from the stored windows, and its inverse M, solved by
+    ``spread_ridge`` on the distinct rows of the histories one step on
+    beside the shifted test-action windows.  The report holds the
+    escalated solves (A's as ``history-weights``, P's as ``state-ridge``,
+    M's as ``readout``) and the stage times (``history-weights``,
+    ``grams``, ``action-factors``, ``conditioning``, ``state-gram``,
+    ``readout``).  A ``lam`` that is not finite and positive raises
     ValueError before any solve."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -431,7 +451,19 @@ def train_from_windows(
         G_states, cache.lam_T, spread, inverse=True, label="state-ridge",
         events=events,
     )
-    tick("state-gram", t0)
+    t0 = tick("state-gram", t0)
+
+    d = windows.cur_actions.shape[1] + windows.cur_obs.shape[1]
+    Hs = np.hstack([windows.histories[:, d:], windows.cur_actions, windows.cur_obs])
+    G_Hs_Hs = gram(kernels.history, Hs, Hs)
+    first, spread = distinct_rows(
+        np.hstack([Hs, windows.shifted_test_actions])
+    ) or (slice(None), None)
+    readout = spread_ridge(
+        (G_Hs_Hs * cache.G_TAs_TAs)[first][:, first], cache.lam_T, spread,
+        inverse=True, label="readout", events=events,
+    )
+    tick("readout", t0)
     report = TrainingReport(
         n_samples=windows.n_samples,
         lam=lam,
@@ -458,6 +490,8 @@ def train_from_windows(
         action_factors=action_factors,
         state_factors=S,
         state_ridge=state_ridge,
+        shifted_history_gram=G_Hs_Hs,
+        readout=readout,
         report=report,
     )
 

@@ -1,14 +1,21 @@
 """Prediction of future observations from a filtered belief.
 
-The belief's conditioning matrix against the shifted test-action windows
-(the same kernel Bayes regression the filter's propagation step forms,
-with the current weights as prior) is applied to the kernel vector of a
-planned action window.  That yields weights gamma over the shifted
-test-observation windows, and the observation predicted for step j of the
-window is the gamma-weighted average of the j-th blocks, mapped back to
-raw units with the model's standardizer.  This is the first level of the
-rollout; ``predict_observation_at``'s conditioned mode reads one horizon
-of it.
+A belief w is read through the model's fixed readout operator: for the
+kernel vector k of a planned action window against the shifted
+test-action windows,
+
+    gamma = M ((G_HsHs w) o k),   M = (G_HsHs o G_TAsTAs + lam_T I)^-1,
+
+the conditional mean embedding of the shifted test-observation windows
+given the state and the test actions under the product kernel (Song,
+Huang, Smola & Fukumizu, ICML 2009), with the belief entering through its
+kernel vector G_HsHs w against the histories one step on.  M and G_HsHs
+are built once per model (``learner.train_from_windows``), so reading a
+belief solves nothing.  The observation predicted for step j of the
+window is the gamma-weighted average of the j-th blocks of the shifted
+test-observation windows, mapped back to raw units with the model's
+standardizer.  This is the first level of the rollout;
+``predict_observation_at``'s conditioned mode reads one horizon of it.
 
 Horizons past the window length roll the filter forward: each advance
 feeds the one-step-ahead predicted observation back through a filter
@@ -16,15 +23,6 @@ update together with the planned action, then predicts the deepest step
 of the next window.  The level loop runs once for B beliefs held as rows;
 ``rollout_predict`` is its batch of one.  A row whose feedback update
 collapses restarts from the feasible state and is reported with its level.
-
-Window conditioning and the feedback update's propagation solve the same
-system per belief, (diag(w) G_TAs_TAs + lam_T I), from the same belief at
-the same level, each in the form ``gramops.kbr_form`` picks for the rank
-of G_TAs_TAs.  At every level followed by a feedback update the window's
-kernel vector therefore rides on the propagation's solve as one more
-column, beside the propagation's factor columns, so each row's
-system is factored once per level; the last level conditions on its
-window alone.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsepsr.filter import propagate_many, update_standardized_many
-from hsepsr.gramops import kbr_step_batch
+from hsepsr.filter import update_standardized_many
+# not called here: perfbench's tracing.TARGETS wraps this name and requires it
+from hsepsr.gramops import kbr_step_batch  # noqa: F401
 from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, HsePsrModel
 
@@ -133,28 +132,13 @@ def rollout_predict(
 
 
 def condition_test_actions_many(
-    model: HsePsrModel,
-    W: np.ndarray,
-    windows_std: np.ndarray,
-    events: list | None = None,
-    propagate: bool = False,
-):
-    """Batched gamma weights: row b conditions belief W[b] on windows_std[b].
-
-    With ``propagate``, the windows' kernel vectors ride on the filter's
-    propagation solve (``propagate_many``'s extra columns), and the pair
-    (gamma, propagated rows) is returned, ready for
-    ``update_standardized_many(..., propagated=True)``.
-    """
+    model: HsePsrModel, W: np.ndarray, windows_std: np.ndarray
+) -> np.ndarray:
+    """Batched gamma weights: row b reads belief W[b] under the planned
+    window windows_std[b] through the model's readout,
+    gamma_b = M ((G_HsHs w_b) o k_b)."""
     K = gram(model.kernels.test_action, windows_std, model.shifted_test_actions)
-    if propagate:
-        P, gamma = propagate_many(model, W, events, extra=K)
-        return gamma, P
-    g = model.grams
-    return kbr_step_batch(
-        W, g.G_TAs_TAs, g.lam_T, K, factor=g.W_TAs,
-        label="window-conditioning", events=events,
-    )
+    return ((W @ model.shifted_history_gram) * K) @ model.readout.T
 
 
 def rollout_predict_many(
@@ -173,8 +157,8 @@ def rollout_predict_many(
     shape (B, n_horizons, d_o) with horizons sorted ascending.  Rows whose
     feedback update collapses restart from the feasible state; each such
     restart is appended to ``resets`` (if given) as a (row, level) pair.
-    Escalated solves of the window conditioning and the feedback updates
-    are appended to ``events`` (if given).
+    Escalated solves of the feedback updates are appended to ``events``
+    (if given).
     """
     W = np.asarray(W, dtype=float)
     A = np.asarray(future_actions, dtype=float)
@@ -207,12 +191,7 @@ def _rollout_rows(
     last_level = max(0, horizons[-1] - N)
     for level in range(last_level + 1):
         windows = A_std[:, level : level + N].reshape(B, N * da)
-        if level < last_level:
-            gamma, P = condition_test_actions_many(
-                model, W, windows, events, propagate=True
-            )
-        else:
-            gamma = condition_test_actions_many(model, W, windows, events)
+        gamma = condition_test_actions_many(model, W, windows)
         window_pred = (gamma @ obs_windows).reshape(B, N, do)
         for i, h in enumerate(horizons):
             if max(0, h - N) == level:  # the first window reaching h
@@ -220,8 +199,8 @@ def _rollout_rows(
         if level < last_level:
             rows: list = []
             W = update_standardized_many(
-                model, P, A_std[:, level], window_pred[:, 0], renormalize, rows,
-                events, propagated=True,
+                model, W, A_std[:, level], window_pred[:, 0], renormalize, rows,
+                events,
             )
             if resets is not None:
                 resets.extend((row, level) for row in rows)

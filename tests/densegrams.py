@@ -1,12 +1,15 @@
 """Dense oracles for the tests: training Grams, the single-belief kernel
-Bayes step and the state Gram of coefficient matrices.
+Bayes step, the state Gram of coefficient matrices and the readout.
 
 The model keeps only the Grams its runtime reads (``GramCache``); the
 tests that check a factored path against the dense one evaluate the rest
 here, with the same ``kernels.gram`` calls training uses, and the state
 Gram S S^T, which the model keeps only as its ridge inverse.  ``kbr_step``
 and ``state_gram`` are the dense forms the row-batched solve and the
-factored states replaced.
+factored states replaced.  ``dense_readout`` is the prediction readout
+solved from scratch: the histories one step on and the shifted test-action
+windows cut from the trajectory itself, the exact Grams and one T x T
+solve per call, where the model multiplies by its prebuilt inverse.
 """
 
 from types import SimpleNamespace
@@ -73,3 +76,30 @@ def state_gram(left, right, G_obs, G_act, block=64):
             m[j - start] = (G_obs @ right[j] @ G_act_T).ravel()
         out[:, start:stop] = left_rows @ m.T
     return out
+
+
+def shifted_histories(model, traj):
+    """Row i: the L pairs after pair i of the standardized trajectory,
+    flattened time-major, the history window of training sample i + 1."""
+    L, T = model.config.history_length, model.n_samples
+    work = model.standardizer.transform(traj)
+    pairs = np.hstack([work.actions, work.observations])
+    return np.stack([pairs[i + 1 : i + 1 + L].ravel() for i in range(T)])
+
+
+def dense_readout(model, traj, W, windows_std):
+    """Row b: gamma = (G_HsHs o G_TAsTAs + lam_T I)^-1 ((G_HsHs w_b) o k_b)
+    for the belief W[b] and the kernel vector k_b of the standardized
+    planned window windows_std[b] against the shifted test-action windows,
+    by one dense solve on the exact Grams, with every window cut from the
+    trajectory ``traj`` the model was trained on."""
+    L, N, T = model.config.history_length, model.config.test_length, model.n_samples
+    Hs = shifted_histories(model, traj)
+    actions = model.standardizer.transform_actions(traj.actions)
+    TAs = np.stack([actions[L + 1 + i : L + 1 + i + N].ravel() for i in range(T)])
+    k = model.kernels
+    G_Hs = gram(k.history, Hs, Hs)
+    lhs = G_Hs * gram(k.test_action, TAs, TAs) + model.grams.lam_T * np.eye(T)
+    K = gram(k.test_action, np.atleast_2d(windows_std), TAs)
+    rhs = (np.atleast_2d(W) @ G_Hs) * K
+    return np.linalg.solve(lhs, rhs.T).T

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hsepsr.cli as cli
+import hsepsr.filter as filter_mod
 from hsepsr.cli import RunConfig, build_parser, config_from_args, main
 from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
 from hsepsr.simbench.benchmark import evaluate
@@ -200,6 +201,32 @@ class TestCommands:
                 _force_obs_escalations(patch, {1: call})
                 code, out, _ = _run(argv, capsys)
             assert code == 0 and f"solve escalations: 1{end}" in out
+
+    def test_predict_prints_its_resets(self, tmp_path, capsys, monkeypatch):
+        """A belief collapsed in the third prefix step and one collapsed in
+        the first rollout feedback update, the call after the 30 prefix
+        steps, reach predict's printed counts, as evaluate prints its own."""
+        data = tmp_path / "traj.csv"
+        model = tmp_path / "model.bin"
+        _run(["simulate", str(data), "--steps", "240", "--seed", "6"], capsys)
+        _run(["train", str(data), str(model), "-L", "3", "-N", "4", "--lam", "2e-3"],
+             capsys)
+        argv = ["predict", str(model), str(data), "--extent", "30"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert "belief resets: 0 in the prefix filter, 0 in rollouts;" in out
+        real = filter_mod.condition_observation_many
+        calls = []
+
+        def collapse(model, W, K_o, events=None):
+            out = real(model, W, K_o, events)
+            calls.append(len(calls))
+            return out * 0.0 if calls[-1] in (2, 30) else out
+
+        monkeypatch.setattr(filter_mod, "condition_observation_many", collapse)
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert "belief resets: 1 in the prefix filter, 1 in rollouts;" in out
 
     def test_direct_prediction_mode(self, tmp_path, capsys):
         data = tmp_path / "traj.csv"

@@ -3,8 +3,8 @@
 perfbench's tracer counts escalations only by wrapping
 ``hsepsr.gramops.escalated_solve`` and reads its ``label=`` and
 ``events=`` keywords.  Each kernel Bayes path is forced to escalate one
-row here under such a wrapper: a dense row, a Woodbury row, a fused row
-(its extra column first, then its columns of k) and an action factor.
+row here under such a wrapper: a dense row, a Woodbury row and an action
+factor; and so is the model build's readout inverse.
 """
 
 import numpy as np
@@ -12,6 +12,9 @@ import pytest
 
 import hsepsr.gramops as gramops
 from hsepsr.gramops import conditioning_factors, kbr_form, kbr_step_batch
+from hsepsr.learner import train
+from hsepsr.simbench.discrete import default_system, sample_trajectory
+from hsepsr.windows import WindowConfig
 
 
 @pytest.fixture
@@ -81,23 +84,6 @@ def test_woodbury_row(recorded, rng):
     assert [e.label for e in events] == ["shift[6]"]
 
 
-@pytest.mark.parametrize("form", ["dense", "woodbury"])
-def test_fused_row(recorded, rng, form):
-    lam = 0.3
-    G, V = _low_rank(rng)
-    T, r = V.shape
-    factor = V if form == "woodbury" else None
-    assert kbr_form(T, r, r + 1) == "woodbury"
-    W = _beliefs(rng, 3, T, 0, G, lam)
-    events = []
-    kbr_step_batch(
-        W, G, lam, V[None], factor=factor, label="shift", events=events,
-        extra=rng.normal(size=(3, T)), extra_label="window",
-    )
-    assert recorded == [("window[0]", 1), ("shift[0]", 1)]
-    assert [e.label for e in events] == ["window[0]", "shift[0]"]
-
-
 def test_action_factor(recorded, rng):
     lam = 0.3
     G, V = _low_rank(rng)
@@ -109,3 +95,31 @@ def test_action_factor(recorded, rng):
     assert recorded == [("action[3]", 1)]
     assert [e.label for e in events] == ["action[3]"]
     assert factors.lam[3] == events[0].used > lam
+
+
+def test_readout(recorded, monkeypatch):
+    """Spoil the first attempt of the discrete build's readout inverse,
+    the second inverse it solves (after the state ridge): it escalates
+    once on its 12 distinct rows and lands in the training report as
+    ``readout``."""
+    T = 240
+    traj = sample_trajectory(default_system(), T + 2, seed=0)
+    real = gramops._factor_solve
+    inverses = []
+
+    def spoil_second_inverse(lhs, rhs, sym):
+        out = real(lhs, rhs, sym)
+        if sym and np.array_equal(rhs, np.eye(len(rhs))):
+            inverses.append(len(lhs))
+            if len(inverses) == 2:
+                return out + 1.0
+        return out
+
+    monkeypatch.setattr(gramops, "_factor_solve", spoil_second_inverse)
+    model = train(traj, WindowConfig(1, 1), lam=1.0 / T)
+    assert inverses[1] == 12
+    assert [call for call in recorded if call[1]] == [("readout", 1)]
+    events = model.report.solve_events
+    assert [e.label for e in events] == ["readout"]
+    assert events[0].attempts == 2
+    assert events[0].used == pytest.approx(10.0 * model.grams.lam_T)

@@ -32,7 +32,9 @@ from hsepsr.model_io import MAGIC, load_model, save_model
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData, build_windows
 
-from densegrams import dense_grams, factor_state_gram, kbr_step, state_gram
+from densegrams import (
+    dense_grams, factor_state_gram, kbr_step, shifted_histories, state_gram,
+)
 from synthdata import synthetic_trajectory
 
 RTOL = 1e-10
@@ -366,8 +368,10 @@ class TestDistinctColumns:
 
     def test_ridge_solves_factor_the_distinct_rows_only(self, monkeypatch):
         """The history weights and the states' ridge inverse factor systems
-        no larger than the distinct count, and equal the dense T x T
-        solves: A itself, and the inverse on the training states."""
+        no larger than the distinct count, and the readout one no larger
+        than the distinct count of its own rows, the histories one step on
+        beside the shifted test-action windows; all equal the dense T x T
+        solves: A itself, and the inverses on the spans they apply to."""
         calls = []
         real = gramops.escalated_solve
 
@@ -377,21 +381,28 @@ class TestDistinctColumns:
 
         monkeypatch.setattr(gramops, "escalated_solve", recorder)
         T = 240
-        model = train(
-            sample_trajectory(default_system(), T + 2, seed=0), WindowConfig(1, 1),
-            lam=1.0 / T,
-        )
+        traj = sample_trajectory(default_system(), T + 2, seed=0)
+        model = train(traj, WindowConfig(1, 1), lam=1.0 / T)
         monkeypatch.undo()
         k = model.report.distinct_states
         ridge = [(label, n) for label, n in calls if "[" not in label]
-        assert [label for label, _ in ridge] == ["history-weights", "state-ridge"]
-        assert max(n for _, n in ridge) <= k < T
+        assert [label for label, _ in ridge] == [
+            "history-weights", "state-ridge", "readout"
+        ]
+        assert max(n for _, n in ridge[:2]) <= k < T
+        Hs = shifted_histories(model, traj)
+        readout_rows = np.unique(
+            np.hstack([Hs, model.shifted_test_actions]), axis=0
+        )
+        assert ridge[2][1] == len(readout_rows) == 12
         lam_T = model.grams.lam_T
         G_HH = dense_grams(model.windowed, model.kernels).G_HH
         assert _rel(model.history_state_weights, ridge_solve(G_HH, lam_T, G_HH)) <= 1e-12
         S = model.state_factors
         dense = ridge_solve(factor_state_gram(model), lam_T, S)
         assert _rel(model.state_ridge @ S, dense) <= 1e-12
+        P = model.shifted_history_gram * model.grams.G_TAs_TAs
+        assert _rel(model.readout @ P, ridge_solve(P, lam_T, P)) <= 1e-12
 
     def test_all_distinct_ridge_solves_are_the_dense_ones(self, model_factory):
         """With no repeated row the ridge solves are the T x T ones, bit

@@ -182,42 +182,6 @@ class TestConditioning:
             plain = np.linalg.solve(W[b][:, None] * G + lam * np.eye(6), W[b] * K[b])
             assert np.allclose(got[b], plain, rtol=1e-13, atol=0)
 
-    def test_extra_column_is_tested_against_its_own_norm(self, rng):
-        """An extra column along the near-null direction of the system has
-        a relative residual near 1e-6, hidden in one Frobenius norm by the
-        other columns' norm; tested alone it fails, so the row is solved
-        again as the two separate calls and records what they record."""
-        n, lam = 8, 0.5
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        d = np.ones(n)
-        d[-1] = -lam + 1e-10
-        G = (Q * d) @ Q.T
-        W = np.ones((1, n))
-        K = (Q[:, :-1] @ rng.normal(size=(n - 1, 5)))[None]
-        e = 1e-3 * Q[:, -1][None]
-        events = []
-        got, got_e = kbr_step_batch(
-            W, G, lam, K, events=events, extra=e, extra_label="window"
-        )
-        want_events = []
-        want_e = kbr_step_batch(W, G, lam, e, label="window", events=want_events)
-        want = kbr_step_batch(W, G, lam, K, events=want_events)
-        assert [ev.label for ev in want_events] == ["window[0]"]
-        assert events == want_events
-        assert np.array_equal(got_e, want_e) and np.array_equal(got, want)
-
-    def test_extra_column_rides_on_the_same_solve(self, rng):
-        G = random_psd(rng, 6)
-        W = rng.normal(size=(3, 6))
-        M = rng.normal(size=(6, 4))
-        E = rng.normal(size=(3, 6))
-        got, got_e = kbr_step_batch(W, G, 0.3, M[None], extra=E)
-        assert got.shape == (3, 6, 4) and got_e.shape == (3, 6)
-        assert got_e.flags.owndata  # holding it does not hold the whole solve
-        for b in range(3):
-            assert np.allclose(got[b], kbr_step(W[b], G, 0.3, M), atol=1e-10)
-            assert np.allclose(got_e[b], kbr_step(W[b], G, 0.3, E[b]), atol=1e-10)
-
     def test_batch_forms_no_stack_of_systems(self, rng):
         """Solving B = 16 rows of T = 160 against 161 shared columns
         allocates the (B, T, m) result plus a few reused (T, T) and (T, m)
@@ -236,31 +200,6 @@ class TestConditioning:
             tracemalloc.stop()
         assert x.shape == (B, T, m)
         assert peak - base - x.nbytes <= 4 * T * (T + m) * x.itemsize
-
-    def test_fused_batch_forms_no_stack_of_systems(self, rng):
-        """The fused call, 161 shared columns plus one extra column per row,
-        keeps a tighter bound with m counting the extra column: each row's
-        buffer takes the shared columns and its extra one, the shared
-        columns are never broadcast into a (B, T, m + 1) copy (about
-        8 B T (m + 1) more, 11.6 T (T + m + 1) floats in all), and the
-        residual test reads each column group in place (a copy of the
-        shared group took 3.5 T (T + m) floats)."""
-        B, T, m = 16, 160, 162
-        G = random_psd(rng, T) / T
-        W = 1.0 / T + rng.normal(size=(B, T)) / T
-        cols = rng.normal(size=(1, T, m - 1))
-        E = rng.normal(size=(B, T))
-        kbr_step_batch(W, G, 0.16, cols, extra=E)  # warm one-time allocations
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            x, x_e = kbr_step_batch(W, G, 0.16, cols, extra=E)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert x.shape == (B, T, m - 1) and x_e.shape == (B, T)
-        result = x.nbytes + x_e.nbytes
-        assert peak - base - result <= 3 * T * (T + m) * x.itemsize
 
     def test_batch_matrix_right_hand_side_shared_across_rows(self, rng):
         G = random_psd(rng, 6)

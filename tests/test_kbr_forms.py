@@ -7,10 +7,11 @@ reference here.  Low-rank cases run on the delta model (T = 118, rank 2)
 and on an rbf model with L = N = 1 (T = 58, rank 15); full-rank cases on
 the default rbf model, where every result must be the dense path's bit
 for bit.  At the default factor floor the dense form is given the
-truncated Gram, so it must agree with the Woodbury form, a fused call
-with its unfused calls, and a propagation solved from the observation
-side with the dense path against the test-action factor, within 1e-10,
-also where two of them pick different forms.
+truncated Gram, so it must agree with the Woodbury form, and a
+propagation solved from the observation side with the dense path against
+the test-action factor, within 1e-10, also where two of them pick
+different forms.  The prediction readout solves nothing per belief; it is
+checked against the dense readout oracle on both kinds of model.
 """
 
 import tracemalloc
@@ -24,15 +25,15 @@ from hsepsr.gramops import (
     factor_coordinates,
     kbr_form,
     kbr_step_batch,
+    ridge_solve,
 )
-from hsepsr.kernels import gram
 from hsepsr.learner import train
 from hsepsr.model_io import load_model, save_model
 from hsepsr.predict import condition_test_actions_many
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig
 
-from densegrams import kbr_step
+from densegrams import dense_readout, kbr_step
 
 RTOL = 1e-10
 
@@ -47,19 +48,32 @@ def _singular_row(G, lam):
 
 
 @pytest.fixture(scope="module")
-def delta_model():
-    traj = sample_trajectory(default_system(), 120, seed=3)
-    return train(traj, WindowConfig(1, 1), lam=1.0 / 118)
+def delta_traj():
+    return sample_trajectory(default_system(), 120, seed=3)
+
+
+@pytest.fixture(scope="module")
+def delta_model(delta_traj):
+    return train(delta_traj, WindowConfig(1, 1), lam=1.0 / 118)
 
 
 @pytest.fixture(params=["delta", "rbf"])
-def low_rank_model(request, delta_model, model_factory):
-    model = delta_model if request.param == "delta" else model_factory(L=1, N=1)[0]
+def low_rank_case(request, delta_model, delta_traj, model_factory):
+    """(model, training trajectory) of a model with low test-action rank."""
+    if request.param == "delta":
+        model, traj = delta_model, delta_traj
+    else:
+        model, traj = model_factory(L=1, N=1)
     T, r = model.grams.W_TAs.shape
     r_obs = model.grams.W_TOs.shape[1]
     assert r < T and kbr_form(T, r, 1) == kbr_form(T, r, r + 1) == "woodbury"
     assert kbr_form(T, r, r_obs) == kbr_form(T, r, r_obs + 1) == "woodbury"
-    return model
+    return model, traj
+
+
+@pytest.fixture
+def low_rank_model(low_rank_case):
+    return low_rank_case[0]
 
 
 def _beliefs(model, rng, B=4):
@@ -99,33 +113,27 @@ class TestWoodburyMatchesDense:
         assert got.shape == want.shape
         assert _rel(got, want) <= RTOL
 
-    def test_factor_columns_and_the_fused_extra_column(self, low_rank_model, rng):
+    def test_factor_columns(self, low_rank_model, rng):
         g = low_rank_model.grams
         W = _beliefs(low_rank_model, rng)
-        E = rng.uniform(0.0, 1.0, W.shape)
         cols = g.W_TAs[None]
         got = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, cols, factor=g.W_TAs)
         want = kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, cols)
         assert got.shape == want.shape
         assert _rel(got, want) <= RTOL
-        fused, fused_e = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, cols, factor=g.W_TAs, extra=E
-        )
-        assert _rel(fused, want) <= RTOL
-        assert _rel(fused_e, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, E)) <= RTOL
 
     def test_state_factors(self, low_rank_model):
         model = low_rank_model
         assert _rel(model.state_factors, _dense_state_factors(model)) <= RTOL
 
-    def test_condition_test_actions_many(self, low_rank_model, rng):
-        model = low_rank_model
-        g = model.grams
+    def test_condition_test_actions_many(self, low_rank_case, rng):
+        """The readout against the dense one, on repeated rows (delta) and
+        distinct ones (rbf)."""
+        model, traj = low_rank_case
         W = _beliefs(model, rng)
         windows = model.shifted_test_actions[rng.integers(0, model.n_samples, len(W))]
         got = condition_test_actions_many(model, W, windows)
-        K = gram(model.kernels.test_action, windows, model.shifted_test_actions)
-        assert _rel(got, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, K)) <= RTOL
+        assert _rel(got, dense_readout(model, traj, W, windows)) <= RTOL
 
 
 class TestEscalation:
@@ -168,34 +176,6 @@ class TestEscalation:
         want = W_obs.T @ kbr_step(W[b], G, events[0].used, V)
         assert _rel(got[b], want) <= 1e-8
 
-    def test_extra_column_failing_alone_is_solved_again_alone(self, rng):
-        """G = V V^T of rank 3 and w = -c 1 with lam - c s_0 = 1e-10: the
-        extra column along the near-null direction fails its own residual
-        test, hidden in one norm by the other columns, so the fused call
-        returns and records what the two separate calls do."""
-        T, r, lam = 20, 3, 0.5
-        Q, _ = np.linalg.qr(rng.normal(size=(T, T)))
-        s = np.array([2.0, 1.0, 0.5])
-        V = Q[:, :r] * np.sqrt(s)
-        G = V @ V.T
-        W = np.full((1, T), -(lam - 1e-10) / s[0])
-        K = (Q[:, 1:] @ rng.normal(size=(T - 1, 5)))[None]
-        e = 1e-3 * Q[:, 0][None]
-        assert all(kbr_form(T, r, m) == "woodbury" for m in (1, 5, 6))
-        events = []
-        got, got_e = kbr_step_batch(
-            W, G, lam, K, factor=V, events=events, extra=e, extra_label="window"
-        )
-        want_events = []
-        want_e = kbr_step_batch(
-            W, G, lam, e, factor=V, label="window", events=want_events
-        )
-        want = kbr_step_batch(W, G, lam, K, factor=V, events=want_events)
-        assert [ev.label for ev in want_events] == ["window[0]"]
-        assert events == want_events
-        assert np.array_equal(got_e, want_e) and np.array_equal(got, want)
-
-
 #: rbf models at the default factor floor, by the side the propagation
 #: solves, the window conditioning's form and the propagation's form
 FLOORED = {
@@ -235,20 +215,6 @@ class TestFormsAgreeAtTheDefaultFloor:
         S = floored_model.state_factors
         assert _rel(S, _dense_state_factors(floored_model)) <= RTOL
 
-    def test_fused_and_unfused_calls(self, floored_model, rng):
-        model = floored_model
-        W = _beliefs(model, rng)
-        windows = model.shifted_test_actions[rng.integers(0, model.n_samples, len(W))]
-        K = gram(model.kernels.test_action, windows, model.shifted_test_actions)
-        gamma, P = condition_test_actions_many(model, W, windows, propagate=True)
-        assert _rel(gamma, condition_test_actions_many(model, W, windows)) <= RTOL
-        assert _rel(P, propagate_many(model, W)) <= RTOL
-        g = model.grams
-        _, fused_e = kbr_step_batch(
-            W, g.G_TAs_TAs, g.lam_T, g.W_TOs[None], factor=g.W_TAs, extra=K
-        )
-        assert _rel(fused_e, gamma) <= RTOL
-
     def test_propagate_many_matches_the_dense_path(self, floored_model, rng):
         """Against the dense solve of C_w W_TAs on the same truncated Gram,
         whichever side the propagation solves."""
@@ -276,13 +242,18 @@ class TestFullRankIsTheDensePath:
         want = q @ model.state_ridge.T
         assert np.array_equal(propagate_many(model, W), want)
 
-    def test_condition_test_actions_many(self, model, rng):
-        g = model.grams
+    def test_condition_test_actions_many(self, model, model_factory, rng):
+        """With no repeated row the readout inverse is the dense T x T
+        ridge inverse bit for bit, and gamma the dense readout's."""
         W = _beliefs(model, rng)
         windows = model.shifted_test_actions[[3, 9, 0, 20]]
-        K = gram(model.kernels.test_action, windows, model.shifted_test_actions)
+        P = model.shifted_history_gram * model.grams.G_TAs_TAs
+        T = model.n_samples
+        dense = ridge_solve(P, model.grams.lam_T, np.eye(T))
+        assert np.array_equal(model.readout, dense)
         got = condition_test_actions_many(model, W, windows)
-        assert np.array_equal(got, kbr_step_batch(W, g.G_TAs_TAs, g.lam_T, K))
+        want = dense_readout(model, model_factory()[1], W, windows)
+        assert _rel(got, want) <= RTOL
 
     def test_state_factors(self, model):
         assert np.array_equal(model.state_factors, _dense_state_factors(model))
@@ -358,34 +329,6 @@ class TestRowMemory:
             tracemalloc.stop()
         assert x.shape == (T, T)
         assert peak - base - x.nbytes <= 8 * T * T * x.itemsize
-
-    def test_fused_coordinates_stay_within_a_few_t_squared(self, rng):
-        """B = T rows plus one extra column per row, on a rank-20 factor:
-        the rows are solved and contracted in blocks of T // r, so the
-        rows' solutions are never held at once."""
-        T, r = 240, 20
-        V = rng.normal(size=(T, r)) / np.sqrt(T)
-        G = V @ V.T
-        W = 1.0 / T + rng.normal(size=(T, T)) / T
-        E = rng.normal(size=(T, T))
-        W_obs = rng.normal(size=(T, 3))
-        assert kbr_form(T, r, 4) == "woodbury"
-        factor_coordinates(  # warm any one-time allocations
-            W[:4], G, 0.1, V, W_obs, label="shift", extra=E[:4]
-        )
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            coords, x_e = factor_coordinates(
-                W, G, 0.1, V, W_obs, label="shift", extra=E
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert coords.shape == (T, 3, r) and x_e.shape == (T, T)
-        result = coords.nbytes + x_e.nbytes
-        assert peak - base - result <= 8 * T * T * x_e.itemsize
-
 
 class TestReload:
     def test_loaded_delta_model_has_the_trained_state_factors(

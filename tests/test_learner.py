@@ -100,6 +100,7 @@ class TestTrain:
         rep = model_factory()[0].report
         assert set(rep.stage_seconds) == {
             "history-weights", "grams", "action-factors", "conditioning", "state-gram",
+            "readout",
         }
 
     def test_history_weight_eigenvalues_in_unit_interval(self, model_factory):

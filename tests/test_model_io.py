@@ -89,6 +89,7 @@ def _assert_same_arrays(model, loaded):
         assert np.array_equal(a, b), f.name
     for name in (
         "history_state_weights", "state_factors", "state_ridge", "feasible_weights",
+        "shifted_history_gram", "readout",
     ):
         assert np.array_equal(getattr(model, name), getattr(loaded, name)), name
     for name in ("V", "S", "lam"):

@@ -6,7 +6,6 @@ from hsepsr.filter import (
     update_standardized,
     update_standardized_many,
 )
-from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, train
 from hsepsr.predict import (
     condition_test_actions_many,
@@ -14,9 +13,10 @@ from hsepsr.predict import (
     rollout_predict,
     rollout_predict_many,
 )
+from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig
 
-from densegrams import kbr_step
+from densegrams import dense_readout
 from synthdata import synthetic_trajectory
 
 
@@ -38,25 +38,34 @@ def condition_one(model, weights, window):
     return condition_test_actions_many(model, weights[None], window_std[None])[0]
 
 
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestConditionTestActions:
-    def test_matches_explicit_conditional(self, filtered):
-        """Gamma equals the belief's conditioning matrix against the
-        shifted windows applied to the planned window's kernel vector."""
+    def test_matches_explicit_conditional(self, filtered, model_factory):
+        """Gamma is the conditional mean embedding's weights
+        (G_HsHs o G_TAsTAs + lam_T I)^-1 ((G_HsHs w) o k), solved densely
+        on windows cut from the training trajectory (no repeated rows)."""
         model, state = filtered
+        traj = model_factory()[1]
         window = plan(model.config.test_length)
         window_std = model.standardizer.transform_actions(window).ravel()
-        k = gram(
-            model.kernels.test_action, model.shifted_test_actions, window_std[None]
-        )[:, 0]
-        expect = (
-            kbr_step(
-                state.weights, model.grams.G_TAs_TAs, model.grams.lam_T,
-                np.eye(model.n_samples),
-            )
-            @ k
-        )
+        expect = dense_readout(model, traj, state.weights, window_std)[0]
         got = condition_one(model, state.weights, window)
-        assert np.allclose(got, expect, atol=1e-10)
+        assert _rel(got, expect) <= 1e-9
+
+    def test_discrete_readout_is_the_dense_solve_on_the_span(self, rng):
+        """With repeated rows (12 distinct of 240) the model's inverse
+        lives on the span of the distinct rows, and (G_HsHs w) o k lies
+        there, so gamma is the full T x T solve's."""
+        T = 240
+        traj = sample_trajectory(default_system(), T + 2, seed=0)
+        model = train(traj, WindowConfig(1, 1), lam=1.0 / T)
+        W = 1.0 / T + rng.normal(size=(3, T)) / T
+        windows = model.shifted_test_actions[[0, 5, 17]]
+        got = condition_test_actions_many(model, W, windows)
+        assert _rel(got, dense_readout(model, traj, W, windows)) <= 1e-10
 
     def test_batched_matches_single(self, filtered, rng):
         model, state = filtered
@@ -188,6 +197,31 @@ class TestRollout:
         with pytest.raises(ValueError, match="positive"):
             rollout_predict(model, state, plan(6), horizons=[0, 3])
 
+    def test_rollout_is_the_readout_then_the_filter_step_per_level(self, filtered, rng):
+        """Each level reads the beliefs through the readout and feeds the
+        one-step prediction back through ``update_standardized_many``."""
+        model, _ = filtered
+        N, do, T = model.config.test_length, model.obs_dim, model.n_samples
+        W = np.full((3, T), 1.0 / T) + rng.normal(size=(3, T)) / T
+        plans = np.stack([plan(N + 4, seed=70 + b) for b in range(3)])
+        A_std = model.standardizer.transform_actions(
+            plans.reshape(-1, model.action_dim)
+        ).reshape(plans.shape)
+        got = rollout_predict_many(model, W, plans, range(1, N + 5), True)
+        want = []
+        for level in range(5):
+            gamma = condition_test_actions_many(
+                model, W, A_std[:, level : level + N].reshape(3, -1)
+            )
+            pred = (gamma @ model.shifted_test_obs).reshape(3, N, do)
+            want.append(pred if level == 0 else pred[:, -1:])
+            W = update_standardized_many(
+                model, W, A_std[:, level], pred[:, 0], True
+            )
+        want = np.concatenate(want, axis=1).reshape(-1, do)
+        want = model.standardizer.inverse_obs(want).reshape(got.shape)
+        assert np.array_equal(got, want)
+
     def test_single_sample_model_predicts_training_window(self):
         """T = 1: predictions are the lone shifted window, whatever the plan."""
         traj = synthetic_trajectory(seed=31, n=6)
@@ -200,89 +234,6 @@ class TestRollout:
         # to the lone stored window
         ratio = preds_std / window_std
         assert np.allclose(ratio, ratio[0, 0], atol=1e-8)
-
-
-def _levels(model, W, A_std, n_levels, fused, events):
-    """Window gammas and the beliefs after each of ``n_levels`` feedback
-    levels, by the fused calls or by conditioning and then a full update."""
-    N, B = model.config.test_length, len(W)
-    gammas, beliefs = [], []
-    for level in range(n_levels):
-        windows = A_std[:, level : level + N].reshape(B, -1)
-        if fused:
-            gamma, P = condition_test_actions_many(
-                model, W, windows, events, propagate=True
-            )
-        else:
-            gamma, P = condition_test_actions_many(model, W, windows, events), W
-        obs = (gamma @ model.shifted_test_obs)[:, : model.obs_dim]
-        W = update_standardized_many(
-            model, P, A_std[:, level], obs, True, None, events, propagated=fused
-        )
-        gammas.append(gamma)
-        beliefs.append(W)
-    return gammas, beliefs
-
-
-def _unfused_rollout(model, W, A_std, events):
-    """Raw predictions for horizons 1..P of a plan of P steps, with every
-    window conditioned before the feedback update that propagates again."""
-    N, do = model.config.test_length, model.obs_dim
-    n_levels = A_std.shape[1] - N
-    gammas, beliefs = _levels(model, W, A_std, n_levels, False, events)
-    windows = A_std[:, n_levels:].reshape(len(W), -1)
-    last = condition_test_actions_many(model, beliefs[-1], windows, events)
-    preds = [(gammas[0] @ model.shifted_test_obs).reshape(len(W), N, do)]
-    preds += [(g @ model.shifted_test_obs)[:, None, -do:] for g in gammas[1:]]
-    preds.append((last @ model.shifted_test_obs)[:, None, -do:])
-    out = model.standardizer.inverse_obs(np.concatenate(preds, axis=1).reshape(-1, do))
-    return out.reshape(len(W), -1, do)
-
-
-class TestFusedLevel:
-    """A feedback level conditions the window inside the propagation solve;
-    it must equal conditioning and then a full update, escalations too."""
-
-    def _case(self, model, rng, singular_row):
-        T = model.n_samples
-        W = np.full((3, T), 1.0 / T) + rng.normal(size=(3, T)) / T
-        if singular_row:
-            g = model.grams
-            W[1] = -(g.lam_T / np.linalg.eigvalsh(g.G_TAs_TAs).max()) * np.ones(T)
-        N = model.config.test_length
-        plans = np.stack([plan(N + 4, seed=70 + b) for b in range(3)])
-        A_std = model.standardizer.transform_actions(
-            plans.reshape(-1, model.action_dim)
-        ).reshape(plans.shape)
-        return W, plans, A_std
-
-    @pytest.mark.parametrize("singular_row", [False, True])
-    def test_levels_match_the_unfused_composition(self, filtered, rng, singular_row):
-        model, _ = filtered
-        W, _, A_std = self._case(model, rng, singular_row)
-        fused_events, unfused_events = [], []
-        fused = _levels(model, W, A_std, 4, True, fused_events)
-        unfused = _levels(model, W, A_std, 4, False, unfused_events)
-        for got, want in zip(fused[0] + fused[1], unfused[0] + unfused[1]):
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        assert fused_events == unfused_events
-        if singular_row:
-            assert [e.label for e in fused_events[:2]] == [
-                "window-conditioning[1]", "shift-conditional[1]"
-            ]
-            assert fused_events[0].used > model.grams.lam_T
-
-    @pytest.mark.parametrize("singular_row", [False, True])
-    def test_rollout_matches_the_unfused_composition(self, filtered, rng, singular_row):
-        model, _ = filtered
-        W, plans, A_std = self._case(model, rng, singular_row)
-        horizons = range(1, plans.shape[1] + 1)
-        events, want_events = [], []
-        got = rollout_predict_many(model, W, plans, horizons, True, events=events)
-        want = _unfused_rollout(model, W, A_std, want_events)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        assert events == want_events
-        assert (events != []) == singular_row
 
 
 class TestDegenerateRollout:
