@@ -5,8 +5,8 @@ filters a held-out probe sequence with each, and reports the median (over
 seeds) total-variation distance between the learned and exact one-step
 observation distributions. The medians should decrease as T grows.
 
-Usage:
-    python3 scripts/run_consistency.py [--counts 100,400,1600] [--seeds 5]
+Usage, from the root of a checkout (nothing installs the package):
+    PYTHONPATH=src python3 scripts/run_consistency.py [--counts 100,400,1600] [--seeds 5]
 """
 
 import argparse

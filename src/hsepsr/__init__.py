@@ -13,7 +13,7 @@ from hsepsr.kernels import KernelSpec, KernelSet, gram, kernel_eval, resolve_ban
 from hsepsr.windows import Trajectory, WindowConfig, WindowedData, build_windows
 from hsepsr.learner import BeliefState, HsePsrModel, TrainingReport, train
 from hsepsr.filter import filter_trajectory, update
-from hsepsr.predict import predict_observation_at, rollout_predict
+from hsepsr.predict import rollout_predict
 from hsepsr.model_io import load_model, save_model
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "train",
     "filter_trajectory",
     "update",
-    "predict_observation_at",
     "rollout_predict",
     "load_model",
     "save_model",

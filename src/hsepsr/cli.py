@@ -6,10 +6,14 @@ diagnostic on failure.  Trajectories travel as CSV, models as the binary
 container of ``model_io``, benchmark results as the MSE CSV of
 ``simbench.benchmark``.
 
-``evaluate`` is a thin shell over ``simbench.benchmark.evaluate``: the
-desk defaults (split, windows, regularizer, extent grid, horizons,
-renormalization) are that function's keyword defaults, and the parser
-reads them from its signature.
+The parsed arguments are the only settings object: each command hands
+them to the library function that takes them, and that function rejects
+a bad value with a ValueError naming it.  ``evaluate`` is a thin shell
+over ``simbench.benchmark.evaluate``: the desk defaults (split, windows,
+regularizer, extent grid, horizons, renormalization) are that function's
+keyword defaults, and the parser reads them from its signature.
+``predict`` runs the protocol's own predictor,
+``simbench.benchmark.ModelPredictor``, for one extent.
 """
 
 from __future__ import annotations
@@ -18,24 +22,14 @@ import argparse
 import inspect
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from hsepsr.filter import filter_trajectory
 from hsepsr.kernels import FAMILIES
-from hsepsr.learner import DEFAULT_LAM, DEFAULT_MAX_SAMPLES, train
+from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
 from hsepsr.model_io import load_model, save_model
-from hsepsr.predict import predict_observation_at, rollout_predict_many
-from hsepsr.simbench.benchmark import (
-    DESK_EXTENT,
-    DESK_EXTENT_STEP,
-    DESK_HORIZONS,
-    DESK_TRAIN_STEPS,
-    DESK_WINDOW,
-    evaluate,
-    write_csv,
-)
+from hsepsr.simbench.benchmark import ModelPredictor, evaluate, write_csv
 from hsepsr.simbench.simulate import SynthConfig, simulate_system
 from hsepsr.windows import (
     WindowConfig,
@@ -46,94 +40,47 @@ from hsepsr.windows import (
 KERNEL_CHOICES = ("auto", *FAMILIES)
 
 
-@dataclass
-class RunConfig:
-    """Validated settings for one command invocation."""
-
-    command: str
-    data: str | None = None
-    model: str | None = None
-    out: str | None = None
-    steps: int = 1600
-    seed: int = 0
-    history_length: int = DESK_WINDOW
-    test_length: int = DESK_WINDOW
-    lam: float = DEFAULT_LAM
-    kernel: str = "auto"
-    bandwidth_scale: float = 1.0
-    discrete: bool = False
-    max_samples: int | None = DEFAULT_MAX_SAMPLES
-    train_steps: int = DESK_TRAIN_STEPS
-    extent: int = DESK_EXTENT
-    extent_step: int = DESK_EXTENT_STEP
-    horizons: tuple = DESK_HORIZONS
-    renormalize: bool = True
-    direct_prediction: bool = False
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("--steps must be at least 1")
-        if self.seed < 0:
-            raise ValueError("--seed must be nonnegative")
-        if self.history_length < 1 or self.test_length < 1:
-            raise ValueError("window lengths must be at least 1")
-        if not self.lam > 0:
-            raise ValueError("--lam must be positive")
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(f"--kernel must be one of {KERNEL_CHOICES}")
-        if not self.bandwidth_scale > 0:
-            raise ValueError("--bandwidth-scale must be positive")
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError("--max-samples must be positive, or 0 for no cap")
-        if self.train_steps < 1:
-            raise ValueError("--train-steps must be at least 1")
-        if self.extent < 1 or self.extent_step < 1:
-            raise ValueError("extents must be positive")
-        if not self.horizons or min(self.horizons) < 1:
-            raise ValueError("horizons must be positive integers")
+def _family(args: argparse.Namespace):
+    return None if args.kernel == "auto" else args.kernel
 
 
-def _family(cfg: RunConfig):
-    return None if cfg.kernel == "auto" else cfg.kernel
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    traj = simulate_system(SynthConfig(n_steps=cfg.steps, seed=cfg.seed))
-    write_trajectory_csv(cfg.out, traj)
-    print(f"simulated {traj.n} steps (seed {cfg.seed}) -> {cfg.out}")
+def cmd_simulate(args: argparse.Namespace) -> int:
+    traj = simulate_system(SynthConfig(n_steps=args.steps, seed=args.seed))
+    write_trajectory_csv(args.out, traj)
+    print(f"simulated {traj.n} steps (seed {args.seed}) -> {args.out}")
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
+def cmd_train(args: argparse.Namespace) -> int:
+    traj = read_trajectory_csv(args.data, discrete=args.discrete)
     t0 = time.perf_counter()
     model = train(
         traj,
-        WindowConfig(cfg.history_length, cfg.test_length),
-        lam=cfg.lam,
-        family=_family(cfg),
-        bandwidth_scale=cfg.bandwidth_scale,
-        max_samples=cfg.max_samples,
+        WindowConfig(args.history_length, args.test_length),
+        lam=args.lam,
+        family=_family(args),
+        bandwidth_scale=args.bandwidth_scale,
+        max_samples=args.max_samples,
     )
     wall = time.perf_counter() - t0
-    save_model(model, cfg.out)
+    save_model(model, args.out)
     for line in model.report.summary_lines():
         print(line)
     print(f"wall time: {wall:.2f}s")
-    print(f"model -> {cfg.out}")
+    print(f"model -> {args.out}")
     return 0
 
 
-def cmd_filter(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
+def cmd_filter(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    traj = read_trajectory_csv(args.data, discrete=args.discrete)
     events: list = []
     result = filter_trajectory(
-        model, None, traj.actions, traj.observations, cfg.renormalize, events
+        model, None, traj.actions, traj.observations, args.renormalize, events
     )
-    if cfg.out:
-        np.save(cfg.out, result.weights_matrix())
-        print(f"belief weights ({traj.n} x {model.n_samples}) -> {cfg.out}")
+    if args.out:
+        np.save(args.out, result.weights_matrix())
+        print(f"belief weights ({traj.n} x {model.n_samples}) -> {args.out}")
     print(
         f"filtered {traj.n} steps, {len(result.resets)} resets, "
         f"solve escalations: {len(events)}, final mass {result.final.mass:.4f}"
@@ -141,77 +88,57 @@ def cmd_filter(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
-    if cfg.extent >= traj.n:
-        raise ValueError(
-            f"--extent {cfg.extent} leaves no future steps in the "
-            f"{traj.n}-step trajectory"
-        )
-    events: list = []
-    resets: list = []
-    result = filter_trajectory(
-        model, None, traj.actions[: cfg.extent], traj.observations[: cfg.extent],
-        cfg.renormalize, events,
+def _values(row) -> str:
+    return " ".join(f"{v:.6g}" for v in row)
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    traj = read_trajectory_csv(args.data, discrete=args.discrete)
+    predictor = ModelPredictor(model, args.renormalize)
+    horizons = sorted(set(args.horizons))
+    preds = predictor.predict_all(
+        traj.actions, traj.observations, [args.extent], horizons
+    )[0]
+    text = "\n".join(
+        f"h={h} pred {_values(p)} truth "
+        + _values(traj.observations[args.extent + h - 1])
+        for h, p in zip(horizons, preds)
     )
-    horizons = sorted(set(cfg.horizons))
-    if cfg.direct_prediction:
-        preds = np.stack(
-            [
-                predict_observation_at(model, result.final, None, h, mode="direct")
-                for h in horizons
-            ]
-        )
-    else:
-        future = traj.actions[cfg.extent :]
-        preds = rollout_predict_many(
-            model, result.final.weights[None], future[None], horizons,
-            cfg.renormalize, resets, events,
-        )[0]
-    rows = []
-    for h, p in zip(horizons, preds):
-        t = cfg.extent + h - 1
-        truth = (
-            " truth " + " ".join(f"{v:.6g}" for v in traj.observations[t])
-            if t < traj.n
-            else ""
-        )
-        line = f"h={h} pred " + " ".join(f"{v:.6g}" for v in p) + truth
-        rows.append(line)
-        print(line)
+    print(text)
     print(
-        f"belief resets: {len(result.resets)} in the prefix filter, "
-        f"{len(resets)} in rollouts; solve escalations: {len(events)}"
+        f"belief resets: {len(predictor.filter_resets)} in the prefix filter, "
+        f"{len(predictor.rollout_resets)} in rollouts; "
+        f"solve escalations: {len(predictor.solve_events)}"
     )
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write("\n".join(rows) + "\n")
-        print(f"predictions -> {cfg.out}")
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+        print(f"predictions -> {args.out}")
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    traj = read_trajectory_csv(cfg.data, discrete=cfg.discrete)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    traj = read_trajectory_csv(args.data, discrete=args.discrete)
     t0 = time.perf_counter()
     result = evaluate(
         traj,
-        train_steps=cfg.train_steps,
-        history_length=cfg.history_length,
-        test_length=cfg.test_length,
-        lam=cfg.lam,
-        extent=cfg.extent,
-        extent_step=cfg.extent_step,
-        horizons=cfg.horizons,
-        renormalize=cfg.renormalize,
-        seed=cfg.seed,
-        family=_family(cfg),
-        bandwidth_scale=cfg.bandwidth_scale,
-        max_samples=cfg.max_samples,
+        train_steps=args.train_steps,
+        history_length=args.history_length,
+        test_length=args.test_length,
+        lam=args.lam,
+        extent=args.extent,
+        extent_step=args.extent_step,
+        horizons=args.horizons,
+        renormalize=args.renormalize,
+        seed=args.seed,
+        family=_family(args),
+        bandwidth_scale=args.bandwidth_scale,
+        max_samples=args.max_samples,
     )
-    if cfg.out:
-        write_csv(cfg.out, result.tables)
-        print(f"mse table ({result.model.n_extents} extents) -> {cfg.out}")
+    if args.out:
+        write_csv(args.out, result.tables)
+        print(f"mse table ({result.model.n_extents} extents) -> {args.out}")
     for line in result.summary_lines():
         print(line)
     print(f"evaluate wall time: {time.perf_counter() - t0:.1f}s")
@@ -226,6 +153,11 @@ def _parse_horizons(text: str) -> tuple:
     if not values:
         raise argparse.ArgumentTypeError("horizon list is empty")
     return values
+
+
+def _max_samples(text: str) -> int | None:
+    """``--max-samples``: 0 means no cap, which ``train`` spells None."""
+    return int(text) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel family for all streams (default auto)")
         p.add_argument("--bandwidth-scale", type=float, default=1.0,
                        help="multiplier on median-distance bandwidths")
-        p.add_argument("--max-samples", type=int, default=DEFAULT_MAX_SAMPLES,
+        p.add_argument("--max-samples", type=_max_samples,
+                       default=DEFAULT_MAX_SAMPLES,
                        help="cap on training samples, 0 for no cap "
                        "(default %(default)s)")
 
@@ -297,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write predictions to this file")
     p.add_argument("--discrete", action="store_true")
     add_renormalize_flag(p)
-    p.add_argument("--direct-prediction", action="store_true",
-                   help="read window expectations without action conditioning")
 
     p = sub.add_parser("evaluate", help="benchmark a model against baselines")
     p.add_argument("data", help="full trajectory CSV (train + test)")
@@ -331,19 +262,10 @@ COMMANDS = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields_ = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields_ and v is not None}
-    if values.get("max_samples") == 0:
-        values["max_samples"] = None
-    return RunConfig(**values)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         # the errors a command is expected to raise; any other is a bug
         # and keeps its type and traceback

@@ -330,7 +330,7 @@ def resolve_kernels(
     raises ValueError.
     """
     if not bandwidth_scale > 0:
-        raise ValueError("bandwidth_scale must be positive")
+        raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
     default = "delta" if windows.discrete else "rbf"
     if family is None or isinstance(family, str):
         fam = {s: (family or default) for s in STREAMS}

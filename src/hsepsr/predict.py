@@ -14,8 +14,7 @@ are built once per model (``learner.train_from_windows``), so reading a
 belief solves nothing.  The observation predicted for step j of the
 window is the gamma-weighted average of the j-th blocks of the shifted
 test-observation windows, mapped back to raw units with the model's
-standardizer.  This is the first level of the rollout;
-``predict_observation_at``'s conditioned mode reads one horizon of it.
+standardizer.  This is the first level of the rollout.
 
 Horizons past the window length roll the filter forward: each advance
 feeds the one-step-ahead predicted observation back through a filter
@@ -37,42 +36,6 @@ from hsepsr.gramops import kbr_step_batch  # noqa: F401
 from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, HsePsrModel
 
-MODES = ("conditioned", "direct")
-
-
-def predict_observation_at(
-    model: HsePsrModel,
-    state: BeliefState,
-    future_actions: np.ndarray | None,
-    horizon: int,
-    mode: str = "conditioned",
-) -> np.ndarray:
-    """Predict the raw observation ``horizon`` steps ahead (within the window).
-
-    Mode "conditioned" is the rollout's first level:
-    ``rollout_predict(model, state, future_actions, [horizon])``, which
-    conditions on the first ``test_length`` of at least that many planned
-    actions.  Mode "direct" skips action conditioning and averages the
-    shifted test-observation windows under the belief weights themselves,
-    a diagnostic for how informative the belief alone is.
-    """
-    N = model.config.test_length
-    if mode not in MODES:
-        raise ValueError(f"unknown prediction mode {mode!r}")
-    if not 1 <= horizon <= N:
-        raise ValueError(
-            f"horizon {horizon} outside the test window (1..{N}); "
-            "use rollout_predict for longer ranges"
-        )
-    if mode == "direct":
-        do = model.obs_dim
-        block = model.shifted_test_obs[:, (horizon - 1) * do : horizon * do]
-        return model.standardizer.inverse_obs(block.T @ state.weights)
-    if future_actions is None:
-        raise ValueError("conditioned prediction needs planned actions")
-    return rollout_predict(model, state, future_actions, [horizon]).predictions[0]
-
-
 @dataclass
 class RolloutResult:
     """Predicted observations per requested horizon plus any belief resets.
@@ -92,7 +55,7 @@ def _checked_horizons(model: HsePsrModel, plan_length: int, horizons) -> list:
     actions: it must cover the test window and the largest horizon."""
     horizons = sorted(int(h) for h in set(horizons))
     if not horizons or horizons[0] < 1:
-        raise ValueError("horizons must be positive integers")
+        raise ValueError(f"horizons must be positive integers, got {horizons}")
     N, max_h = model.config.test_length, horizons[-1]
     if plan_length < N:
         raise ValueError(f"need at least {N} planned actions, got {plan_length}")

@@ -146,6 +146,8 @@ class ModelPredictor:
         model = self.model
         N = model.config.test_length
         extents = [int(e) for e in extents]
+        if min(extents) < 1:
+            raise ValueError(f"extents must be at least 1, got {min(extents)}")
         plan_len = max(N, max(int(h) for h in horizons))
         last = max(extents)
         if last + plan_len > len(actions):
@@ -173,6 +175,8 @@ def desk_extents(
 ) -> list:
     """Extent grid {start, start+step, ...} trimmed so every horizon has a
     realized observation inside the n_test test steps."""
+    if step < 1:
+        raise ValueError(f"extent step must be at least 1, got {step}")
     max_h = max(int(h) for h in horizons)
     return list(range(start, n_test - max_h + 1, step))
 
@@ -200,7 +204,10 @@ def run_protocol(
     if not extents or not horizons:
         raise ValueError("need at least one extent and one horizon")
     if extents[0] < 1 or horizons[0] < 1:
-        raise ValueError("extents and horizons must be positive")
+        raise ValueError(
+            "extents and horizons must be positive, got extent "
+            f"{extents[0]} and horizon {horizons[0]}"
+        )
     if extents[-1] + horizons[-1] > len(observations):
         raise ValueError(
             f"extent {extents[-1]} plus horizon {horizons[-1]} exceeds the "
@@ -314,11 +321,13 @@ def evaluate(
     ``extent`` every ``extent_step`` steps.  ``seed`` only labels the
     tables.
     """
-    if train_steps >= traj.n:
+    if not 1 <= train_steps < traj.n:
         raise ValueError(
-            f"train_steps {train_steps} consumes the whole "
-            f"{traj.n}-step trajectory"
+            f"train_steps must be in 1..{traj.n - 1} to leave a test split "
+            f"of the {traj.n}-step trajectory, got {train_steps}"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     train_traj, test = (
         Trajectory(traj.actions[part], traj.observations[part], traj.discrete)
         for part in (slice(None, train_steps), slice(train_steps, None))
@@ -326,17 +335,21 @@ def evaluate(
     extents = desk_extents(test.n, horizons, start=extent, step=extent_step)
     if not extents:
         raise ValueError("no extent fits the test split with these horizons")
+    common = dict(
+        extents=extents, horizons=horizons, train_size=train_steps, seed=seed
+    )
+    # the baselines run first: run_protocol rejects a bad extent or horizon
+    # before the model is trained
+    mean = run_protocol(baseline_mean(train_traj), test, **common)
+    previous = run_protocol(baseline_prev(), test, **common)
     model = train(
         train_traj, WindowConfig(history_length, test_length), lam=lam, **train_kw
     )
     predictor = ModelPredictor(model, renormalize)
-    common = dict(
-        extents=extents, horizons=horizons, train_size=train_steps, seed=seed
-    )
     return Evaluation(
         model=run_protocol(predictor, test, **common),
-        mean=run_protocol(baseline_mean(train_traj), test, **common),
-        previous=run_protocol(baseline_prev(), test, **common),
+        mean=mean,
+        previous=previous,
         filter_resets=len(predictor.filter_resets),
         rollout_resets=len(predictor.rollout_resets),
         solve_escalations=len(predictor.solve_events),

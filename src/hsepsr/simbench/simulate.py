@@ -35,7 +35,9 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
         if not self.dt > 0:

@@ -27,8 +27,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 class Trajectory:
     """One action-observation sequence; ``observations[t]`` responds to ``actions[t]``.
 
-    ``discrete`` marks integer-coded symbol streams: standardization is
-    skipped for them and exact-match kernels are appropriate.
+    Each stream is (n, d), or 1-d for n steps of one scalar.  ``discrete``
+    marks integer-coded symbol streams: standardization is skipped for
+    them and exact-match kernels are appropriate.
     """
 
     actions: np.ndarray
@@ -36,10 +37,13 @@ class Trajectory:
     discrete: bool = False
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.actions, dtype=float))
-        o = np.atleast_2d(np.asarray(self.observations, dtype=float))
-        if a.ndim != 2 or o.ndim != 2:
-            raise ValueError("actions and observations must be 2-d arrays")
+        a, o = (np.asarray(x, dtype=float) for x in (self.actions, self.observations))
+        if not {a.ndim, o.ndim} <= {1, 2}:
+            raise ValueError(
+                "actions and observations must be 1-d (one scalar per step) "
+                f"or 2-d arrays, got {a.ndim}-d and {o.ndim}-d"
+            )
+        a, o = (x.reshape(-1, 1) if x.ndim == 1 else x for x in (a, o))
         if a.shape[0] != o.shape[0]:
             raise ValueError(
                 f"length mismatch: {a.shape[0]} actions vs {o.shape[0]} observations"
@@ -73,9 +77,11 @@ class WindowConfig:
 
     def __post_init__(self):
         if self.history_length < 1:
-            raise ValueError("history_length must be at least 1")
+            raise ValueError(
+                f"history_length must be at least 1, got {self.history_length}"
+            )
         if self.test_length < 1:
-            raise ValueError("test_length must be at least 1")
+            raise ValueError(f"test_length must be at least 1, got {self.test_length}")
 
     def min_steps(self) -> int:
         """Shortest trajectory that yields one sample (shifted windows included)."""

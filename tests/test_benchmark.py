@@ -244,6 +244,28 @@ class TestSolveEscalations:
         assert f"solve escalations: {ev.solve_escalations}" in ev.summary_lines()[0]
 
 
+class TestEvaluateArguments:
+    """Values evaluate rejects before it trains; the CLI's table in
+    test_cli.py checks the same messages reach the command line."""
+
+    @pytest.mark.parametrize("train_steps", [0, -100, 240])
+    def test_split_must_leave_both_parts(self, train_steps):
+        traj = simulate_system(SynthConfig(n_steps=240, seed=6))
+        with pytest.raises(ValueError, match=f"train_steps .*, got {train_steps}"):
+            evaluate(traj, train_steps=train_steps, history_length=3, test_length=4)
+
+    def test_rejects_negative_seed(self):
+        traj = simulate_system(SynthConfig(n_steps=240, seed=6))
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            evaluate(traj, train_steps=110, seed=-1)
+
+    def test_model_predictor_rejects_extent_zero(self):
+        train_traj, test = _split()
+        predictor = ModelPredictor(train(train_traj, WindowConfig(3, 4)))
+        with pytest.raises(ValueError, match="extents must be at least 1, got 0"):
+            predictor.predict_all(test.actions, test.observations, [0, 10], [1])
+
+
 class TestBatchedRollout:
     def test_matches_sequential_within_window(self):
         """With horizons inside the window (no feedback) the batched and
@@ -302,6 +324,10 @@ class TestExtentGrids:
         assert extents[-1] + max(horizons) <= 1100
         assert extents[-1] + 10 + max(horizons) > 1100
         assert all(b - a == 10 for a, b in zip(extents, extents[1:]))
+
+    def test_rejects_a_step_below_one(self):
+        with pytest.raises(ValueError, match="extent step must be at least 1, got 0"):
+            desk_extents(300, [1, 50], step=0)
 
     def test_full_extents_are_dense(self):
         extents = desk_extents(300, [1, 50], step=1)

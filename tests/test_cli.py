@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 import hsepsr.cli as cli
 import hsepsr.filter as filter_mod
-from hsepsr.cli import RunConfig, build_parser, config_from_args, main
+from hsepsr.cli import build_parser, main
 from hsepsr.learner import DEFAULT_MAX_SAMPLES, train
-from hsepsr.simbench.benchmark import evaluate
+from hsepsr.model_io import load_model
+from hsepsr.simbench.benchmark import ModelPredictor, evaluate
+from hsepsr.windows import read_trajectory_csv
 
 from test_benchmark import _force_obs_escalations
 
@@ -53,38 +56,73 @@ class TestParser:
         parser = build_parser()
         for argv in (["filter", "m", "d.csv"], ["predict", "m", "d.csv"]):
             assert parser.parse_args(argv).renormalize
-            assert config_from_args(parser.parse_args(argv)).renormalize
             assert not parser.parse_args(argv + ["--no-renormalize"]).renormalize
-        assert RunConfig(command="filter").renormalize
 
     def test_max_samples_default_is_the_library_default(self):
         parser = build_parser()
         for argv in (["train", "d.csv", "m"], ["evaluate", "d.csv"]):
             assert parser.parse_args(argv).max_samples == DEFAULT_MAX_SAMPLES
-        assert RunConfig(command="train").max_samples == DEFAULT_MAX_SAMPLES
         params = inspect.signature(train).parameters
         assert params["max_samples"].default == DEFAULT_MAX_SAMPLES
 
 
-class TestRunConfig:
-    def test_rejects_bad_lam(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="train", lam=0.0)
+    def test_max_samples_zero_is_no_cap_and_negative_is_left_to_train(self):
+        """``--max-samples 0`` parses to train's None; any other value is
+        passed on as it is, for train to accept or reject."""
+        parser = build_parser()
+        for value, want in (("0", None), ("30", 30), ("-30", -30)):
+            argv = ["train", "d.csv", "m", "--max-samples", value]
+            assert parser.parse_args(argv).max_samples == want
 
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="simulate", steps=0)
+    def test_unknown_kernel_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "d.csv", "m", "--kernel", "cubic"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
-    def test_rejects_bad_kernel(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="train", kernel="cubic")
 
-    def test_max_samples_zero_is_no_cap_and_negative_is_rejected(self):
-        args = build_parser().parse_args(["train", "d.csv", "m", "--max-samples", "0"])
-        assert config_from_args(args).max_samples is None
-        args = build_parser().parse_args(["train", "d.csv", "m", "--max-samples", "-30"])
-        with pytest.raises(ValueError, match="max-samples"):
-            config_from_args(args)
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 120-step trajectory and a model trained on it (L = 2, N = 3)."""
+    root = tmp_path_factory.mktemp("small_run")
+    data, model = str(root / "traj.csv"), str(root / "model.bin")
+    assert main(["simulate", data, "--steps", "120", "--seed", "2"]) == 0
+    assert main(["train", data, model, "-L", "2", "-N", "3"]) == 0
+    return {"data": data, "model": model, "out": str(root / "out")}
+
+
+_EVALUATE = "evaluate {data} --train-steps 60 -L 2 -N 3 --extent 20 --horizons 1,2"
+
+#: Each bad value exits 1 with one ``error:`` line from the library
+#: function that takes it; the line names the value.
+REJECTED = [
+    ("simulate {out} --steps 0", "n_steps must be at least 1, got 0"),
+    ("simulate {out} --seed -1", "seed must be nonnegative, got -1"),
+    ("train {data} {out} -L 0", "history_length must be at least 1, got 0"),
+    ("train {data} {out} --lam 0", "lam must be finite and positive, got 0.0"),
+    ("train {data} {out} --bandwidth-scale 0", "bandwidth_scale must be positive, got 0.0"),
+    ("train {data} {out} --max-samples -30", "max_samples must be positive or None, got -30"),
+    (_EVALUATE + " --train-steps 0", r"train_steps must be in 1\.\.119 .*, got 0"),
+    (_EVALUATE + " --train-steps -100", r"train_steps must be in 1\.\.119 .*, got -100"),
+    (_EVALUATE + " --extent 0", "extents and horizons must be positive, got extent 0"),
+    (_EVALUATE + " --extent-step 0", "extent step must be at least 1, got 0"),
+    (_EVALUATE + " --horizons 0,1", "extents and horizons must be positive, .* horizon 0"),
+    (_EVALUATE + " --seed -1", "seed must be nonnegative, got -1"),
+    ("predict {model} {data} --extent 0", "extents must be at least 1, got 0"),
+    ("predict {model} {data} --horizons 0", r"horizons must be positive integers, got \[0\]"),
+]
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "command, pattern", REJECTED,
+        ids=[" ".join(c.split()[:1] + c.split()[-2:]) for c, _ in REJECTED],
+    )
+    def test_exits_one_naming_the_value(self, small_run, capsys, command, pattern):
+        code, _, err = _run(command.format(**small_run).split(), capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(pattern, err), err
 
 
 class TestCommands:
@@ -228,32 +266,23 @@ class TestCommands:
         assert code == 0
         assert "belief resets: 1 in the prefix filter, 1 in rollouts;" in out
 
-    def test_direct_prediction_mode(self, tmp_path, capsys):
-        data = tmp_path / "traj.csv"
-        model = tmp_path / "model.npz"
-        _run(["simulate", str(data), "--steps", "100", "--seed", "4"], capsys)
-        _run(["train", str(data), str(model), "-L", "2", "-N", "3"], capsys)
-        code, out, _ = _run(
-            [
-                "predict", str(model), str(data),
-                "--extent", "50", "--horizons", "1,2", "--direct-prediction",
-            ],
-            capsys,
-        )
+    def test_predict_prints_the_protocol_predictions(self, small_run, capsys):
+        """predict prints ModelPredictor.predict_all's predictions for its
+        one extent, each beside the realized observation, and writes the
+        same lines to --out."""
+        out = small_run["out"] + ".txt"
+        argv = ["predict", small_run["model"], small_run["data"],
+                "--extent", "60", "--horizons", "7,1,3", "--out", out]
+        code, printed, _ = _run(argv, capsys)
         assert code == 0
-        assert out.count("pred") == 2
-
-    def test_direct_prediction_beyond_window_fails(self, tmp_path, capsys):
-        data = tmp_path / "traj.csv"
-        model = tmp_path / "model.npz"
-        _run(["simulate", str(data), "--steps", "100", "--seed", "4"], capsys)
-        _run(["train", str(data), str(model), "-L", "2", "-N", "3"], capsys)
-        code, _, err = _run(
-            [
-                "predict", str(model), str(data),
-                "--extent", "50", "--horizons", "9", "--direct-prediction",
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "error:" in err
+        traj = read_trajectory_csv(small_run["data"])
+        preds = ModelPredictor(load_model(small_run["model"])).predict_all(
+            traj.actions, traj.observations, [60], [1, 3, 7]
+        )[0]
+        want = [
+            f"h={h} pred {p[0]:.6g} truth {traj.observations[60 + h - 1, 0]:.6g}"
+            for h, p in zip((1, 3, 7), preds)
+        ]
+        assert printed.splitlines()[:3] == want
+        with open(out) as handle:
+            assert handle.read().splitlines() == want

@@ -9,7 +9,6 @@ from hsepsr.filter import (
 from hsepsr.learner import BeliefState, train
 from hsepsr.predict import (
     condition_test_actions_many,
-    predict_observation_at,
     rollout_predict,
     rollout_predict_many,
 )
@@ -82,66 +81,22 @@ class TestConditionTestActions:
             assert np.allclose(got[b], single, atol=1e-10)
 
 
-class TestPredictObservationAt:
-    def test_direct_mode_is_weighted_window_average(self, filtered):
-        model, state = filtered
-        do = model.obs_dim
-        for j in (1, model.config.test_length):
-            block = model.shifted_test_obs[:, (j - 1) * do : j * do]
-            expect = model.standardizer.inverse_obs(block.T @ state.weights)
-            got = predict_observation_at(model, state, None, j, mode="direct")
-            assert np.allclose(got, expect, atol=1e-12)
-
-    def test_conditioned_mode_uses_gamma(self, filtered):
-        model, state = filtered
-        actions = plan(model.config.test_length)
-        gamma = condition_one(model, state.weights, actions)
-        do = model.obs_dim
-        got = predict_observation_at(model, state, actions, 2)
-        block = model.shifted_test_obs[:, do : 2 * do]
-        expect = model.standardizer.inverse_obs(block.T @ gamma)
-        assert np.allclose(got, expect, atol=1e-12)
-
-    def test_conditioned_mode_is_the_rollout_first_level(self, filtered):
-        """Every horizon of the window reads the rollout's first level,
-        bit for bit, also when the plan runs past the window."""
-        model, state = filtered
-        N = model.config.test_length
-        for actions in (plan(N), plan(N + 4)):
-            for h in range(1, N + 1):
-                want = rollout_predict(model, state, actions, [h]).predictions[0]
-                got = predict_observation_at(model, state, actions, h)
-                assert np.array_equal(got, want)
-
-    def test_validation(self, filtered):
-        model, state = filtered
-        N = model.config.test_length
-        with pytest.raises(ValueError, match="horizon"):
-            predict_observation_at(model, state, plan(N), 0)
-        with pytest.raises(ValueError, match="rollout"):
-            predict_observation_at(model, state, plan(N), N + 1)
-        with pytest.raises(ValueError, match="at least"):
-            predict_observation_at(model, state, plan(N - 1), 1)
-        with pytest.raises(ValueError, match="mode"):
-            predict_observation_at(model, state, plan(N), 1, mode="fancy")
-        with pytest.raises(ValueError, match="planned actions"):
-            predict_observation_at(model, state, None, 1)
-
-
 class TestRollout:
     def test_within_window_matches_single_shot(self, filtered):
+        """Every horizon of the first window reads one gamma, the belief
+        conditioned on the plan: the gamma-weighted average of the j-th
+        blocks of the shifted test-observation windows."""
         model, state = filtered
-        N = model.config.test_length
+        N, do = model.config.test_length, model.obs_dim
         actions = plan(N)
         out = rollout_predict(model, state, actions)
         assert out.horizons == list(range(1, N + 1))
-        assert out.predictions.shape == (N, model.obs_dim)
+        assert out.predictions.shape == (N, do)
+        gamma = condition_one(model, state.weights, actions)
         for j in range(1, N + 1):
-            assert np.allclose(
-                out.predictions[j - 1],
-                predict_observation_at(model, state, actions, j),
-                atol=1e-12,
-            )
+            block = model.shifted_test_obs[:, (j - 1) * do : j * do]
+            expect = model.standardizer.inverse_obs(block.T @ gamma)
+            assert np.allclose(out.predictions[j - 1], expect, atol=1e-12)
 
     def test_long_horizon_shape_and_determinism(self, filtered):
         model, state = filtered

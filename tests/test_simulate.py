@@ -15,6 +15,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(n_steps=5, substeps=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SynthConfig(n_steps=5, seed=-1)
+
     def test_rejects_inverted_input_range(self):
         with pytest.raises(ValueError):
             SynthConfig(n_steps=5, u_low=0.5, u_high=-0.5)

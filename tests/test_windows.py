@@ -29,6 +29,19 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([[np.nan]]), np.array([[0.0]]))
 
+    def test_one_dimensional_streams_are_scalar_steps(self):
+        """A 1-d stream is n steps of one scalar, the shape the simulators
+        build; other ranks are rejected by name."""
+        t = Trajectory([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+        assert (t.n, t.action_dim, t.obs_dim) == (3, 1, 1)
+        assert np.array_equal(t.observations, [[1.0], [2.0], [3.0]])
+        t = Trajectory(np.arange(5.0), np.zeros((5, 1)))
+        assert (t.n, t.action_dim) == (5, 1)
+        with pytest.raises(ValueError, match="got 0-d and 1-d"):
+            Trajectory(1.0, [2.0])
+        with pytest.raises(ValueError, match="got 2-d and 3-d"):
+            Trajectory(np.zeros((2, 1)), np.zeros((2, 1, 1)))
+
     def test_shapes(self):
         t = ramp_trajectory(5, da=2, do=3)
         assert (t.n, t.action_dim, t.obs_dim) == (5, 2, 3)
