@@ -81,6 +81,21 @@ class TestConditionTestActions:
             assert np.allclose(got[b], single, atol=1e-10)
 
 
+class TestPredictObservationAt:
+    def test_conditioned_mode_uses_gamma(self, filtered):
+        """The observation predicted at one horizon inside the window,
+        asked for alone, is the gamma-weighted average of that horizon's
+        block of the shifted test-observation windows."""
+        model, state = filtered
+        actions = plan(model.config.test_length)
+        gamma = condition_one(model, state.weights, actions)
+        do = model.obs_dim
+        got = rollout_predict(model, state, actions, [2]).predictions[0]
+        block = model.shifted_test_obs[:, do : 2 * do]
+        expect = model.standardizer.inverse_obs(block.T @ gamma)
+        assert np.allclose(got, expect, atol=1e-12)
+
+
 class TestRollout:
     def test_within_window_matches_single_shot(self, filtered):
         """Every horizon of the first window reads one gamma, the belief
