@@ -68,12 +68,15 @@ the T = 480 desk model 253 and 53 of 481.  The test-action Grams the
 solves read, G_TA_TA and G_TAs_TAs, are the products of the truncated
 factors, so every solve against them, dense or Woodbury, uses the same
 truncated Gram.  The single-step factors (``low_rank_factor`` at floor
-0) keep every eigenvalue above numpy's ``matrix_rank`` tolerance; they
-are factored on the Gram of the distinct rows (``distinct_rows``), which
-is evaluated on those rows alone, and spread back to every sample, since
-a repeated row adds nothing to a Gram's range and exact-match kernels on
-finite sets repeat most rows (2 actions and 3 observations of 240 on the
-discrete benchmark).  A conditioning matrix C against the test windows
+0) keep every eigenvalue above numpy's ``matrix_rank`` tolerance.  Both
+kinds are factored on the Gram of the distinct rows alone and spread back
+to every sample (``_distinct_factor``), since a repeated row adds nothing
+to a Gram's range and exact-match kernels on finite sets repeat most rows
+(2 actions and 3 observations of 240 on the discrete benchmark).  One
+grouping helper, ``distinct_rows``, serves every distinct-row step: these
+factors, the test windows included, and the ridge solves above, whose
+history grouping the model build reuses for the columns of the history
+weights.  A conditioning matrix C against the test windows
 then enters an inner product of operators only as its factor coordinates
 W_obs^T C W_act:
 
@@ -217,7 +220,8 @@ def spread_ridge(
     rhs = np.eye(len(H)) if inverse else H
     Y = ridge_solve(H, lam, rhs, label=label, events=events)
     Y /= c[:, None] * c
-    return Y if spread is None else Y.take(spread, 0).take(spread, 1)
+    # columns first: the (T, T) result is then gathered by whole rows
+    return Y if spread is None else Y.take(spread, 1).take(spread, 0)
 
 
 def _within_rtol(res_sq, rhs_sq):
@@ -449,41 +453,38 @@ def distinct_rows(X: np.ndarray):
     order: the pair (first, spread) of the index of each distinct row's
     first occurrence and, for every row i, the index of its distinct row,
     so that X[first][spread] is X; or None when every row is distinct.
-    Rows are matched by a dict of their bytes, which on a 240 x 240 array
-    is about ten times faster than ``np.unique(axis=0)``."""
-    seen: dict = {}
-    first = []
-    spread = np.empty(len(X), dtype=np.intp)
-    for i, row in enumerate(X):
-        j = spread[i] = seen.setdefault(row.tobytes(), len(first))
-        if j == len(first):
-            first.append(i)
-    return None if len(first) == len(X) else (np.array(first), spread)
+    Rows (of at least one column) are matched by one sort of their bytes,
+    so 0.0 and -0.0 differ and a strided view groups like its copy."""
+    X = np.ascontiguousarray(X)
+    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    if len(index) == len(X):
+        return None
+    order = np.argsort(index)  # the distinct rows by first occurrence
+    return index[order], np.argsort(order)[inverse]
 
 
-def _distinct_factor(kernel, X: np.ndarray) -> np.ndarray:
-    """``low_rank_factor`` of the Gram of the rows of X under ``kernel``,
-    factored on the Gram of the distinct rows of X only and spread back to
-    every row.  When every row is distinct it is ``low_rank_factor`` of
-    the full Gram itself."""
+def _distinct_factor(kernel, X: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """``low_rank_factor`` at ``floor`` of the Gram of the rows of X under
+    ``kernel``, factored on the Gram of the distinct rows of X only and
+    spread back to every row.  When every row is distinct it is
+    ``low_rank_factor`` of the full Gram itself."""
     first, spread = distinct_rows(X) or (slice(None), slice(None))
-    return low_rank_factor(gram(kernel, X[first], X[first]))[spread]
+    return low_rank_factor(gram(kernel, X[first], X[first]), floor)[spread]
 
 
 def window_factors(kernel, now: np.ndarray, shifted: np.ndarray, floor: float = 0.0):
     """Joint low-rank factor of a window list and its one-step shift.
 
-    The two lists are stacked, exact duplicate rows dropped (a shifted
-    window is usually the next sample's window, so real data has at most
-    T + 1 distinct ones), and the Gram of the distinct windows is factored
-    by ``low_rank_factor`` at ``floor``.  Returns (W_now, W_shifted), the
-    factor rows of each list, so that gram(now, now), gram(shifted,
-    shifted) and gram(now, shifted) are W_now W_now^T, W_shifted
-    W_shifted^T and W_now W_shifted^T up to the dropped eigenvalues.
+    The two lists are stacked and factored by ``_distinct_factor`` at
+    ``floor`` (a shifted window is usually the next sample's window, so
+    real data has at most T + 1 distinct ones).  Returns (W_now,
+    W_shifted), the factor rows of each list, so that gram(now, now),
+    gram(shifted, shifted) and gram(now, shifted) are W_now W_now^T,
+    W_shifted W_shifted^T and W_now W_shifted^T up to the dropped
+    eigenvalues.
     """
-    stacked = np.vstack([now, shifted])
-    distinct, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    W = low_rank_factor(gram(kernel, distinct, distinct), floor)[inverse.ravel()]
+    W = _distinct_factor(kernel, np.vstack([now, shifted]), floor)
     return W[: len(now)], W[len(now) :]
 
 

@@ -18,10 +18,10 @@ and a loaded model alike:
 3. each weight column's kernel Bayes conditioning matrix against the
    single-step actions in Woodbury form (``gramops.ConditioningFactors``
    over the low-rank factor of the action Gram, T r^2 numbers), which the
-   filter's action step mixes; it is solved once per distinct weight
-   column (``gramops.distinct_rows``; exact-match kernels repeat columns,
-   6 are distinct of 240 on the discrete benchmark model) and spread back
-   to the T samples,
+   filter's action step mixes; it is solved once per distinct history
+   (weight column i depends on history i alone, so it repeats where the
+   histories repeat: 6 distinct of 240 on the discrete benchmark model)
+   and spread back to the T samples,
 4. each weight column's conditioning matrix against the test-action
    windows, the coefficient form of that sample's operator-valued state,
    kept only as its coordinates in the joint factors of the test windows
@@ -32,8 +32,8 @@ and a loaded model alike:
    blocks of samples that function's docstring gives, in the form
    ``gramops.kbr_form`` picks for the test-action rank, r_TA x r_TA
    Woodbury systems at low rank and one T x T LU per column near full
-   rank; like item 3 it is solved once per distinct weight column and
-   spread back,
+   rank; like item 3 it is solved once per distinct history and spread
+   back,
 5. the ridge inverse (S S^T + lam_T I)^-1 of the Gram between those
    states, S S^T for the ``state_factors`` rows S, solved once per model
    on the distinct rows of S (a k x k system, ``gramops.spread_ridge``),
@@ -141,10 +141,10 @@ class TrainingReport:
     and ``obs`` for the single-step Grams, ``test_action`` and
     ``test_obs`` for the joint test-window factors, whose product
     r_test_obs * r_test_action is the length of one state-factor row.
-    ``distinct_states`` is the number of distinct history-weight columns,
-    the training states ``train_from_windows`` solves for (the others
-    repeat one of them byte for byte, as exact-match kernels make them
-    do).
+    ``distinct_states`` is the number of distinct histories, whose
+    history-weight columns are the training states ``train_from_windows``
+    solves for (the other columns repeat one of them byte for byte, as
+    exact-match kernels make them do).
     ``summary_lines`` also names the form (``gramops.kbr_form``) in which
     the state build solves: the test-action rank and T pick it, and the
     smaller of r_test_obs and r_test_action is the number of columns
@@ -360,6 +360,8 @@ def _spread_events(events: list, spread: np.ndarray) -> list:
     j and relabelled ``label[i]``: the events, and their order (the action
     factors, then the states, each in sample order), that solving every
     column would record."""
+    if not events:
+        return []
     by_label = {e.label: e for e in events}
     return [
         replace(by_label[f"{stage}[{j}]"], label=f"{stage}[{i}]")
@@ -381,13 +383,15 @@ def train_from_windows(
     Training and ``model_io.load_model`` both build here, so a loaded
     model is the trained one bit for bit, report included except for its
     stage times and ``truncated_from``.  The action and state factors are
-    solved once per distinct column of A and spread back to all T rows;
-    an escalated solve is recorded once per sample whose column it solved,
-    as ``action[i]`` or ``state[i]`` with the sample index, in sample
-    order within each stage.  When every column is distinct the solves
-    get A unchanged.  P is solved on the distinct rows too
-    (``spread_ridge``), as P = F Y F^T for the counts C of the distinct
-    rows, F = E C^-1/2 and the k x k solution Y of
+    solved once per distinct history and spread back to all T rows: A
+    repeats its columns where the histories repeat (``spread_ridge``
+    spreads them by the histories' spread), and when every history is
+    distinct the solves get A unchanged.  An escalated solve is recorded
+    once per sample whose column it solved, as ``action[i]`` or
+    ``state[i]`` with the sample index, in sample order within each
+    stage.  P is solved on the distinct rows too (``spread_ridge``), as
+    P = F Y F^T for the counts C of the distinct rows, F = E C^-1/2 and
+    the k x k solution Y of
     (C^1/2 S_d S_d^T C^1/2 + lam I) Y = I over the distinct rows S_d; it
     passes ``ridge_solve``'s residual test, ||(S S^T + lam I) P - F F^T||_F
     <= ``RESIDUAL_RTOL`` ||F F^T||_F, at the regularizer lam it was solved
@@ -421,10 +425,6 @@ def train_from_windows(
     cache = build_gram_cache(windows, kernels, lam)
     t0 = tick("grams", t0)
 
-    # equal weight columns have equal solutions, so each distinct column is
-    # solved once; with none repeated the solves get A itself, so the ODE and
-    # desk models keep their BLAS memory layout and results bit for bit
-    first, spread = distinct_rows(A.T) or (slice(None), None)
     A_solved = A[:, first]
     solved_events: list[SolveEvent] = []
     action_factors = conditioning_factors(

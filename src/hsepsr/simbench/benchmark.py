@@ -29,7 +29,7 @@ import numpy as np
 
 from hsepsr.filter import filter_trajectory
 from hsepsr.learner import DEFAULT_LAM, HsePsrModel, train
-from hsepsr.predict import rollout_predict_many
+from hsepsr.predict import _checked_horizons, rollout_predict_many
 from hsepsr.windows import Trajectory, WindowConfig
 
 #: Desk protocol defaults; ``evaluate``'s signature and the CLI read them.
@@ -148,7 +148,8 @@ class ModelPredictor:
         extents = [int(e) for e in extents]
         if min(extents) < 1:
             raise ValueError(f"extents must be at least 1, got {min(extents)}")
-        plan_len = max(N, max(int(h) for h in horizons))
+        plan_len = max([N, *(int(h) for h in horizons)])
+        horizons = _checked_horizons(model, plan_len, horizons)
         last = max(extents)
         if last + plan_len > len(actions):
             raise ValueError(

@@ -265,6 +265,20 @@ class TestEvaluateArguments:
         with pytest.raises(ValueError, match="extents must be at least 1, got 0"):
             predictor.predict_all(test.actions, test.observations, [0, 10], [1])
 
+    @pytest.mark.parametrize("horizons", [[0], [-2, 3], []])
+    def test_model_predictor_rejects_a_bad_horizon_before_filtering(
+        self, monkeypatch, horizons
+    ):
+        train_traj, test = _split()
+        predictor = ModelPredictor(train(train_traj, WindowConfig(3, 4)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("filter_trajectory ran before the horizon check")
+
+        monkeypatch.setattr(benchmark_mod, "filter_trajectory", never)
+        with pytest.raises(ValueError, match="horizons must be positive integers"):
+            predictor.predict_all(test.actions, test.observations, [5, 10], horizons)
+
 
 class TestBatchedRollout:
     def test_matches_sequential_within_window(self):

@@ -188,20 +188,20 @@ def _unfloored_factor(G):
 class TestFactorFloor:
     def test_floor_zero_is_unfloored_factor(self, model_factory):
         """At floor 0 ``low_rank_factor``, ``window_factors`` and the model
-        built by ``model_factory`` hold the old factors bit for bit."""
+        built by ``model_factory`` hold the unfloored factors of the Gram
+        of the distinct windows, in ``distinct_rows`` order, bit for bit."""
         model, _ = model_factory()
         w, k, g = model.windowed, model.kernels, model.grams
         for kernel, now, shifted, built in (
             (k.test_action, w.test_actions, w.shifted_test_actions, (g.W_TA, g.W_TAs)),
             (k.test_obs, w.test_obs, w.shifted_test_obs, (g.W_TO, g.W_TOs)),
         ):
-            distinct, inverse = np.unique(
-                np.vstack([now, shifted]), axis=0, return_inverse=True
-            )
-            G = gram(kernel, distinct, distinct)
+            stacked = np.vstack([now, shifted])
+            first, spread = gramops.distinct_rows(stacked)
+            G = gram(kernel, stacked[first], stacked[first])
             want = _unfloored_factor(G)
             assert np.array_equal(gramops.low_rank_factor(G, 0.0), want)
-            rows = want[inverse.ravel()]
+            rows = want[spread]
             assert np.array_equal(np.vstack(window_factors(kernel, now, shifted)), rows)
             assert np.array_equal(np.vstack(built), rows)
 
@@ -365,6 +365,28 @@ class TestDistinctColumns:
         action = gramops.conditioning_factors(A, g.V_A, g.lam_T, label="action")
         assert _rel(model.action_factors.S, action.S) <= 1e-12
         assert np.array_equal(model.action_factors.lam, action.lam)
+
+    def test_build_groups_the_histories_not_the_weight_columns(self, monkeypatch):
+        """The build reuses the histories' grouping for the weight columns:
+        no (T, T) array, such as the history weights, is grouped, and the
+        distinct states are the distinct histories."""
+        shapes = []
+        real = gramops.distinct_rows
+
+        def recorder(X):
+            shapes.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(gramops, "distinct_rows", recorder)
+        monkeypatch.setattr(learner_mod, "distinct_rows", recorder)
+        T = 240
+        model = train(
+            sample_trajectory(default_system(), T + 2, seed=0), WindowConfig(1, 1),
+            lam=1.0 / T,
+        )
+        assert shapes and (T, T) not in shapes
+        histories = model.windowed.histories
+        assert model.report.distinct_states == len(np.unique(histories, axis=0)) < T
 
     def test_ridge_solves_factor_the_distinct_rows_only(self, monkeypatch):
         """The history weights and the states' ridge inverse factor systems

@@ -351,6 +351,20 @@ class TestGramCache:
         assert np.array_equal(X[first][spread], X)
         assert distinct_rows(X[[0, 1, 3]]) is None
 
+    def test_distinct_rows_match_bytes(self):
+        """Rows are equal when their bytes are: 0.0 and -0.0 stay apart,
+        and a strided view groups as its contiguous copy does."""
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        first, spread = distinct_rows(X)
+        assert first.tolist() == [0, 1]
+        assert spread.tolist() == [0, 1, 0]
+        A = np.array([[0.0, 1.0, 0.0, 2.0, 1.0], [3.0, 4.0, 3.0, 5.0, 4.0]])
+        assert not A.T.flags.c_contiguous
+        for X in (A.T, A.T.copy()):
+            first, spread = distinct_rows(X)
+            assert first.tolist() == [0, 1, 3]
+            assert spread.tolist() == [0, 1, 0, 2, 1]
+
     def test_rejects_bad_lam(self, rng):
         traj = Trajectory(rng.normal(size=(20, 1)), rng.normal(size=(20, 1)))
         w = build_windows(traj, WindowConfig(2, 2))
