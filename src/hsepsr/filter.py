@@ -39,11 +39,13 @@ action-observation pair runs three stages:
 The propagation conditional is recomputed from the weights at every step
 (it is not linear in them), which keeps the realized pair coupled to the
 advanced belief and keeps the weights near unit sum without any explicit
-rescaling.  Weights are signed and are not clamped or rescaled by default.
-``renormalize=True`` additionally rescales the weights to sum to one after
-each update for long-horizon stability experiments.  A belief whose mass
-collapses is flagged degenerate; drivers restart such beliefs from the
-uniform feasible state and record where that happened.
+rescaling.  Weights are signed and are never clamped.  By default
+(``renormalize=True``, the one default of every function here, of
+``predict`` and of ``simbench``) each update rescales the weights to sum
+to one, for long-horizon stability; ``renormalize=False`` runs the raw
+recursion.  A belief whose mass collapses is flagged degenerate; drivers
+restart such beliefs from the uniform feasible state and record where
+that happened.
 
 Each stage is implemented once, on B beliefs held as the rows of a (B, T)
 array; its solves escalate the regularizer row by row as a single solve
@@ -62,12 +64,6 @@ from hsepsr.kernels import gram
 from hsepsr.learner import DEGENERATE_TOL, BeliefState, HsePsrModel
 
 
-def _weights_of(state) -> np.ndarray:
-    if isinstance(state, BeliefState):
-        return state.weights
-    return np.asarray(state, dtype=float)
-
-
 def _as_row(x) -> np.ndarray:
     return np.asarray(x, dtype=float).ravel()[None]
 
@@ -78,30 +74,30 @@ def _belief(W: np.ndarray, renormalize: bool) -> BeliefState:
 
 
 def propagate(
-    model: HsePsrModel, state, events: list | None = None
+    model: HsePsrModel, state: BeliefState, events: list | None = None
 ) -> np.ndarray:
-    """Advance belief weights one step ahead of the next conditioning.
+    """Advance a belief one step ahead of the next conditioning.
 
     The returned weights express the belief's shifted-window conditional
     in the training-state basis: entry i is the inner product of that
     conditional with training state i, run through the states' ridge
-    inverse.  Accepts a ``BeliefState`` or a bare weight vector and
-    returns the propagated weight vector.
+    inverse.
     """
-    return propagate_many(model, _weights_of(state)[None], events=events)[0]
+    return propagate_many(model, state.weights[None], events=events)[0]
 
 
 def condition_action(
     model: HsePsrModel, weights: np.ndarray, action: np.ndarray
 ) -> np.ndarray:
-    """Condition propagated weights on an executed action (raw units).
+    """Condition a propagated weight vector (``propagate``'s output) on an
+    executed action (raw units).
 
     The per-sample conditioning matrices are mixed by the weights and
     applied to the action's kernel vector.
     """
     a_std = model.standardizer.transform_actions(_as_row(action))
     k_a = gram(model.kernels.action, a_std, model.cur_actions)[0]
-    return _condition_action_k(model, _weights_of(weights), k_a)
+    return _condition_action_k(model, weights, k_a)
 
 
 def condition_observation(
@@ -109,17 +105,18 @@ def condition_observation(
     weights: np.ndarray,
     observation: np.ndarray,
     events: list | None = None,
-    renormalize: bool = False,
+    renormalize: bool = True,
 ) -> BeliefState:
-    """Kernel Bayes step absorbing a received observation (raw units).
+    """Kernel Bayes step of a weight vector absorbing a received
+    observation (raw units).
 
-    Returns the posterior belief, rescaled to unit sum only when
-    ``renormalize`` is set; a collapsed input or output is flagged
+    Returns the posterior belief, rescaled to unit sum unless
+    ``renormalize`` is False; a collapsed input or output is flagged
     degenerate.
     """
     o_std = model.standardizer.transform_obs(_as_row(observation))
     k_o = gram(model.kernels.obs, o_std, model.cur_obs)[0]
-    w = _condition_observation_k(model, _weights_of(weights), k_o, events)
+    w = _condition_observation_k(model, weights, k_o, events)
     return _belief(w[None], renormalize)
 
 
@@ -143,7 +140,7 @@ def update_standardized(
     state: BeliefState,
     action_std: np.ndarray,
     obs_std: np.ndarray,
-    renormalize: bool = False,
+    renormalize: bool = True,
     events: list | None = None,
 ) -> BeliefState:
     """One filter step on inputs already in the model's standardized units;
@@ -161,7 +158,7 @@ def update(
     state: BeliefState,
     action: np.ndarray,
     observation: np.ndarray,
-    renormalize: bool = False,
+    renormalize: bool = True,
     events: list | None = None,
 ) -> BeliefState:
     """Absorb one raw action-observation pair into the belief."""
@@ -196,7 +193,7 @@ def filter_trajectory(
     initial_state: BeliefState | None,
     actions: np.ndarray,
     observations: np.ndarray,
-    renormalize: bool = False,
+    renormalize: bool = True,
     events: list | None = None,
 ) -> FilterResult:
     """Filter aligned (n, d_a) actions and (n, d_o) observations.
@@ -335,7 +332,7 @@ def update_standardized_many(
     W: np.ndarray,
     actions_std: np.ndarray,
     obs_std: np.ndarray,
-    renormalize: bool = False,
+    renormalize: bool = True,
     resets: list | None = None,
     events: list | None = None,
 ) -> np.ndarray:

@@ -30,8 +30,11 @@ then turns the solutions into steps and applies its own test
 (``steps``), and only the rows that fail either test, an exactly
 singular one included, are solved again by ``escalated_solve``, one row
 at a time (``_escalated_row``), with the form's test as its ``accept``.
-Every escalation goes through ``escalated_solve``.  Every solve here is
-numpy's, so a process loads one BLAS.
+One driver, ``_solve_rows``, runs that pass and those escalations for
+both row-batched solves, the kernel Bayes steps (``kbr_step_batch``) and
+the action factors (``conditioning_factors``).  Every escalation goes
+through ``escalated_solve``.  Every solve here is numpy's, so a process
+loads one BLAS.
 
 When a Gram has low rank, G = V V^T with V of shape (T, r), the
 conditioning solve takes the Woodbury form
@@ -295,6 +298,22 @@ def _escalated_row(form, b: int, lam: float, *, label: str, events: list | None)
     return form.steps(Y[None], used, row)[0][0], used
 
 
+def _solve_rows(form, lam: float, *, label: str, events: list | None, first_row=0):
+    """Every row of ``form`` solved at ``lam``: one plain pass
+    (``_factor_rows``), the form's steps and test (``form.steps``), and
+    each row that fails either test solved again alone (``_escalated_row``),
+    recording ``label[first_row + b]``.  Returns the steps and the
+    regularizer each row was solved with."""
+    x, ok = _factor_rows(form, lam)
+    x, steps_ok = form.steps(x, lam)
+    used = np.full(len(x), float(lam))
+    for b in np.flatnonzero(~(ok & steps_ok)):
+        x[b], used[b] = _escalated_row(
+            form, b, lam, label=f"{label}[{first_row + b}]", events=events
+        )
+    return x, used
+
+
 def kbr_form(T: int, r: int, m: int) -> str:
     """The cheaper form of a kernel Bayes step of T samples against m
     columns for a Gram of rank r, by flop count: "woodbury", about
@@ -423,12 +442,7 @@ def kbr_step_batch(
     w = np.asarray(weights, dtype=float)
     k = np.asarray(k, dtype=float)
     form = _kbr_rows(w, G, k[:, :, None] if k.ndim == 2 else k, factor)
-    x, ok = _factor_rows(form, lam)
-    x, steps_ok = form.steps(x, lam)
-    for b in np.flatnonzero(~(ok & steps_ok)):
-        x[b] = _escalated_row(
-            form, b, lam, label=f"{label}[{first_row + b}]", events=events
-        )[0]
+    x = _solve_rows(form, lam, label=label, events=events, first_row=first_row)[0]
     return x[:, :, 0] if k.ndim == 2 else x
 
 
@@ -576,20 +590,13 @@ def conditioning_factors(
 ) -> ConditioningFactors:
     """The ``ConditioningFactors`` of the columns of ``weight_columns``
     for G = V V^T, solved at ``lam``.  The r x r inverses are solved by
-    ``kbr_step_batch``'s pass, and a failing one is escalated alone,
-    recording ``label[s]``.  A factor is accepted when the matrix it
-    stands for, applied to the all-ones vector, passes the dense system's
-    residual test."""
+    ``_solve_rows``, the pass of ``kbr_step_batch``, and a failing one is
+    escalated alone, recording ``label[s]``.  A factor is accepted when
+    the matrix it stands for, applied to the all-ones vector, passes the
+    dense system's residual test."""
     W = np.asarray(weight_columns, dtype=float).T  # row s: weight column s
     form = _Inverses(_WoodburyRows(W, np.ones((1, W.shape[1], 1)), V))
-    S, ok = _factor_rows(form, lam)
-    S, steps_ok = form.steps(S, lam)
-    used = np.full(len(W), float(lam))
-    for s in np.flatnonzero(~(ok & steps_ok)):
-        S[s], used[s] = _escalated_row(
-            form, s, lam, label=f"{label}[{s}]", events=events
-        )
-    return ConditioningFactors(V, S, used)
+    return ConditioningFactors(V, *_solve_rows(form, lam, label=label, events=events))
 
 
 def history_weights(

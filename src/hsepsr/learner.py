@@ -312,38 +312,26 @@ class HsePsrModel:
 
 def resolve_kernels(
     windows: WindowedData,
-    family: str | dict | None = None,
-    bandwidths: dict | None = None,
+    family: str | None = None,
     bandwidth_scale: float = 1.0,
 ) -> KernelSet:
     """Pick one kernel per data stream from the windowed training data.
 
-    ``family`` is a single name from ``kernels.FAMILIES`` for all streams,
-    a per-stream dict (mixed discrete and continuous streams need one), or
-    None for the default (exact-match kernels on discrete data, rbf
-    otherwise).  Each stream's kernel is built on its ``STREAMS`` array.
-    An rbf bandwidth is pinned through ``bandwidths``, or else is the
-    median pairwise distance of that array (``kernels.resolve_bandwidth``,
-    over at most ``kernels.MEDIAN_CAP`` strided rows) times
-    ``bandwidth_scale``.  Every spec is built with its bandwidth, so
-    ``KernelSpec`` validates it: a pin that is not finite and positive
-    raises ValueError.
+    ``family`` is a name from ``kernels.FAMILIES`` for all streams, or None
+    for the default (exact-match kernels on discrete data, rbf otherwise).
+    Each stream's kernel is built on its ``STREAMS`` array.  An rbf
+    bandwidth is the median pairwise distance of that array
+    (``kernels.resolve_bandwidth``, over at most ``kernels.MEDIAN_CAP``
+    strided rows) times ``bandwidth_scale``.
     """
     if not bandwidth_scale > 0:
         raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
-    default = "delta" if windows.discrete else "rbf"
-    if family is None or isinstance(family, str):
-        fam = {s: (family or default) for s in STREAMS}
-    else:
-        fam = {s: family.get(s, default) for s in STREAMS}
-    pinned = bandwidths or {}
+    family = family or ("delta" if windows.discrete else "rbf")
     specs = {}
     for stream, name in STREAMS.items():
         X = getattr(windows, name)
-        if fam[stream] != "rbf":
-            specs[stream] = KernelSpec(fam[stream], X.shape[1])
-        elif stream in pinned:
-            specs[stream] = KernelSpec("rbf", X.shape[1], float(pinned[stream]))
+        if family != "rbf":
+            specs[stream] = KernelSpec(family, X.shape[1])
         elif len(X) < 2:
             # a lone sample has no pairwise distances; use the same fallback
             # as a degenerate median
@@ -459,9 +447,10 @@ def train_from_windows(
     first, spread = distinct_rows(
         np.hstack([Hs, windows.shifted_test_actions])
     ) or (slice(None), None)
+    # only the distinct rows' block of the product kernel's Gram is formed
+    G_d = G_Hs_Hs[first][:, first] * cache.G_TAs_TAs[first][:, first]
     readout = spread_ridge(
-        (G_Hs_Hs * cache.G_TAs_TAs)[first][:, first], cache.lam_T, spread,
-        inverse=True, label="readout", events=events,
+        G_d, cache.lam_T, spread, inverse=True, label="readout", events=events
     )
     tick("readout", t0)
     report = TrainingReport(
@@ -500,8 +489,7 @@ def train(
     traj: Trajectory,
     config: WindowConfig,
     lam: float = DEFAULT_LAM,
-    family: str | dict | None = None,
-    bandwidths: dict | None = None,
+    family: str | None = None,
     bandwidth_scale: float = 1.0,
     max_samples: int | None = DEFAULT_MAX_SAMPLES,
 ) -> HsePsrModel:
@@ -528,9 +516,7 @@ def train(
         )
         truncated_from = T_full
     windows = build_windows(traj, config)
-    kernels = resolve_kernels(
-        windows, family=family, bandwidths=bandwidths, bandwidth_scale=bandwidth_scale
-    )
+    kernels = resolve_kernels(windows, family=family, bandwidth_scale=bandwidth_scale)
     model = train_from_windows(windows, kernels, lam=lam)
     model.report.truncated_from = truncated_from
     return model

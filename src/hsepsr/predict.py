@@ -71,7 +71,7 @@ def rollout_predict(
     state: BeliefState,
     future_actions: np.ndarray,
     horizons=None,
-    renormalize: bool = False,
+    renormalize: bool = True,
 ) -> RolloutResult:
     """Predict raw observations for the requested horizons.
 
@@ -109,7 +109,7 @@ def rollout_predict_many(
     W: np.ndarray,
     future_actions: np.ndarray,
     horizons,
-    renormalize: bool = False,
+    renormalize: bool = True,
     resets: list | None = None,
     events: list | None = None,
 ) -> np.ndarray:

@@ -50,6 +50,9 @@ class Trajectory:
             )
         if a.shape[0] < 1:
             raise ValueError("trajectory must contain at least one step")
+        for name, x in (("actions", a), ("observations", o)):
+            if x.shape[1] < 1:
+                raise ValueError(f"{name} must have at least one column, got {x.shape}")
         if not (np.isfinite(a).all() and np.isfinite(o).all()):
             raise ValueError("trajectory contains non-finite values")
         object.__setattr__(self, "actions", a)

@@ -1,15 +1,19 @@
 """Dense oracles for the tests: training Grams, the single-belief kernel
-Bayes step, the state Gram of coefficient matrices and the readout.
+Bayes step, the ridge solve, the state Gram of coefficient matrices and
+the readout.
 
 The model keeps only the Grams its runtime reads (``GramCache``); the
 tests that check a factored path against the dense one evaluate the rest
 here, with the same ``kernels.gram`` calls training uses, and the state
 Gram S S^T, which the model keeps only as its ridge inverse.  ``kbr_step``
 and ``state_gram`` are the dense forms the row-batched solve and the
-factored states replaced.  ``dense_readout`` is the prediction readout
-solved from scratch: the histories one step on and the shifted test-action
-windows cut from the trajectory itself, the exact Grams and one T x T
-solve per call, where the model multiplies by its prebuilt inverse.
+factored states replaced.  ``dense_ridge`` is the plain ridge solve,
+without the residual test and escalation of the model's own ridge
+solves, so that a test of those solves takes no reference from them.
+``dense_readout`` is the prediction readout solved from scratch: the
+histories one step on and the shifted test-action windows cut from the
+trajectory itself, the exact Grams and one T x T solve per call, where
+the model multiplies by its prebuilt inverse.
 """
 
 from types import SimpleNamespace
@@ -42,6 +46,12 @@ def factor_state_gram(model):
     S = model.state_factors
     G = S @ S.T
     return (G + G.T) / 2.0
+
+
+def dense_ridge(G, lam, B):
+    """(G + lam I)^-1 B by one ``numpy.linalg.solve``."""
+    G = np.asarray(G, dtype=float)
+    return np.linalg.solve(G + lam * np.eye(len(G)), B)
 
 
 def kbr_step(weights, G, lam, k, *, label="kbr", events=None):

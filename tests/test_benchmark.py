@@ -1,10 +1,14 @@
 """Tests for the benchmark protocol, baselines, and MSE tables."""
 
 import csv
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import hsepsr
 import hsepsr.filter as filter_mod
 import hsepsr.simbench.benchmark as benchmark_mod
 from hsepsr.filter import filter_trajectory
@@ -278,6 +282,26 @@ class TestEvaluateArguments:
         monkeypatch.setattr(benchmark_mod, "filter_trajectory", never)
         with pytest.raises(ValueError, match="horizons must be positive integers"):
             predictor.predict_all(test.actions, test.observations, [5, 10], horizons)
+
+
+def test_every_renormalize_default_is_the_protocols():
+    """Every library function that takes ``renormalize`` defaults it the way
+    ``ModelPredictor``, and so ``evaluate`` and the CLI, run the filter."""
+    expect = inspect.signature(ModelPredictor).parameters["renormalize"].default
+    found = {}
+    for info in pkgutil.walk_packages(hsepsr.__path__, "hsepsr."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if callable(obj) and getattr(obj, "__module__", None) == info.name:
+                param = inspect.signature(obj).parameters.get("renormalize")
+                if param is not None and param.default is not param.empty:
+                    found[f"{info.name}.{name}"] = param.default
+    assert {
+        "hsepsr.filter.update", "hsepsr.filter.condition_observation",
+        "hsepsr.predict.rollout_predict", "hsepsr.simbench.oracle.explicit_filter",
+        "hsepsr.simbench.benchmark.run_protocol",
+    } <= found.keys()
+    assert {name for name, default in found.items() if default != expect} == set()
 
 
 class TestBatchedRollout:

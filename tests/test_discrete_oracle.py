@@ -108,8 +108,12 @@ class TestDualPathEquivalence:
         traj = sample_trajectory(default_system(), 60, seed=0)
         model, explicit = _trained_pair(traj, WindowConfig(2, 2), lam=3e-3)
         probe = sample_trajectory(default_system(), 24, seed=17)
-        rg = gram_filter_distributions(model, probe.actions, probe.observations)
-        re = explicit_filter(explicit, probe.actions, probe.observations)
+        rg = gram_filter_distributions(
+            model, probe.actions, probe.observations, renormalize=False
+        )
+        re = explicit_filter(
+            explicit, probe.actions, probe.observations, renormalize=False
+        )
         assert rg.resets == re.resets == []
         rel = np.abs(rg.distributions - re.distributions).max()
         rel /= np.abs(re.distributions).max()
@@ -138,7 +142,9 @@ class TestCyclePredictions:
             windows, resolve_kernels(windows), lam=1e-9 / windows.n_samples
         )
         probe = sample_trajectory(sys_, 30, seed=8)
-        got = gram_filter_distributions(model, probe.actions, probe.observations)
+        got = gram_filter_distributions(
+            model, probe.actions, probe.observations, renormalize=False
+        )
         truth = exact_filter(sys_, probe.actions, probe.observations).predicted_obs
         burn = 3
         assert np.abs(got.distributions[burn:] - truth[burn:]).max() < 1e-6
@@ -151,7 +157,9 @@ class TestCyclePredictions:
             windows, resolve_kernels(windows), lam=1e-9 / windows.n_samples
         )
         probe = sample_trajectory(sys_, 30, seed=8)
-        got = gram_filter_distributions(model, probe.actions, probe.observations)
+        got = gram_filter_distributions(
+            model, probe.actions, probe.observations, renormalize=False
+        )
         sums = got.distributions[3:].sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 0.05)
 
@@ -173,9 +181,7 @@ class TestNormalizeDistributions:
 
 class TestConvergenceCurve:
     def test_small_curve_runs_and_orders_fields(self):
-        pts = convergence_curve(
-            default_system(), (60, 120), seeds=(0, 1), probe_steps=60
-        )
+        pts = convergence_curve(default_system(), (60, 120), seeds=(0, 1))
         assert [p.n_samples for p in pts] == [60, 120]
         for p in pts:
             assert p.tv_by_seed.shape == (2,)

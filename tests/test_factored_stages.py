@@ -68,12 +68,10 @@ class TestMatchesDense:
         _assert_matches_dense(model, rng)
 
     def test_full_rank_gram(self, rng):
-        """2-d inputs at a small bandwidth: the single-step Grams have full
+        """2-d inputs at small bandwidths: the single-step Grams have full
         rank, so r = T and the factored form still matches."""
         traj = synthetic_trajectory(seed=5, n=45, da=2, do=2)
-        model = train(
-            traj, WindowConfig(2, 3), bandwidths={"action": 0.05, "obs": 0.05}
-        )
+        model = train(traj, WindowConfig(2, 3), bandwidth_scale=0.05)
         T = model.n_samples
         assert model.grams.V_A.shape == (T, T) and model.grams.V_O.shape == (T, T)
         _assert_matches_dense(model, rng)
@@ -117,7 +115,7 @@ class TestEscalation:
         acts = np.zeros((3, model.action_dim))
         obs = np.zeros((3, model.obs_dim))
         events = []
-        update_standardized_many(model, W, acts, obs, events=events)
+        update_standardized_many(model, W, acts, obs, renormalize=False, events=events)
         assert [e.label for e in events] == ["obs-conditioning[1]"]
         assert events[0].used > g.lam_T
 

@@ -23,7 +23,6 @@ from hsepsr.filter import propagate_many
 from hsepsr.gramops import (
     RESIDUAL_RTOL,
     build_gram_cache,
-    ridge_solve,
     window_factors,
 )
 from hsepsr.kernels import gram
@@ -33,7 +32,8 @@ from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig, WindowedData, build_windows
 
 from densegrams import (
-    dense_grams, factor_state_gram, kbr_step, shifted_histories, state_gram,
+    dense_grams, dense_ridge, factor_state_gram, kbr_step, shifted_histories,
+    state_gram,
 )
 from synthdata import synthetic_trajectory
 
@@ -68,7 +68,7 @@ def _assert_propagate_matches_dense(model, rng):
         C_w = kbr_step(W[b], g.G_TAs_TAs, g.lam_T, np.eye(T))
         inner = d.G_TO_TOs @ C_w @ d.G_TA_TAs.T
         q = (C * inner).sum(axis=(1, 2))
-        assert _rel(got[b], ridge_solve(G_states, g.lam_T, q)) <= RTOL
+        assert _rel(got[b], dense_ridge(G_states, g.lam_T, q)) <= RTOL
 
 
 def _permuted(windows, p):
@@ -294,8 +294,8 @@ class TestEscalation:
         q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
         G = factor_state_gram(model)
         got = propagate_many(model, W)
-        assert _rel(got, ridge_solve(G, events[0].used, q.T).T) <= RTOL
-        assert _rel(got, ridge_solve(G, g.lam_T, q.T).T) > 1e-6
+        assert _rel(got, dense_ridge(G, events[0].used, q.T).T) <= RTOL
+        assert _rel(got, dense_ridge(G, g.lam_T, q.T).T) > 1e-6
 
     def test_state_escalation_is_in_the_training_report(self, monkeypatch):
         traj = synthetic_trajectory(seed=2, n=50)
@@ -419,12 +419,13 @@ class TestDistinctColumns:
         assert ridge[2][1] == len(readout_rows) == 12
         lam_T = model.grams.lam_T
         G_HH = dense_grams(model.windowed, model.kernels).G_HH
-        assert _rel(model.history_state_weights, ridge_solve(G_HH, lam_T, G_HH)) <= 1e-12
+        A = dense_ridge(G_HH, lam_T, G_HH)
+        assert _rel(model.history_state_weights, A) <= 1e-12
         S = model.state_factors
-        dense = ridge_solve(factor_state_gram(model), lam_T, S)
+        dense = dense_ridge(factor_state_gram(model), lam_T, S)
         assert _rel(model.state_ridge @ S, dense) <= 1e-12
         P = model.shifted_history_gram * model.grams.G_TAs_TAs
-        assert _rel(model.readout @ P, ridge_solve(P, lam_T, P)) <= 1e-12
+        assert _rel(model.readout @ P, dense_ridge(P, lam_T, P)) <= 1e-12
 
     def test_all_distinct_ridge_solves_are_the_dense_ones(self, model_factory):
         """With no repeated row the ridge solves are the T x T ones, bit
@@ -434,9 +435,9 @@ class TestDistinctColumns:
         assert model.report.distinct_states == T
         G_HH = dense_grams(model.windowed, model.kernels).G_HH
         assert np.array_equal(
-            model.history_state_weights, ridge_solve(G_HH, lam_T, G_HH)
+            model.history_state_weights, dense_ridge(G_HH, lam_T, G_HH)
         )
-        dense = ridge_solve(factor_state_gram(model), lam_T, np.eye(T))
+        dense = dense_ridge(factor_state_gram(model), lam_T, np.eye(T))
         assert np.array_equal(model.state_ridge, dense)
 
     def test_reduced_ridge_escalations_are_in_the_training_report(
@@ -472,7 +473,7 @@ class TestDistinctColumns:
             assert events[0].used == pytest.approx(10.0 * g.lam_T)
             used[label] = events[0].used
         G_HH = dense_grams(model.windowed, model.kernels).G_HH
-        A = ridge_solve(G_HH, used["history-weights"], G_HH)
+        A = dense_ridge(G_HH, used["history-weights"], G_HH)
         assert _rel(model.history_state_weights, A) <= 1e-12
 
         W = np.vstack([model.feasible_weights, 1.0 / T + rng.normal(size=(2, T)) / T])
@@ -480,8 +481,8 @@ class TestDistinctColumns:
         q = (g.W_TOs.T @ X).reshape(len(W), -1) @ model.state_factors.T
         G = factor_state_gram(model)
         got = propagate_many(model, W)
-        assert _rel(got, ridge_solve(G, used["state-ridge"], q.T).T) <= RTOL
-        assert _rel(got, ridge_solve(G, g.lam_T, q.T).T) > 1e-6
+        assert _rel(got, dense_ridge(G, used["state-ridge"], q.T).T) <= RTOL
+        assert _rel(got, dense_ridge(G, g.lam_T, q.T).T) > 1e-6
 
 
 class TestReload:

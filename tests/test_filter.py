@@ -15,12 +15,11 @@ from hsepsr.filter import (
     update_standardized,
     update_standardized_many,
 )
-from hsepsr.gramops import ridge_solve
 from hsepsr.kernels import gram
 from hsepsr.learner import BeliefState, train
 from hsepsr.windows import WindowConfig
 
-from densegrams import dense_grams, factor_state_gram, kbr_step
+from densegrams import dense_grams, dense_ridge, factor_state_gram, kbr_step
 from synthdata import synthetic_trajectory
 
 
@@ -41,15 +40,8 @@ class TestStages:
                 model.history_state_weights[:, i], g.G_TA_TA, g.lam_T, np.eye(T)
             )
             q[i] = float((C_i * inner).sum())
-        expect = ridge_solve(factor_state_gram(model), g.lam_T, q)
-        assert np.allclose(propagate(model, w), expect, atol=1e-10)
-
-    def test_propagate_accepts_belief_state(self, model_factory):
-        model, _ = model_factory()
-        state = model.feasible_state()
-        assert np.allclose(
-            propagate(model, state), propagate(model, state.weights), atol=0
-        )
+        expect = dense_ridge(factor_state_gram(model), g.lam_T, q)
+        assert np.allclose(propagate(model, BeliefState(w)), expect, atol=1e-10)
 
     def test_condition_action_mixes_tensors(self, model_factory, rng):
         """Stage equals the explicit sum over per-sample conditioning matrices."""
@@ -76,7 +68,7 @@ class TestStages:
         q = model.standardizer.transform_obs(o.ravel())
         k = gram(model.kernels.obs, model.cur_obs, q[None])[:, 0]
         expect = kbr_step(w, g.G_O_O, g.lam_T, np.eye(model.n_samples)) @ k
-        got = condition_observation(model, w, o)
+        got = condition_observation(model, w, o, renormalize=False)
         assert isinstance(got, BeliefState)
         assert np.allclose(got.weights, expect, atol=1e-10)
 
@@ -99,10 +91,14 @@ class TestStages:
         near one instead of picking up the input's scale."""
         model, _ = model_factory()
         w = model.feasible_weights
-        base = propagate(model, w)
-        assert not np.allclose(propagate(model, 2.0 * w), 2.0 * base, rtol=0.2)
+        base = propagate(model, BeliefState(w))
+        assert not np.allclose(
+            propagate(model, BeliefState(2.0 * w)), 2.0 * base, rtol=0.2
+        )
         for c in (0.5, 1.0, 2.0, 4.0):
-            assert propagate(model, c * w).sum() == pytest.approx(1.0, abs=0.1)
+            assert propagate(model, BeliefState(c * w)).sum() == pytest.approx(
+                1.0, abs=0.1
+            )
 
 
 class TestUpdate:
@@ -110,12 +106,13 @@ class TestUpdate:
         model, traj = model_factory()
         state = model.feasible_state()
         a, o = traj.actions[0], traj.observations[0]
-        got = update(model, state, a, o)
+        got = update(model, state, a, o, renormalize=False)
         expect = update_standardized(
             model,
             state,
             model.standardizer.transform_actions(a),
             model.standardizer.transform_obs(o),
+            renormalize=False,
         )
         assert np.allclose(got.weights, expect.weights, atol=1e-14)
 
@@ -125,15 +122,19 @@ class TestUpdate:
         a, o = traj.actions[0], traj.observations[0]
         w = propagate(model, state)
         w = condition_action(model, w, a)
-        staged = condition_observation(model, w, o)
-        got = update(model, state, a, o)
+        staged = condition_observation(model, w, o, renormalize=False)
+        got = update(model, state, a, o, renormalize=False)
         assert np.allclose(got.weights, staged.weights, atol=1e-13)
 
-    def test_default_update_does_not_renormalize(self, model_factory):
+    def test_default_update_renormalizes(self, model_factory):
+        """The library's default rescales to unit sum; the raw recursion,
+        asked for by name, does not."""
         model, traj = model_factory()
         state = model.feasible_state()
-        out = update(model, state, traj.actions[0], traj.observations[0])
-        assert out.weights.sum() != pytest.approx(1.0, abs=1e-13)
+        a, o = traj.actions[0], traj.observations[0]
+        assert update(model, state, a, o).weights.sum() == pytest.approx(1.0, abs=1e-13)
+        raw = update(model, state, a, o, renormalize=False)
+        assert raw.weights.sum() != pytest.approx(1.0, abs=1e-13)
 
     def test_renormalized_weights_sum_to_one(self, model_factory):
         model, traj = model_factory()
@@ -163,7 +164,9 @@ class TestUpdate:
     def test_zero_weights_detected_degenerate(self, model_factory):
         model, traj = model_factory()
         zero = BeliefState(np.zeros(model.n_samples))
-        out = update(model, zero, traj.actions[0], traj.observations[0])
+        out = update(
+            model, zero, traj.actions[0], traj.observations[0], renormalize=False
+        )
         assert out.degenerate
 
 
@@ -183,9 +186,12 @@ class TestFilterTrajectory:
     def test_single_step_equals_update(self, model_factory):
         model, _ = model_factory()
         probe = synthetic_trajectory(seed=20, n=1)
-        res = filter_trajectory(model, None, probe.actions, probe.observations)
+        res = filter_trajectory(
+            model, None, probe.actions, probe.observations, renormalize=False
+        )
         direct = update(
-            model, model.feasible_state(), probe.actions[0], probe.observations[0]
+            model, model.feasible_state(), probe.actions[0], probe.observations[0],
+            renormalize=False,
         )
         assert len(res.states) == 1
         assert np.allclose(res.final.weights, direct.weights, atol=1e-14)
@@ -194,10 +200,12 @@ class TestFilterTrajectory:
         """Filtering the first m pairs reproduces the full run's prefix."""
         model, _ = model_factory()
         probe = synthetic_trajectory(seed=21, n=10)
-        full = filter_trajectory(model, None, probe.actions, probe.observations)
+        full = filter_trajectory(
+            model, None, probe.actions, probe.observations, renormalize=False
+        )
         m = 4
         part = filter_trajectory(
-            model, None, probe.actions[:m], probe.observations[:m]
+            model, None, probe.actions[:m], probe.observations[:m], renormalize=False
         )
         assert len(full.states) == probe.n
         for t in range(m):
@@ -219,6 +227,7 @@ class TestFilterTrajectory:
             BeliefState(np.zeros(model.n_samples)),
             probe.actions,
             probe.observations,
+            renormalize=False,
         )
         assert res.resets == [0]
         assert not res.final.degenerate
@@ -227,7 +236,9 @@ class TestFilterTrajectory:
     def test_beliefs_stay_finite_over_long_run(self, model_factory):
         model, _ = model_factory()
         probe = synthetic_trajectory(seed=24, n=60)
-        res = filter_trajectory(model, None, probe.actions, probe.observations)
+        res = filter_trajectory(
+            model, None, probe.actions, probe.observations, renormalize=False
+        )
         W = res.weights_matrix()
         assert np.isfinite(W).all()
         assert res.resets == []
@@ -243,7 +254,7 @@ class TestBatchedInternals:
         Ko = rng.normal(size=(B, T))
         assert np.allclose(
             propagate_many(model, W),
-            np.stack([propagate(model, W[b]) for b in range(B)]),
+            np.stack([propagate(model, BeliefState(W[b])) for b in range(B)]),
             atol=1e-12,
         )
         assert np.allclose(

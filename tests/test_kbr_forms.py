@@ -25,7 +25,6 @@ from hsepsr.gramops import (
     factor_coordinates,
     kbr_form,
     kbr_step_batch,
-    ridge_solve,
 )
 from hsepsr.learner import train
 from hsepsr.model_io import load_model, save_model
@@ -33,7 +32,7 @@ from hsepsr.predict import condition_test_actions_many
 from hsepsr.simbench.discrete import default_system, sample_trajectory
 from hsepsr.windows import WindowConfig
 
-from densegrams import dense_readout, kbr_step
+from densegrams import dense_readout, dense_ridge, kbr_step
 
 RTOL = 1e-10
 
@@ -249,7 +248,7 @@ class TestFullRankIsTheDensePath:
         windows = model.shifted_test_actions[[3, 9, 0, 20]]
         P = model.shifted_history_gram * model.grams.G_TAs_TAs
         T = model.n_samples
-        dense = ridge_solve(P, model.grams.lam_T, np.eye(T))
+        dense = dense_ridge(P, model.grams.lam_T, np.eye(T))
         assert np.array_equal(model.readout, dense)
         got = condition_test_actions_many(model, W, windows)
         want = dense_readout(model, model_factory()[1], W, windows)

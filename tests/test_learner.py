@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsepsr.filter import filter_trajectory
-from hsepsr.kernels import resolve_bandwidth
+from hsepsr.kernels import KernelSpec, resolve_bandwidth
 from hsepsr.learner import (
     STREAMS,
     BeliefState,
@@ -42,22 +42,12 @@ class TestResolveKernels:
         assert ks.history.family == "delta"
         assert ks.obs.family == "delta"
 
-    def test_bandwidth_scale_and_pins(self):
+    def test_bandwidth_scale(self):
         traj = synthetic_trajectory(n=40)
         w = build_windows(traj, WindowConfig(2, 3))
         base = resolve_kernels(w)
         scaled = resolve_kernels(w, bandwidth_scale=2.0)
         assert scaled.history.bandwidth == pytest.approx(2 * base.history.bandwidth)
-        pinned = resolve_kernels(w, bandwidths={"obs": 7.5})
-        assert pinned.obs.bandwidth == 7.5
-        assert pinned.action.bandwidth == pytest.approx(base.action.bandwidth)
-
-    def test_family_dict(self):
-        traj = synthetic_trajectory(n=40)
-        w = build_windows(traj, WindowConfig(2, 3))
-        ks = resolve_kernels(w, family={"action": "delta"})
-        assert ks.action.family == "delta" and ks.action.bandwidth is None
-        assert ks.history.family == "rbf"
 
     def test_each_stream_reads_its_window_array(self):
         """``STREAMS`` names the array each kernel is built on: its width
@@ -70,14 +60,14 @@ class TestResolveKernels:
             assert getattr(ks, stream).bandwidth == resolve_bandwidth(X) * 1.5
 
     def test_rejects_linear_and_bad_pins(self):
-        """Only the two characteristic families exist, and a pinned
-        bandwidth is validated like any other."""
+        """Only the two characteristic families exist, and a bandwidth is
+        validated when its spec is built."""
         w = build_windows(synthetic_trajectory(n=40), WindowConfig(2, 3))
         with pytest.raises(ValueError, match="unknown kernel family"):
             resolve_kernels(w, family="linear")
         for pin in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
-                resolve_kernels(w, bandwidths={"obs": pin})
+                KernelSpec("rbf", 1, pin)
 
 
 class TestTrain:
@@ -196,12 +186,18 @@ class TestModelInvariances:
         # short probe and in-window horizons: the recursion is chaotic, so
         # long chains would amplify last-bit rounding past any tolerance
         probe = synthetic_trajectory(seed=11, n=3)
-        res = filter_trajectory(model, None, probe.actions, probe.observations)
-        res_p = filter_trajectory(model_p, None, probe.actions, probe.observations)
+        res = filter_trajectory(
+            model, None, probe.actions, probe.observations, renormalize=False
+        )
+        res_p = filter_trajectory(
+            model_p, None, probe.actions, probe.observations, renormalize=False
+        )
         assert np.allclose(res_p.final.weights, res.final.weights[p], atol=1e-8)
         future = np.linspace(-0.5, 0.5, 3).reshape(-1, 1)
-        pred = rollout_predict(model, res.final, future).predictions
-        pred_p = rollout_predict(model_p, res_p.final, future).predictions
+        pred = rollout_predict(model, res.final, future, renormalize=False).predictions
+        pred_p = rollout_predict(
+            model_p, res_p.final, future, renormalize=False
+        ).predictions
         assert np.allclose(pred_p, pred, atol=1e-8)
 
     def test_observation_scaling_equivariance(self):
@@ -219,14 +215,16 @@ class TestModelInvariances:
         # short probe and in-window horizons, as in the permutation test
         probe = synthetic_trajectory(seed=9, n=3)
         probe_scaled = Trajectory(probe.actions, 10.0 * probe.observations)
-        s1 = filter_trajectory(m1, None, probe.actions, probe.observations).final
+        s1 = filter_trajectory(
+            m1, None, probe.actions, probe.observations, renormalize=False
+        ).final
         s2 = filter_trajectory(
-            m2, None, probe_scaled.actions, probe_scaled.observations
+            m2, None, probe_scaled.actions, probe_scaled.observations, renormalize=False
         ).final
         assert np.allclose(s2.weights, s1.weights, atol=1e-8)
         future = np.linspace(-0.4, 0.4, 3).reshape(-1, 1)
-        p1 = rollout_predict(m1, s1, future).predictions
-        p2 = rollout_predict(m2, s2, future).predictions
+        p1 = rollout_predict(m1, s1, future, renormalize=False).predictions
+        p2 = rollout_predict(m2, s2, future, renormalize=False).predictions
         assert np.allclose(p2, 10.0 * p1, atol=1e-8 * np.abs(p1).max() * 10)
 
 

@@ -116,8 +116,10 @@ def _assert_old_file_loads_to_the_same_model(model, path, old, version):
     loaded = load_model(old)
     _assert_same_arrays(model, loaded)
     probe = synthetic_trajectory(seed=61, n=8)
-    s1 = filter_trajectory(model, None, probe.actions, probe.observations).final
-    s2 = filter_trajectory(loaded, None, probe.actions, probe.observations).final
+    s1, s2 = (
+        filter_trajectory(m, None, probe.actions, probe.observations, False).final
+        for m in (model, loaded)
+    )
     assert np.array_equal(s1.weights, s2.weights)
 
 
@@ -169,12 +171,14 @@ class TestRoundTrip:
         model, path = saved
         loaded = load_model(path)
         probe = synthetic_trajectory(seed=61, n=8)
-        s1 = filter_trajectory(model, None, probe.actions, probe.observations).final
-        s2 = filter_trajectory(loaded, None, probe.actions, probe.observations).final
+        s1, s2 = (
+            filter_trajectory(m, None, probe.actions, probe.observations, False).final
+            for m in (model, loaded)
+        )
         assert np.allclose(s1.weights, s2.weights, atol=1e-12)
         future = np.linspace(-0.5, 0.5, 5).reshape(-1, 1)
-        p1 = rollout_predict(model, s1, future).predictions
-        p2 = rollout_predict(loaded, s2, future).predictions
+        p1 = rollout_predict(model, s1, future, renormalize=False).predictions
+        p2 = rollout_predict(loaded, s2, future, renormalize=False).predictions
         assert np.allclose(p1, p2, rtol=1e-10, atol=1e-10)
 
     def test_version_1_file_loads_to_the_same_model(self, saved, tmp_path):

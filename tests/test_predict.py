@@ -23,7 +23,9 @@ from synthdata import synthetic_trajectory
 def filtered(model_factory):
     model, _ = model_factory()
     probe = synthetic_trajectory(seed=40, n=12)
-    state = filter_trajectory(model, None, probe.actions, probe.observations).final
+    state = filter_trajectory(
+        model, None, probe.actions, probe.observations, renormalize=False
+    ).final
     return model, state
 
 
@@ -90,7 +92,7 @@ class TestPredictObservationAt:
         actions = plan(model.config.test_length)
         gamma = condition_one(model, state.weights, actions)
         do = model.obs_dim
-        got = rollout_predict(model, state, actions, [2]).predictions[0]
+        got = rollout_predict(model, state, actions, [2], False).predictions[0]
         block = model.shifted_test_obs[:, do : 2 * do]
         expect = model.standardizer.inverse_obs(block.T @ gamma)
         assert np.allclose(got, expect, atol=1e-12)
@@ -104,7 +106,7 @@ class TestRollout:
         model, state = filtered
         N, do = model.config.test_length, model.obs_dim
         actions = plan(N)
-        out = rollout_predict(model, state, actions)
+        out = rollout_predict(model, state, actions, renormalize=False)
         assert out.horizons == list(range(1, N + 1))
         assert out.predictions.shape == (N, do)
         gamma = condition_one(model, state.weights, actions)
@@ -116,8 +118,8 @@ class TestRollout:
     def test_long_horizon_shape_and_determinism(self, filtered):
         model, state = filtered
         actions = plan(9)
-        out1 = rollout_predict(model, state, actions)
-        out2 = rollout_predict(model, state, actions)
+        out1 = rollout_predict(model, state, actions, renormalize=False)
+        out2 = rollout_predict(model, state, actions, renormalize=False)
         assert out1.predictions.shape == (9, model.obs_dim)
         assert np.isfinite(out1.predictions).all()
         assert np.array_equal(out1.predictions, out2.predictions)
@@ -126,8 +128,8 @@ class TestRollout:
     def test_horizon_subset_matches_full_rollout(self, filtered):
         model, state = filtered
         actions = plan(9)
-        full = rollout_predict(model, state, actions)
-        subset = rollout_predict(model, state, actions, horizons=(2, 9, 5))
+        full = rollout_predict(model, state, actions, renormalize=False)
+        subset = rollout_predict(model, state, actions, (2, 9, 5), False)
         assert subset.horizons == [2, 5, 9]
         for h, row in zip(subset.horizons, subset.predictions):
             assert np.allclose(row, full.predictions[h - 1], atol=1e-13)
@@ -136,8 +138,10 @@ class TestRollout:
         """Extra planned actions never alter earlier-horizon predictions."""
         model, state = filtered
         actions = plan(10)
-        short = rollout_predict(model, state, actions[:7]).predictions
-        full = rollout_predict(model, state, actions).predictions
+        short = rollout_predict(
+            model, state, actions[:7], renormalize=False
+        ).predictions
+        full = rollout_predict(model, state, actions, renormalize=False).predictions
         assert np.allclose(full[:7], short, atol=1e-12)
 
     def test_feeding_back_true_observations_reproduces_filter(self, filtered):
@@ -145,12 +149,16 @@ class TestRollout:
         it with the true observations retraces filter_trajectory."""
         model, state = filtered
         probe = synthetic_trajectory(seed=43, n=6)
-        ref = filter_trajectory(model, state, probe.actions, probe.observations)
+        ref = filter_trajectory(
+            model, state, probe.actions, probe.observations, renormalize=False
+        )
         a_std = model.standardizer.transform_actions(probe.actions)
         o_std = model.standardizer.transform_obs(probe.observations)
         current = state
         for t in range(probe.n):
-            current = update_standardized(model, current, a_std[t], o_std[t])
+            current = update_standardized(
+                model, current, a_std[t], o_std[t], renormalize=False
+            )
             assert np.allclose(
                 current.weights, ref.states[t].weights, atol=1e-14
             )
@@ -197,7 +205,7 @@ class TestRollout:
         traj = synthetic_trajectory(seed=31, n=6)
         model = train(traj, WindowConfig(2, 3), lam=1e-3)
         state = model.feasible_state()
-        out = rollout_predict(model, state, plan(3))
+        out = rollout_predict(model, state, plan(3), renormalize=False)
         window_std = model.shifted_test_obs[0].reshape(3, model.obs_dim)
         preds_std = model.standardizer.transform_obs(out.predictions)
         # gamma is a scalar here, so standardized predictions are proportional
@@ -210,7 +218,7 @@ class TestDegenerateRollout:
     def test_zero_state_resets_and_continues(self, filtered):
         model, _ = filtered
         dead = BeliefState(np.zeros(model.n_samples))
-        out = rollout_predict(model, dead, plan(8))
+        out = rollout_predict(model, dead, plan(8), renormalize=False)
         # level 0 gamma is zero, feedback collapses, rollout restarts feasibly
         assert out.resets != [] or np.isfinite(out.predictions).all()
         assert np.isfinite(out.predictions).all()
@@ -223,9 +231,13 @@ class TestDegenerateRollout:
         W = np.vstack([np.zeros(T), np.full(T, 1.0 / T)])
         plans = np.stack([plan(8, seed=60), plan(8, seed=61)])
         resets = []
-        out = rollout_predict_many(model, W, plans, range(1, 9), resets=resets)
+        out = rollout_predict_many(
+            model, W, plans, range(1, 9), renormalize=False, resets=resets
+        )
         assert resets == [(0, 0)]
         assert np.isfinite(out).all()
-        single = rollout_predict(model, BeliefState(np.zeros(T)), plans[0])
+        single = rollout_predict(
+            model, BeliefState(np.zeros(T)), plans[0], renormalize=False
+        )
         assert single.resets == [0]
         assert np.allclose(out[0], single.predictions, atol=1e-12)

@@ -42,6 +42,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="got 2-d and 3-d"):
             Trajectory(np.zeros((2, 1)), np.zeros((2, 1, 1)))
 
+    def test_zero_width_stream_is_rejected_by_name(self):
+        """A stream with no columns has no kernel to build; it is rejected
+        here, naming the stream, not deep inside training."""
+        obs = np.zeros((30, 1))
+        with pytest.raises(ValueError, match="^actions must have at least one column"):
+            Trajectory(np.zeros((30, 0)), obs)
+        with pytest.raises(ValueError, match="observations must have at least one"):
+            Trajectory(obs, np.zeros((30, 0)))
+
     def test_shapes(self):
         t = ramp_trajectory(5, da=2, do=3)
         assert (t.n, t.action_dim, t.obs_dim) == (5, 2, 3)
