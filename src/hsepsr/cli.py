@@ -73,7 +73,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    traj = read_trajectory_csv(args.data, discrete=args.discrete)
+    traj = read_trajectory_csv(args.data)
     events: list = []
     result = filter_trajectory(
         model, None, traj.actions, traj.observations, args.renormalize, events
@@ -94,7 +94,7 @@ def _values(row) -> str:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    traj = read_trajectory_csv(args.data, discrete=args.discrete)
+    traj = read_trajectory_csv(args.data)
     predictor = ModelPredictor(model, args.renormalize)
     horizons = sorted(set(args.horizons))
     preds = predictor.predict_all(
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="trained model file")
     p.add_argument("data", help="trajectory CSV to filter")
     p.add_argument("--out", help="save per-step belief weights (.npy)")
-    p.add_argument("--discrete", action="store_true")
     add_renormalize_flag(p)
 
     p = sub.add_parser("predict", help="filter a prefix, predict ahead")
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=tuple(range(1, 11)),
                    help="comma-separated steps ahead (default 1..10)")
     p.add_argument("--out", help="write predictions to this file")
-    p.add_argument("--discrete", action="store_true")
     add_renormalize_flag(p)
 
     p = sub.add_parser("evaluate", help="benchmark a model against baselines")

@@ -610,12 +610,12 @@ def history_weights(
 
     This is the kernel ridge regression of each history's indicator onto
     all histories: (G_HH + lam I)^-1 G_HH for the (T, T) history Gram
-    G_HH.  ``G_HH`` is that Gram, or the pair (G_d, spread) of the Gram of
-    the k distinct histories and ``distinct_rows``' spread of the
-    histories (None when all are distinct), which ``spread_ridge`` solves
-    as a k x k system.
+    G_HH.  ``G_HH`` is the pair (G_d, spread) of the Gram of the k
+    distinct histories and ``distinct_rows``' spread of the histories
+    (None when all are distinct), which ``spread_ridge`` solves as a k x k
+    system.
     """
-    G_d, spread = G_HH if isinstance(G_HH, tuple) else (G_HH, None)
+    G_d, spread = G_HH
     return spread_ridge(G_d, lam, spread, label="history-weights", events=events)
 
 

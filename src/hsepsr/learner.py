@@ -2,11 +2,11 @@
 
 The model represents the belief state over a partially observable controlled
 process as a weight vector across T training samples.  Training windows the
-trajectory and resolves one kernel per data stream.  The windows, the
-kernels and the regularizer are all that training learns, and all that
-``model_io`` stores: every parameter is a moment of the windows under
-those kernels, and ``train_from_windows`` derives them all, for a trained
-and a loaded model alike:
+trajectory and resolves one kernel per data stream.  The trajectory, the
+window lengths, the kernels and the regularizer determine the model, and
+they are all that ``model_io`` stores: every parameter is a moment of the
+trajectory's windows under those kernels, and ``train_from_windows``
+derives them all, for a trained and a loaded model alike:
 
 1. per-history prior sample weights (one column per training sample),
    the ridge regression of each history onto all histories through the
@@ -136,7 +136,8 @@ class TrainingReport:
     """Diagnostics from one training run.
 
     ``truncated_from`` is the sample count before the ``max_samples`` cap
-    cut the trajectory (None when nothing was cut); ``ranks`` holds the
+    cut the trajectory (None when nothing was cut), which the model file
+    stores, since a load sees only the cut trajectory; ``ranks`` holds the
     numerical ranks of the low-rank factors, keyed by stream: ``action``
     and ``obs`` for the single-step Grams, ``test_action`` and
     ``test_obs`` for the joint test-window factors, whose product
@@ -370,7 +371,7 @@ def train_from_windows(
     state factors S and the ridge inverse P of the state Gram S S^T.
     Training and ``model_io.load_model`` both build here, so a loaded
     model is the trained one bit for bit, report included except for its
-    stage times and ``truncated_from``.  The action and state factors are
+    stage times.  The action and state factors are
     solved once per distinct history and spread back to all T rows: A
     repeats its columns where the histories repeat (``spread_ridge``
     spreads them by the histories' spread), and when every history is
@@ -390,10 +391,17 @@ def train_from_windows(
     escalated solves (A's as ``history-weights``, P's as ``state-ridge``,
     M's as ``readout``) and the stage times (``history-weights``,
     ``grams``, ``action-factors``, ``conditioning``, ``state-gram``,
-    ``readout``).  A ``lam`` that is not finite and positive raises
-    ValueError before any solve."""
+    ``readout``).  A ``lam`` that is not finite and positive, or a kernel
+    whose dimension is not the width of its stream's array, raises
+    ValueError naming it before any solve."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
+    for stream, name in STREAMS.items():
+        dim, width = getattr(kernels, stream).dimension, getattr(windows, name).shape[1]
+        if dim != width:
+            raise ValueError(
+                f"kernel {stream} has dimension {dim}, but {name} has width {width}"
+            )
     events: list[SolveEvent] = []
     stages: dict = {}
 

@@ -2,23 +2,27 @@
 
 Layout: 6-byte magic, little-endian uint32 format version, little-endian
 uint32 header length, UTF-8 JSON header, then the raw bytes of every
-array named in the header, little-endian float64 in C order.  The header
-carries the window configuration, regularizer, kernel families and
-bandwidths, the standardization transform, and the array manifest.
+array named in the header, little-endian float64 in C order.
 
-Only what training learned is stored: the seven window arrays of the
-training data, under the kernels, regularizer and standardization the
-header gives (format v4); every model parameter is derived from them.
-Loading checks the header's fields and JSON types (numbers must be
-finite) and the manifest's size against the file's, the kernels through
-``KernelSpec``, then every window array and the standardization
-transform against the header (row count, widths, finite values, kernel
-dimensions, positive scales), each failure a ValueError naming the field,
-and builds the model, report included, with
-``learner.train_from_windows``, as training builds it.  Version 3 files
-also stored the history weights, version 2 files the history weights and
-the state Gram, and version 1 files those, the eight training Grams and
-the start belief; they still load, and those arrays are read and ignored.
+A model is fully determined by the trajectory it was trained on, its
+window lengths, kernels and regularizer, so that is what a file stores
+(format v5): the header holds ``history_length``, ``test_length``,
+``lam``, ``discrete``, the five kernels (family, dimension, bandwidth;
+the bandwidths cannot be re-derived, since the kernel family and
+bandwidth scale training was given are not stored), ``truncated_from``
+and the array manifest, and the two arrays are the raw ``actions`` and
+``observations`` training windowed, after the ``max_samples`` cut
+(``truncated_from`` is the sample count T before it, or null).
+
+Loading checks the header's fields and JSON types (``_check``: numbers
+must be finite, sizes non-negative) and the manifest against the file's
+size, then runs training's own steps on what it read: ``KernelSpec``
+checks each kernel, ``Trajectory`` the steps (equal lengths, finite
+values), ``build_windows`` the length against the windows and refits the
+standardization, and ``learner.train_from_windows`` the regularizer, the
+kernel widths against their streams, and builds the model, report
+included, whose T a stored ``truncated_from`` must exceed.  Every
+ValueError a load raises names the file.  Only version 5 files load.
 """
 
 from __future__ import annotations
@@ -35,64 +39,51 @@ import numpy as np
 from hsepsr import learner
 from hsepsr.kernels import KernelSet, KernelSpec
 from hsepsr.learner import STREAMS, HsePsrModel
-from hsepsr.windows import Standardizer, WindowConfig, WindowedData
+from hsepsr.windows import Trajectory, WindowConfig, build_windows
 
 MAGIC = b"HSEPSR"
-FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
+FORMAT_VERSION = 5
 
-_STANDARDIZER_FIELDS = ("action_mean", "action_scale", "obs_mean", "obs_scale")
+_ARRAYS = ("actions", "observations")
 _NUMBER = (int, float)
 _NUMBER_OR_NULL = (int, float, type(None))
+_SIZE_OR_NULL = (int, type(None))
 
 #: Every header field with the JSON type ``save_model`` writes: a dict is an
 #: object with these keys, [t] a list of t, [t, u] a pair; integers are
 #: sizes, never negative.
 _HEADER = {
-    **dict.fromkeys(
-        ("n_samples", "history_length", "test_length", "action_dim", "obs_dim"), int
-    ),
+    "history_length": int,
+    "test_length": int,
     "lam": _NUMBER,
     "discrete": bool,
     "kernels": dict.fromkeys(
         STREAMS, {"family": str, "dimension": int, "bandwidth": _NUMBER_OR_NULL}
     ),
-    "standardizer": dict.fromkeys(_STANDARDIZER_FIELDS, [_NUMBER]),
+    "truncated_from": _SIZE_OR_NULL,
     "arrays": [[str, [int]]],
 }
 _TYPE_NAMES = {
     int: "a non-negative integer",
+    _SIZE_OR_NULL: "a non-negative integer or null",
     _NUMBER: "a finite number",
     _NUMBER_OR_NULL: "a finite number or null",
     bool: "a boolean",
     str: "a string",
 }
 
-_WINDOW_ARRAYS = (
-    "histories",
-    "test_actions",
-    "test_obs",
-    "shifted_test_actions",
-    "shifted_test_obs",
-    "cur_actions",
-    "cur_obs",
-)
-
 
 def save_model(model: HsePsrModel, path) -> None:
     """Write a trained model to ``path`` in the binary container format."""
-    arrays = {name: getattr(model.windowed, name) for name in _WINDOW_ARRAYS}
-    std = model.standardizer
+    traj = model.windowed.trajectory
+    arrays = {"actions": traj.actions, "observations": traj.observations}
     header = {
-        "n_samples": model.n_samples,
         "history_length": model.config.history_length,
         "test_length": model.config.test_length,
-        "action_dim": model.action_dim,
-        "obs_dim": model.obs_dim,
         "lam": model.lam,
         "discrete": model.discrete,
         "kernels": {s: dataclasses.asdict(getattr(model.kernels, s)) for s in STREAMS},
-        "standardizer": {k: getattr(std, k).tolist() for k in _STANDARDIZER_FIELDS},
+        "truncated_from": model.report.truncated_from,
         "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=False).encode("utf-8")
@@ -117,15 +108,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def _is(value, kind) -> bool:
-    """isinstance, except that JSON booleans are not numbers, integers
+    """isinstance, except that JSON booleans are not numbers, sizes
     must not be negative, and a number where a float may stand must be a
     finite float: JSON's ``Infinity`` and ``NaN``, which Python's ``json``
     reads as floats, are not numbers here, nor is an integer too large for
     a float."""
     if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         return False
-    if kind is int:
-        return value >= 0
+    if kind in (int, _SIZE_OR_NULL):
+        return value is None or value >= 0
     return not isinstance(value, _NUMBER) or abs(value) <= sys.float_info.max
 
 
@@ -151,68 +142,19 @@ def _check(value, schema, name: str = "header") -> None:
         )
 
 
-def _validate(header: dict, arrays: dict) -> None:
-    """Check the arrays a model is built from against the header: T rows
-    each, the widths the window lengths and stream dimensions imply, finite
-    values, and kernel dimensions that match their streams; and the
-    standardization vectors: stream-dimension lengths, finite values and
-    positive scales.  Raises ValueError naming the offending array or
-    field."""
-    T = int(header["n_samples"])
-    L, N = int(header["history_length"]), int(header["test_length"])
-    da, do = int(header["action_dim"]), int(header["obs_dim"])
-    shapes = {
-        "histories": (T, L * (da + do)),
-        "test_actions": (T, N * da),
-        "test_obs": (T, N * do),
-        "shifted_test_actions": (T, N * da),
-        "shifted_test_obs": (T, N * do),
-        "cur_actions": (T, da),
-        "cur_obs": (T, do),
-    }
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"model file array {name} has shape {arrays[name].shape}, "
-                f"expected {shape} from the header"
-            )
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"model file array {name} has non-finite values")
-    for stream, name in STREAMS.items():
-        dim = int(header["kernels"][stream]["dimension"])
-        if dim != shapes[name][1]:
-            raise ValueError(
-                f"model file kernel {stream} has dimension {dim}, but array "
-                f"{name} has width {shapes[name][1]}"
-            )
-    for key in ("action_mean", "action_scale", "obs_mean", "obs_scale"):
-        dim = da if key.startswith("action") else do
-        v = np.asarray(header["standardizer"][key], dtype=float)
-        scale = key.endswith("scale")
-        if v.shape != (dim,) or not np.isfinite(v).all() or (scale and not (v > 0).all()):
-            raise ValueError(
-                f"model file standardizer {key} must hold {dim} finite"
-                + (" positive" if scale else "") + " values"
-            )
-
-
-def load_model(path) -> HsePsrModel:
-    """Read a model container back into a usable model.
-
-    The window arrays are validated against the header and the model is
-    built from them by ``learner.train_from_windows``, so its report is
-    the trained model's except for the stage times and ``truncated_from``.
-    """
+def _read(path) -> tuple[dict, dict]:
+    """The checked header and the arrays of the model file at ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError("not a model file (bad magic)")
         version = struct.unpack("<I", _read_exact(fh, 4, "version"))[0]
-        if version not in _READABLE_VERSIONS:
+        if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
         hlen = struct.unpack("<I", _read_exact(fh, 4, "header length"))[0]
         header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         _check(header, _HEADER)
+        if [name for name, _ in header["arrays"]] != list(_ARRAYS):
+            raise ValueError(f"model file arrays must be {' and '.join(_ARRAYS)}")
         declared = sum(8 * math.prod(shape) for _, shape in header["arrays"])
         if declared < _bytes_left(fh):
             raise ValueError("model file has trailing bytes")
@@ -220,33 +162,38 @@ def load_model(path) -> HsePsrModel:
         for name, shape in header["arrays"]:
             raw = _read_exact(fh, 8 * math.prod(shape), f"array {name}")
             arrays[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+    return header, arrays
 
-    missing = [n for n in _WINDOW_ARRAYS if n not in arrays]
-    if missing:
-        raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
-    _validate(header, arrays)
 
-    kernels = {}
-    for s in STREAMS:
-        spec = header["kernels"][s]
-        try:
-            kernels[s] = KernelSpec(spec["family"], spec["dimension"], spec["bandwidth"])
-        except ValueError as exc:
-            raise ValueError(f"model file kernel {s}: {exc}") from None
-    std = header["standardizer"]
-    standardizer = Standardizer(
-        **{k: np.asarray(std[k], dtype=float) for k in _STANDARDIZER_FIELDS}
-    )
-    windowed = WindowedData(
-        config=WindowConfig(
-            int(header["history_length"]), int(header["test_length"])
-        ),
-        standardizer=standardizer,
-        discrete=bool(header["discrete"]),
-        **{name: arrays[name] for name in _WINDOW_ARRAYS},
-    )
-    # looked up on the module, so that a wrapper installed there (perfbench's
-    # tracer) times a load's build as it times training's
-    return learner.train_from_windows(
-        windowed, KernelSet(**kernels), float(header["lam"])
-    )
+def load_model(path) -> HsePsrModel:
+    """Read a model container back into a usable model.
+
+    The stored trajectory is windowed and the model built from it as
+    training builds it, so that the loaded model is the trained one bit
+    for bit, its report included except for the stage times.  A malformed
+    file raises ValueError naming ``path``.
+    """
+    try:
+        header, arrays = _read(path)
+        kernels = {}
+        for s in STREAMS:
+            k = header["kernels"][s]
+            try:
+                kernels[s] = KernelSpec(k["family"], k["dimension"], k["bandwidth"])
+            except ValueError as exc:
+                raise ValueError(f"model file kernel {s}: {exc}") from None
+        traj = Trajectory(**arrays, discrete=header["discrete"])
+        config = WindowConfig(header["history_length"], header["test_length"])
+        # looked up on the module, so that a wrapper installed there
+        # (perfbench's tracer) times a load's build as it times training's
+        model = learner.train_from_windows(
+            build_windows(traj, config), KernelSet(**kernels), float(header["lam"])
+        )
+        model.report.truncated_from = cut = header["truncated_from"]
+        if cut is not None and cut <= model.n_samples:
+            raise ValueError(
+                f"model file truncated_from {cut} must exceed T = {model.n_samples}"
+            )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model

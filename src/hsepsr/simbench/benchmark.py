@@ -59,7 +59,6 @@ class MseTable:
     horizons: list
     mse: np.ndarray
     extents: list
-    train_size: int
     seed: int
 
     def __post_init__(self):
@@ -187,7 +186,6 @@ def run_protocol(
     test: Trajectory,
     extents,
     horizons,
-    train_size: int = 0,
     seed: int = 0,
     renormalize: bool = True,
 ) -> MseTable:
@@ -229,7 +227,6 @@ def run_protocol(
         horizons=horizons,
         mse=sq.mean(axis=0),
         extents=extents,
-        train_size=train_size,
         seed=seed,
     )
 
@@ -336,9 +333,7 @@ def evaluate(
     extents = desk_extents(test.n, horizons, start=extent, step=extent_step)
     if not extents:
         raise ValueError("no extent fits the test split with these horizons")
-    common = dict(
-        extents=extents, horizons=horizons, train_size=train_steps, seed=seed
-    )
+    common = dict(extents=extents, horizons=horizons, seed=seed)
     # the baselines run first: run_protocol rejects a bad extent or horizon
     # before the model is trained
     mean = run_protocol(baseline_mean(train_traj), test, **common)

@@ -27,9 +27,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 class Trajectory:
     """One action-observation sequence; ``observations[t]`` responds to ``actions[t]``.
 
-    Each stream is (n, d), or 1-d for n steps of one scalar.  ``discrete``
-    marks integer-coded symbol streams: standardization is skipped for
-    them and exact-match kernels are appropriate.
+    Each stream is (n, d), or 1-d for n steps of one scalar, and is held
+    as a C-contiguous float array, so that statistics over it (the
+    ``Standardizer`` fit) sum in one order whatever layout it was given
+    in.  ``discrete`` marks integer-coded symbol streams: standardization
+    is skipped for them and exact-match kernels are appropriate.
     """
 
     actions: np.ndarray
@@ -43,7 +45,9 @@ class Trajectory:
                 "actions and observations must be 1-d (one scalar per step) "
                 f"or 2-d arrays, got {a.ndim}-d and {o.ndim}-d"
             )
-        a, o = (x.reshape(-1, 1) if x.ndim == 1 else x for x in (a, o))
+        a, o = (
+            np.ascontiguousarray(x.reshape(-1, 1) if x.ndim == 1 else x) for x in (a, o)
+        )
         if a.shape[0] != o.shape[0]:
             raise ValueError(
                 f"length mismatch: {a.shape[0]} actions vs {o.shape[0]} observations"
@@ -142,16 +146,19 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class WindowedData:
-    """All window lists extracted from one standardized trajectory.
+    """All window lists extracted from one trajectory.
 
-    Row s of every array corresponds to the same start index s; shapes are
-    (T, L*(da+do)) for histories, (T, N*da) and (T, N*do) for the test
-    window lists, and (T, da), (T, do) for the current pairs.
+    ``trajectory`` is the raw trajectory ``build_windows`` windowed, and
+    ``standardizer`` the transform it fit on it; the window arrays are
+    taken from the standardized steps.  Row s of every array corresponds
+    to the same start index s; shapes are (T, L*(da+do)) for histories,
+    (T, N*da) and (T, N*do) for the test window lists, and (T, da),
+    (T, do) for the current pairs.
     """
 
+    trajectory: Trajectory
     config: WindowConfig
     standardizer: Standardizer
-    discrete: bool
     histories: np.ndarray
     test_actions: np.ndarray
     test_obs: np.ndarray
@@ -159,6 +166,10 @@ class WindowedData:
     shifted_test_obs: np.ndarray
     cur_actions: np.ndarray
     cur_obs: np.ndarray
+
+    @property
+    def discrete(self) -> bool:
+        return self.trajectory.discrete
 
     @property
     def n_samples(self) -> int:
@@ -177,7 +188,8 @@ def build_windows(traj: Trajectory, config: WindowConfig) -> WindowedData:
     Continuous streams are standardized (discrete ones are left as they
     are): the transform is fit on the raw trajectory and applied before
     windowing, and it travels with the result so downstream predictions
-    can be mapped back to raw units.
+    can be mapped back to raw units, as does the raw trajectory, which is
+    all ``model_io`` stores of the data.
     """
     L, N = config.history_length, config.test_length
     if traj.n < config.min_steps():
@@ -198,9 +210,9 @@ def build_windows(traj: Trajectory, config: WindowConfig) -> WindowedData:
     obs_windows = _time_major_windows(work.observations, N)
 
     return WindowedData(
+        trajectory=traj,
         config=config,
         standardizer=std,
-        discrete=traj.discrete,
         histories=np.ascontiguousarray(histories),
         test_actions=np.ascontiguousarray(act_windows[L : L + T]),
         test_obs=np.ascontiguousarray(obs_windows[L : L + T]),

@@ -53,14 +53,14 @@ class PerfectPredictor:
 class TestMseTable:
     def test_rejects_unsorted_horizons(self):
         with pytest.raises(ValueError):
-            MseTable("m", [2, 1], [0.1, 0.2], [5], 10, 0)
+            MseTable("m", [2, 1], [0.1, 0.2], [5], 0)
 
     def test_rejects_negative_mse(self):
         with pytest.raises(ValueError):
-            MseTable("m", [1, 2], [0.1, -0.2], [5], 10, 0)
+            MseTable("m", [1, 2], [0.1, -0.2], [5], 0)
 
     def test_at_reads_by_horizon(self):
-        t = MseTable("m", [1, 5], [0.25, 0.5], [5, 6], 10, 0)
+        t = MseTable("m", [1, 5], [0.25, 0.5], [5, 6], 0)
         assert t.at(5) == 0.5
         assert t.n_extents == 2
 
@@ -160,9 +160,7 @@ class TestRunProtocol:
         model = train(train_traj, WindowConfig(3, 4), lam=2e-3)
         extents = [20, 26, 32]
         horizons = [1, 2, 4]
-        tbl = run_protocol(
-            model, test, extents, horizons, train_size=train_traj.n, seed=6
-        )
+        tbl = run_protocol(model, test, extents, horizons, seed=6)
         res = filter_trajectory(
             model, None, test.actions[:32], test.observations[:32],
             renormalize=True,
@@ -179,7 +177,6 @@ class TestRunProtocol:
             sq += (out.predictions[:, 0] - truth) ** 2
         assert np.allclose(tbl.mse, sq / len(extents), atol=1e-8)
         assert tbl.model == "hse-psr"
-        assert tbl.train_size == train_traj.n
         assert tbl.seed == 6
 
 
@@ -374,7 +371,7 @@ class TestExtentGrids:
 
 def _evaluation(model_mse, mean_mse, prev_mse, horizons):
     tables = [
-        MseTable(name, horizons, mse, [101], 500, 0)
+        MseTable(name, horizons, mse, [101], 0)
         for name, mse in (
             ("hse-psr", model_mse), ("mean", mean_mse), ("previous", prev_mse)
         )
@@ -409,8 +406,8 @@ class TestEvaluationGates:
 
 class TestCsv:
     def test_rows_and_header(self, tmp_path):
-        t1 = MseTable("hse-psr", [1, 2], [0.5, 0.75], [5, 6, 7], 100, 3)
-        t2 = MseTable("mean", [1, 2], [1.0, 1.0], [5, 6, 7], 100, 3)
+        t1 = MseTable("hse-psr", [1, 2], [0.5, 0.75], [5, 6, 7], 3)
+        t2 = MseTable("mean", [1, 2], [1.0, 1.0], [5, 6, 7], 3)
         path = tmp_path / "mse.csv"
         write_csv(path, [t1, t2])
         with open(path) as handle:

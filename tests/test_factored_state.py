@@ -10,7 +10,9 @@ model-file validation and the training report's truncation and rank
 lines.
 """
 
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -27,9 +29,9 @@ from hsepsr.gramops import (
 )
 from hsepsr.kernels import gram
 from hsepsr.learner import resolve_kernels, train, train_from_windows
-from hsepsr.model_io import MAGIC, load_model, save_model
+from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.simbench.discrete import default_system, sample_trajectory
-from hsepsr.windows import WindowConfig, WindowedData, build_windows
+from hsepsr.windows import WindowConfig, build_windows, write_trajectory_csv
 
 from densegrams import (
     dense_grams, dense_ridge, factor_state_gram, kbr_step, shifted_histories,
@@ -72,18 +74,10 @@ def _assert_propagate_matches_dense(model, rng):
 
 
 def _permuted(windows, p):
-    return WindowedData(
-        config=windows.config,
-        standardizer=windows.standardizer,
-        discrete=windows.discrete,
-        histories=windows.histories[p],
-        test_actions=windows.test_actions[p],
-        test_obs=windows.test_obs[p],
-        shifted_test_actions=windows.shifted_test_actions[p],
-        shifted_test_obs=windows.shifted_test_obs[p],
-        cur_actions=windows.cur_actions[p],
-        cur_obs=windows.cur_obs[p],
-    )
+    """``windows`` with the rows of every window array reordered by ``p``."""
+    return dataclasses.replace(windows, **{
+        name: a[p] for name, a in vars(windows).items() if isinstance(a, np.ndarray)
+    })
 
 
 def _delta_model():
@@ -499,9 +493,9 @@ class TestReload:
         assert np.array_equal(loaded.state_ridge, model.state_ridge)
 
 
-def _rewrite(path, out, edit_header=None, edit_arrays=None):
+def _rewrite(path, out, edit_header=None, edit_arrays=None, version=FORMAT_VERSION):
     """Copy a saved model file, letting the callbacks change the header and
-    the arrays (the manifest follows the arrays)."""
+    the arrays (the manifest follows the arrays), under ``version``."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[len(MAGIC) + 4 : len(MAGIC) + 8])
     start = len(MAGIC) + 8
@@ -518,15 +512,62 @@ def _rewrite(path, out, edit_header=None, edit_arrays=None):
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     blob = json.dumps(header).encode("utf-8")
     out.write_bytes(
-        raw[: len(MAGIC) + 4]
-        + struct.pack("<I", len(blob))
+        MAGIC
+        + struct.pack("<II", version, len(blob))
         + blob
         + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values())
     )
     return out
 
 
+def _poison_observations(arrays):
+    arrays["observations"][5, 0] = np.inf
+
+
+#: One malformed file per row (format version, header edit, array edit) and
+#: the message its load must give after the file's path.  The model is
+#: trained with L = 2, N = 3 on 45 steps of one action and one observation.
+MALFORMED = [
+    pytest.param(4, None, None, "unsupported model format version 4", id="version-4"),
+    pytest.param(
+        FORMAT_VERSION, None, lambda a: a.update(obs=a.pop("observations")),
+        "model file arrays must be actions and observations", id="manifest",
+    ),
+    pytest.param(
+        FORMAT_VERSION, None, _poison_observations,
+        "trajectory contains non-finite values", id="non-finite",
+    ),
+    pytest.param(
+        FORMAT_VERSION, None, lambda a: a.update(actions=a["actions"][:-1]),
+        "length mismatch: 44 actions vs 45 observations", id="unequal-lengths",
+    ),
+    pytest.param(
+        FORMAT_VERSION, None, lambda a: a.update({k: v[:5] for k, v in a.items()}),
+        "5 steps is too short .* at least 6", id="too-short",
+    ),
+    pytest.param(
+        FORMAT_VERSION, lambda h: h["kernels"]["obs"].update(dimension=2), None,
+        "kernel obs has dimension 2, but cur_obs has width 1", id="kernel-width",
+    ),
+    pytest.param(
+        FORMAT_VERSION, lambda h: h.update(lam=0), None,
+        "lam must be finite and positive, got 0", id="lam-zero",
+    ),
+    pytest.param(
+        FORMAT_VERSION, lambda h: h.update(lam=-1e-3), None,
+        "lam must be finite and positive, got -0.001", id="lam-negative",
+    ),
+    pytest.param(
+        FORMAT_VERSION, lambda h: h.update(truncated_from=40), None,
+        "truncated_from 40 must exceed T = 40", id="truncated-from-T",
+    ),
+]
+
+
 class TestLoadValidation:
+    """A load runs training's own checks on the stored trajectory:
+    ``Trajectory``, ``build_windows`` and ``train_from_windows``."""
+
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         model = train(synthetic_trajectory(seed=60, n=45), WindowConfig(2, 3), lam=1e-3)
@@ -537,50 +578,23 @@ class TestLoadValidation:
     def test_unedited_copy_loads(self, saved, tmp_path):
         load_model(_rewrite(saved, tmp_path / "same.hsepsr"))
 
-    def test_header_sample_count_must_match_the_arrays(self, saved, tmp_path):
-        bad = _rewrite(
-            saved, tmp_path / "n.hsepsr",
-            edit_header=lambda h: h.update(n_samples=h["n_samples"] - 1),
-        )
-        with pytest.raises(ValueError, match="histories"):
-            load_model(bad)
-
     def test_header_action_dim_must_match_the_widths(self, saved, tmp_path):
-        bad = _rewrite(
-            saved, tmp_path / "da.hsepsr", edit_header=lambda h: h.update(action_dim=2)
-        )
-        with pytest.raises(ValueError, match="histories"):
-            load_model(bad)
+        """The header's kernels fix the action width: two action columns
+        make histories wider than the history kernel."""
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("obs_scale", [0.0]),
-            ("obs_scale", [-1.0]),
-            ("action_scale", [float("inf")]),
-            ("action_mean", [float("nan")]),
-            ("obs_mean", [0.0, 0.0]),
-            ("action_scale", []),
-        ],
-    )
-    def test_standardizer_vectors(self, saved, tmp_path, field, value):
-        """Each vector has its stream's length and finite values, and both
-        scales are positive: a zero scale would predict a constant at every
-        horizon, and an extra entry would fail only at the first update."""
+        def widen(arrays):
+            arrays["actions"] = np.hstack([arrays["actions"]] * 2)
 
-        def edit(h):
-            h["standardizer"][field] = value
-
-        bad = _rewrite(saved, tmp_path / "std.hsepsr", edit_header=edit)
-        with pytest.raises(ValueError, match=field):
+        bad = _rewrite(saved, tmp_path / "da.hsepsr", edit_arrays=widen)
+        with pytest.raises(ValueError, match="kernel history .* histories has width 6"):
             load_model(bad)
 
     def test_non_finite_values(self, saved, tmp_path):
         def poison(arrays):
-            arrays["histories"][3, 2] = np.nan
+            arrays["actions"][3, 0] = np.nan
 
         bad = _rewrite(saved, tmp_path / "nan.hsepsr", edit_arrays=poison)
-        with pytest.raises(ValueError, match="histories"):
+        with pytest.raises(ValueError, match="non-finite"):
             load_model(bad)
 
     def test_kernel_dimension_must_match_its_stream(self, saved, tmp_path):
@@ -590,6 +604,24 @@ class TestLoadValidation:
         bad = _rewrite(saved, tmp_path / "k.hsepsr", edit_header=widen)
         with pytest.raises(ValueError, match="test_obs"):
             load_model(bad)
+
+    @pytest.mark.parametrize("version, edit_header, edit_arrays, message", MALFORMED)
+    def test_malformed_file(
+        self, saved, tmp_path, version, edit_header, edit_arrays, message
+    ):
+        bad = _rewrite(saved, tmp_path / "bad.hsepsr", edit_header, edit_arrays, version)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{message}"):
+            load_model(bad)
+
+    def test_cli_filter_exits_one_naming_the_file(self, saved, tmp_path, capsys):
+        bad = _rewrite(
+            saved, tmp_path / "bad.hsepsr", edit_arrays=_poison_observations
+        )
+        data = tmp_path / "traj.csv"
+        write_trajectory_csv(data, synthetic_trajectory(seed=61, n=8))
+        assert main(["filter", str(bad), str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: trajectory contains non-finite values\n"
 
 
 class TestTrainingReport:

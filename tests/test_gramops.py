@@ -225,11 +225,11 @@ class TestHistoryWeights:
         lam = 0.6
         w, V = np.linalg.eigh(G)
         expect = V @ np.diag(w / (w + lam)) @ V.T
-        assert np.allclose(history_weights(G, lam), expect, atol=1e-10)
+        assert np.allclose(history_weights((G, None), lam), expect, atol=1e-10)
 
     def test_large_lam_shrinks_weights(self, rng):
         G = random_psd(rng, 8)
-        A = history_weights(G, 1e6)
+        A = history_weights((G, None), 1e6)
         assert np.abs(A).max() < 1e-3
 
 

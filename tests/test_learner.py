@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hsepsr.learner import (
     train_from_windows,
 )
 from hsepsr.predict import rollout_predict
-from hsepsr.windows import Trajectory, WindowConfig, WindowedData, build_windows
+from hsepsr.windows import Trajectory, WindowConfig, build_windows
 
 from densegrams import dense_grams, factor_state_gram, kbr_step
 from synthdata import synthetic_trajectory
@@ -169,18 +171,9 @@ class TestModelInvariances:
 
         rng = np.random.default_rng(7)
         p = rng.permutation(w.n_samples)
-        wp = WindowedData(
-            config=w.config,
-            standardizer=w.standardizer,
-            discrete=w.discrete,
-            histories=w.histories[p],
-            test_actions=w.test_actions[p],
-            test_obs=w.test_obs[p],
-            shifted_test_actions=w.shifted_test_actions[p],
-            shifted_test_obs=w.shifted_test_obs[p],
-            cur_actions=w.cur_actions[p],
-            cur_obs=w.cur_obs[p],
-        )
+        wp = dataclasses.replace(w, **{
+            name: a[p] for name, a in vars(w).items() if isinstance(a, np.ndarray)
+        })
         model_p = train_from_windows(wp, ks, lam=1e-3)
 
         # short probe and in-window horizons: the recursion is chaotic, so

@@ -13,9 +13,8 @@ from hsepsr.learner import TrainingReport, train
 from hsepsr.model_io import FORMAT_VERSION, MAGIC, load_model, save_model
 from hsepsr.predict import rollout_predict
 from hsepsr.simbench.discrete import default_system, sample_trajectory
-from hsepsr.windows import WindowConfig, WindowedData
+from hsepsr.windows import Standardizer, Trajectory, WindowConfig, WindowedData
 
-from densegrams import dense_grams, factor_state_gram
 from synthdata import synthetic_trajectory
 
 inf, nan = float("inf"), float("nan")
@@ -54,34 +53,6 @@ def _header_paths(value, path=()):
         yield from _header_paths(child, path + (key,))
 
 
-def _write_old(model, saved_path, path, version):
-    """Write ``model`` in an older layout, reusing the header of a saved
-    file: version 3 also stored the history weights, version 2 those and
-    the state Gram, version 1 those, the eight training Grams and the
-    start belief."""
-    header, _ = _split(saved_path.read_bytes())
-    windows = (
-        "histories", "test_actions", "test_obs", "shifted_test_actions",
-        "shifted_test_obs", "cur_actions", "cur_obs",
-    )
-    arrays = {name: getattr(model.windowed, name) for name in windows}
-    if version == 1:
-        arrays.update(vars(dense_grams(model.windowed, model.kernels)))
-    arrays["history_state_weights"] = model.history_state_weights
-    if version <= 2:
-        arrays["gram_states"] = factor_state_gram(model)
-    if version == 1:
-        arrays["feasible_weights"] = model.feasible_weights
-    header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(
-        MAGIC
-        + struct.pack("<II", version, len(blob))
-        + blob
-        + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values())
-    )
-
-
 def _assert_same_arrays(model, loaded):
     """Every array of the two models is bit for bit the same."""
     for f in dataclasses.fields(GramCache):
@@ -99,28 +70,22 @@ def _assert_same_arrays(model, loaded):
         a, b = getattr(model.windowed, f.name), getattr(loaded.windowed, f.name)
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b), f.name
+    for f in dataclasses.fields(Standardizer):
+        a, b = getattr(model.standardizer, f.name), getattr(loaded.standardizer, f.name)
+        assert np.array_equal(a, b), f.name
+    a, b = model.windowed.trajectory, loaded.windowed.trajectory
+    assert np.array_equal(a.actions, b.actions)
+    assert np.array_equal(a.observations, b.observations)
+    assert a.discrete == b.discrete
 
 
 def _assert_same_report(model, loaded):
     """The loaded report is the trained one but for the load's own stage
-    times and the truncation, which only training sees."""
+    times."""
     for f in dataclasses.fields(TrainingReport):
-        if f.name not in ("stage_seconds", "truncated_from"):
+        if f.name != "stage_seconds":
             assert getattr(loaded.report, f.name) == getattr(model.report, f.name), f.name
     assert loaded.report.stage_seconds.keys() == model.report.stage_seconds.keys()
-    assert loaded.report.truncated_from is None
-
-
-def _assert_old_file_loads_to_the_same_model(model, path, old, version):
-    _write_old(model, path, old, version)
-    loaded = load_model(old)
-    _assert_same_arrays(model, loaded)
-    probe = synthetic_trajectory(seed=61, n=8)
-    s1, s2 = (
-        filter_trajectory(m, None, probe.actions, probe.observations, False).final
-        for m in (model, loaded)
-    )
-    assert np.array_equal(s1.weights, s2.weights)
 
 
 class TestRoundTrip:
@@ -133,15 +98,10 @@ class TestRoundTrip:
         assert loaded.config == model.config
         assert loaded.kernels == model.kernels
         assert loaded.discrete == model.discrete
-        for field in ("action_mean", "action_scale", "obs_mean", "obs_scale"):
-            assert np.array_equal(
-                getattr(loaded.standardizer, field),
-                getattr(model.standardizer, field),
-            )
         _assert_same_report(model, loaded)
 
     def test_discrete_report_survives_a_load(self, tmp_path):
-        """Repeated states, and a cut that only the trained report shows."""
+        """Repeated states, and a ``max_samples`` cut."""
         traj = sample_trajectory(default_system(), 100, seed=0)
         model = train(traj, WindowConfig(1, 1), lam=1e-2, max_samples=60)
         assert model.report.truncated_from == 98
@@ -150,6 +110,16 @@ class TestRoundTrip:
         loaded = load_model(tmp_path / "d.hsepsr")
         _assert_same_arrays(model, loaded)
         _assert_same_report(model, loaded)
+
+    def test_truncation_survives_a_load(self, tmp_path):
+        traj = synthetic_trajectory(seed=63, n=50)
+        model = train(traj, WindowConfig(2, 3), max_samples=30)
+        save_model(model, tmp_path / "cut.hsepsr")
+        loaded = load_model(tmp_path / "cut.hsepsr")
+        assert loaded.report.truncated_from == model.report.truncated_from == 45
+        assert loaded.report.summary_lines()[0] == (
+            "samples: 30 (truncated from 45 by max_samples)"
+        )
 
     def test_rebuilt_tensors_match(self, saved):
         """Conditioning tensors are not persisted; the lazy rebuild must
@@ -181,25 +151,49 @@ class TestRoundTrip:
         p2 = rollout_predict(loaded, s2, future, renormalize=False).predictions
         assert np.allclose(p1, p2, rtol=1e-10, atol=1e-10)
 
-    def test_version_1_file_loads_to_the_same_model(self, saved, tmp_path):
-        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v1.hsepsr", 1)
-
-    def test_version_2_file_loads_to_the_same_model(self, saved, tmp_path):
-        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v2.hsepsr", 2)
-
-    def test_version_3_file_loads_to_the_same_model(self, saved, tmp_path):
-        _assert_old_file_loads_to_the_same_model(*saved, tmp_path / "v3.hsepsr", 3)
-
     def test_file_stores_only_what_training_learned(self, saved):
-        _, path = saved
+        model, path = saved
         raw = path.read_bytes()
-        version, hlen = struct.unpack("<II", raw[len(MAGIC) : len(MAGIC) + 8])
-        header = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + hlen])
-        assert version == FORMAT_VERSION == 4
-        assert [name for name, _ in header["arrays"]] == [
-            "histories", "test_actions", "test_obs", "shifted_test_actions",
-            "shifted_test_obs", "cur_actions", "cur_obs",
+        header, _ = _split(raw)
+        (version,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
+        assert version == FORMAT_VERSION == 5
+        assert list(header) == [
+            "history_length", "test_length", "lam", "discrete", "kernels",
+            "truncated_from", "arrays",
         ]
+        traj = model.windowed.trajectory
+        assert header["arrays"] == [
+            ["actions", list(traj.actions.shape)],
+            ["observations", list(traj.observations.shape)],
+        ]
+
+    @pytest.mark.parametrize("discrete", [False, True], ids=["rbf", "delta"])
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path, discrete):
+        if discrete:
+            traj = sample_trajectory(default_system(), 80, seed=1)
+            model = train(traj, WindowConfig(1, 1), lam=1e-2)
+        else:
+            model = train(synthetic_trajectory(seed=64, n=40), WindowConfig(2, 2))
+        first, again = tmp_path / "first.hsepsr", tmp_path / "again.hsepsr"
+        save_model(model, first)
+        save_model(load_model(first), again)
+        assert first.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda x: np.repeat(x, 2, axis=1)[:, ::2]],
+        ids=["fortran", "column-strided"],
+    )
+    def test_memory_layout_does_not_change_the_model(self, layout):
+        """The standardizer is refit from the stored steps on every load,
+        so training must not depend on the layout it was given them in:
+        a Fortran-ordered stream used to fit a standardizer that differed
+        in the last bits, and with it every model array."""
+        traj = synthetic_trajectory(seed=5, n=60, da=3, do=3)
+        a, o = traj.actions, traj.observations
+        config = WindowConfig(2, 2)
+        model = train(Trajectory(layout(a), layout(o)), config)
+        _assert_same_arrays(train(Trajectory(a.copy(), o.copy()), config), model)
 
     def test_save_is_deterministic(self, saved, tmp_path):
         model, path = saved
@@ -249,16 +243,17 @@ class TestRejections:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: h.pop("n_samples"), "n_samples is missing"),
             (lambda h: h.pop("kernels"), "kernels is missing"),
-            (lambda h: h.pop("standardizer"), "standardizer is missing"),
-            (lambda h: h.update(n_samples=None), "n_samples must be a non-negative int"),
+            (lambda h: h.pop("truncated_from"), "truncated_from is missing"),
+            (
+                lambda h: h.update(truncated_from=-1),
+                "truncated_from must be a non-negative integer or null, got -1",
+            ),
             (lambda h: h.update(arrays=5), "arrays must be a list"),
             (lambda h: h["arrays"][0].__setitem__(1, [2.5, 3]), r"arrays\[0\]"),
-            (lambda h: h["arrays"][0].__setitem__(1, [10**11]), "truncated.*histories"),
+            (lambda h: h["arrays"][0].__setitem__(1, [10**11]), "truncated.*actions"),
             (lambda h: h["arrays"][0].__setitem__(1, [-3]), r"arrays\[0\]\[1\]\[0\].*-3"),
             (lambda h: h["kernels"]["obs"].pop("bandwidth"), "obs.bandwidth is missing"),
-            (lambda h: h["standardizer"]["obs_mean"].append("0"), "obs_mean"),
             (lambda h: h.update(discrete=1), "discrete must be a boolean"),
             (lambda h: ["not", "an", "object"], "JSON object"),
             (lambda h: h.update(lam=inf), r"header\.lam must be a finite number, got Inf"),
